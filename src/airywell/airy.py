@@ -1,51 +1,25 @@
 """Airy functions Ai, Bi and their first-kind zeros on the complex plane.
 
 The solver in this package needs Ai(z), Ai'(z) at complex arguments with
-moduli up to about 40 and relative accuracy near 1e-10, plus the negative
-real zeros a_k of Ai and a'_k of Ai'.  Everything here is built from three
-classical representations of solutions of y'' = z y:
+moduli up to about 40, plus the negative real zeros a_k of Ai and a'_k of
+Ai'.  Values come from `scipy.special.airy`, which wraps D. E. Amos's
+complex Airy routines (ACM TOMS Algorithm 644, 1986); against mpmath they
+are accurate to about 1e-13 relative across the working disc |z| <= 40,
+away from zeros of the respective function.
 
-  * Maclaurin series.  With f(z) = sum_k z^{3k}/prod and g(z) = z + ...,
-    one has Ai = c1 f - c2 g and Bi = sqrt(3) (c1 f + c2 g), where
-    c1 = Ai(0), c2 = -Ai'(0), and terms obey
-        t_{k+1} = t_k z^3 / ((3k+2)(3k+3)),   t_0 = 1,
-        u_{k+1} = u_k z^3 / ((3k+3)(3k+4)),   u_0 = z.
-    The series converge everywhere but cancel badly where Ai is recessive:
-    partial sums peak near e^{0.85 |zeta|} while the value is e^{-|zeta|},
-    zeta = (2/3) z^{3/2}.  Sums are accumulated in 80-bit extended
-    precision and each output carries an a-posteriori roundoff estimate
-    eps * max|term| / |value|.
+Two details are handled here rather than left to callers:
 
-  * Poincare expansions.  For |arg z| <= 2.2,
-        Ai(z)  ~  e^{-zeta} / (2 sqrt(pi) z^{1/4}) * sum (-1)^k u_k zeta^{-k}
-        Ai'(z) ~ -z^{1/4} e^{-zeta} / (2 sqrt(pi)) * sum (-1)^k v_k zeta^{-k}
-    with u_0 = v_0 = 1,
-        u_{k+1} = u_k (6k+1)(6k+3)(6k+5) / (216 (k+1)(2k+1)),
-        v_k = -u_k (6k+1)/(6k-1),
-    truncated at the smallest term.  Larger arguments are reached through
-    the rotation connection
-        Ai(z) = -e^{+2pi i/3} Ai(z e^{+2pi i/3}) - e^{-2pi i/3} Ai(z e^{-2pi i/3}),
-    and Bi is always assembled from rotated Ai values,
-        Bi(z) = e^{+i pi/6} Ai(z e^{+2pi i/3}) + e^{-i pi/6} Ai(z e^{-2pi i/3}).
+  * Signed zero.  For a negative real part with |z| > 1, Amos's routine
+    takes an imaginary part of -0.0 as the lower side of a branch cut and
+    returns a wrong value (scipy 1.17.1 gives Ai(-5 - 0.0j) =
+    -0.175 + 0.069j, the true value being 0.351).  Region 2 of the
+    time-dependent states produces such arguments as -z - lambda, so every
+    argument is normalized with `+ 0.0`, which turns -0.0 into +0.0.
 
-  * Taylor continuation.  Where the Maclaurin estimate exceeds its budget
-    (the recessive wedge just inside the switch radius), (Ai, Ai') is
-    re-seeded from the Poincare engine at radius 9 on the same ray and
-    marched inward in steps of length <= 1 using the ODE recurrence
-        c_{j+2} = (z0 c_j + c_{j-1}) / ((j+1)(j+2)).
-    Marching toward smaller |zeta| is stable here: the dominant-solution
-    contamination decays along the path.
-
-Representation switch at |z| = 7: inside, Maclaurin (with continuation
-fallback); outside, Poincare.  At the switch radius the smallest
-asymptotic term is below 3e-11 relative, so both sides agree to ~1e-10.
-
-Zeros are found on the negative axis from the standard asymptotic guesses
-    a_k ~ -T(3 pi (4k-1)/8),   a'_k ~ -U(3 pi (4k-3)/8),
-T(b) = b^{2/3}(1 + 5/48 b^-2 - ...), refined by bracketed bisection
-followed by Newton (Ai'' = z Ai supplies the derivative for a'_k).
-Supported for 1 <= k <= 50, which keeps |a_k| < 38, inside the working
-disc |z| <= 40.
+  * Zeros.  `scipy.special.ai_zeros` is off by up to 8e-12 in the first
+    50 zeros, so each is polished by three Newton steps on real arguments:
+    Ai / Ai' for a_k, and Ai' / Ai'' for a'_k with Ai'' = z Ai.  Indices
+    1 <= k <= 50 are supported, which keeps |a_k| < 38 inside the disc.
 """
 
 from __future__ import annotations
@@ -54,6 +28,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ai_zeros, airy
 
 __all__ = [
     "AiryPair",
@@ -63,30 +38,12 @@ __all__ = [
     "airy_function_zero",
     "airy_derivative_zero",
     "MAX_ABS_Z",
-    "SWITCH_RADIUS",
     "MAX_ZERO_INDEX",
 ]
 
-# Working disc and representation boundaries.
 MAX_ABS_Z = 40.0
-SWITCH_RADIUS = 7.0
-_ANCHOR_RADIUS = 9.0
-_DIRECT_ARG = 2.2          # Poincare series used directly for |arg z| <= this
-_MARCH_TOL = 1e-11         # relative roundoff budget for the Maclaurin sums
 MAX_ZERO_INDEX = 50
-
-_LD = np.longdouble
-_CLD = np.clongdouble
-_EPS_LD = float(np.finfo(_LD).eps)
-
-# Ai(0) and -Ai'(0) to more digits than extended precision holds.
-_C1 = _LD("0.35502805388781723926006318600418317639997")
-_C2 = _LD("0.25881940379280679840518356018920396347910")
-_SQRT3 = _LD("1.73205080756887729352744634150587236694281")
-
-_ROT_P = complex(np.exp(2j * np.pi / 3))    # e^{+2 pi i/3}
-_ROT_M = complex(np.exp(-2j * np.pi / 3))
-_SQRT_PI = float(np.sqrt(np.pi))
+_NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -113,225 +70,17 @@ class AiryZero:
     location: float
 
 
-def _maclaurin_many(z: np.ndarray):
-    """Maclaurin sums for Ai, Ai', Bi, Bi' on an array, extended precision.
-
-    Returns the four value arrays (complex128) together with per-point
-    relative roundoff estimates for each output, driven by the largest
-    term magnitude met while accumulating the corresponding series pair.
-    """
-    zl = z.astype(_CLD)
-    z3 = zl * zl * zl
-    n = zl.shape[0]
-
-    t = np.ones(n, dtype=_CLD)          # f-series term
-    u = zl.copy()                       # g-series term
-    f = t.copy()
-    g = u.copy()
-    fp = np.zeros(n, dtype=_CLD)        # f' accumulates from k = 1
-    gp = np.ones(n, dtype=_CLD)         # g' term at k = 0 is exactly 1
-    max_f = np.abs(t)
-    max_g = np.abs(u)
-    max_fp = np.zeros(n, dtype=_LD)
-    max_gp = np.ones(n, dtype=_LD)
-
-    nonzero = np.abs(zl) > 0
-    zsafe = np.where(nonzero, zl, _CLD(1))
-    for k in range(1, 90):
-        t = t * z3 / _LD((3 * k - 1) * (3 * k))
-        u = u * z3 / _LD((3 * k) * (3 * k + 1))
-        tp = t * _LD(3 * k) / zsafe
-        up = u * _LD(3 * k + 1) / zsafe
-        f = f + t
-        g = g + u
-        fp = fp + tp
-        gp = gp + up
-        at = np.abs(t)
-        au = np.abs(u)
-        max_f = np.maximum(max_f, at)
-        max_g = np.maximum(max_g, au)
-        max_fp = np.maximum(max_fp, np.abs(tp))
-        max_gp = np.maximum(max_gp, np.abs(up))
-        if np.all(at < 1e-26 * max_f) and np.all(au < 1e-26 * max_g):
-            break
-
-    fp = np.where(nonzero, fp, _CLD(0))
-    gp = np.where(nonzero, gp, _CLD(1))
-
-    ai = _C1 * f - _C2 * g
-    aip = _C1 * fp - _C2 * gp
-    bi = _SQRT3 * (_C1 * f + _C2 * g)
-    bip = _SQRT3 * (_C1 * fp + _C2 * gp)
-
-    big = (_C1 * max_f + _C2 * max_g) * _LD(_EPS_LD)
-    big_p = (_C1 * max_fp + _C2 * max_gp) * _LD(_EPS_LD)
-    floor = _LD(1e-300)
-    est_ai = (big / np.maximum(np.abs(ai), floor)).astype(float)
-    est_aip = (big_p / np.maximum(np.abs(aip), floor)).astype(float)
-    est_bi = (big / np.maximum(np.abs(bi), floor)).astype(float)
-    est_bip = (big_p / np.maximum(np.abs(bip), floor)).astype(float)
-
-    out = (
-        ai.astype(complex),
-        aip.astype(complex),
-        bi.astype(complex),
-        bip.astype(complex),
-    )
-    return out + (est_ai, est_aip, est_bi, est_bip)
-
-
-def _poincare_pair_many(w: np.ndarray):
-    """Recessive expansions of (Ai, Ai') for |w| >= 7, |arg w| <= 2.2."""
-    zeta = (2.0 / 3.0) * np.exp(1.5 * np.log(w))
-    x = -1.0 / zeta
-    term_u = np.ones_like(w)
-    s_u = term_u.copy()
-    s_v = term_u.copy()
-    last = np.abs(term_u)
-    active = np.ones(w.shape, dtype=bool)
-    uk = 1.0
-    for k in range(0, 40):
-        uk1 = uk * (6 * k + 1) * (6 * k + 3) * (6 * k + 5) \
-            / (216.0 * (k + 1) * (2 * k + 1))
-        term_u = term_u * x * (uk1 / uk)
-        term_v = term_u * (-(6 * k + 7) / (6 * k + 5))
-        mag = np.abs(term_u)
-        # optimal truncation: freeze a point once its terms stop shrinking
-        active = active & (mag < last)
-        s_u = np.where(active, s_u + term_u, s_u)
-        s_v = np.where(active, s_v + term_v, s_v)
-        last = np.where(active, mag, last)
-        uk = uk1
-        if not np.any(active) or np.all(last < 1e-18):
-            break
-
-    q = np.exp(0.25 * np.log(w))        # w^{1/4}, principal branch
-    damp = np.exp(-zeta)
-    ai = damp / (2.0 * _SQRT_PI * q) * s_u
-    aip = -q * damp / (2.0 * _SQRT_PI) * s_v
-    return ai, aip
-
-
-def _ai_pair_outer_many(w: np.ndarray):
-    """(Ai, Ai') for |w| >= 7 at any argument, via rotation where needed."""
-    ai = np.empty(w.shape, dtype=complex)
-    aip = np.empty(w.shape, dtype=complex)
-    direct = np.abs(np.angle(w)) <= _DIRECT_ARG
-    if np.any(direct):
-        a, ap = _poincare_pair_many(w[direct])
-        ai[direct] = a
-        aip[direct] = ap
-    rot = ~direct
-    if np.any(rot):
-        # rotated arguments land inside the direct sector on both sides
-        a_p, ap_p = _poincare_pair_many(w[rot] * _ROT_P)
-        a_m, ap_m = _poincare_pair_many(w[rot] * _ROT_M)
-        ai[rot] = -_ROT_P * a_p - _ROT_M * a_m
-        aip[rot] = -_ROT_M * ap_p - _ROT_P * ap_m
-    return ai, aip
-
-
-def _bi_pair_outer_many(w: np.ndarray):
-    """(Bi, Bi') for |w| >= 7 from two rotated recessive evaluations."""
-    a_p, ap_p = _ai_pair_outer_many(w * _ROT_P)
-    a_m, ap_m = _ai_pair_outer_many(w * _ROT_M)
-    e6 = complex(np.exp(1j * np.pi / 6))
-    e56 = complex(np.exp(5j * np.pi / 6))
-    bi = e6 * a_p + np.conj(e6) * a_m
-    bip = e56 * ap_p + np.conj(e56) * ap_m
-    return bi, bip
-
-
-def _march_pair(z0: complex, y: complex, yp: complex, z1: complex):
-    """Carry (y, y') solving y'' = z y from z0 to z1 by Taylor steps <= 1."""
-    nstep = max(1, int(np.ceil(abs(z1 - z0))))
-    h = (z1 - z0) / nstep
-    zc = z0
-    for _ in range(nstep):
-        c = [y, yp]
-        val = c[0] + c[1] * h
-        der = c[1]
-        hj = h                          # equals h^{j+1} inside the loop
-        for j in range(0, 60):
-            low = c[j - 1] if j >= 1 else 0.0 + 0.0j
-            cj2 = (zc * c[j] + low) / ((j + 1) * (j + 2))
-            c.append(cj2)
-            hj = hj * h
-            dval = cj2 * hj
-            val = val + dval
-            der = der + cj2 * (j + 2) * hj / h
-            if abs(dval) < 1e-18 * abs(val) and j > 4:
-                break
-        y, yp = val, der
-        zc = zc + h
-    return y, yp
-
-
-def _continued_ai_pair(z: complex):
-    """(Ai, Ai') inside the switch radius via continuation from radius 9."""
-    theta = float(np.angle(z)) if z != 0 else 0.0
-    anchor = _ANCHOR_RADIUS * complex(np.cos(theta), np.sin(theta))
-    a0, ap0 = _ai_pair_outer_many(np.array([anchor]))
-    return _march_pair(anchor, complex(a0[0]), complex(ap0[0]), z)
-
-
-def _continued_bi_pair(z: complex):
-    theta = float(np.angle(z)) if z != 0 else 0.0
-    anchor = _ANCHOR_RADIUS * complex(np.cos(theta), np.sin(theta))
-    b0, bp0 = _bi_pair_outer_many(np.array([anchor]))
-    return _march_pair(anchor, complex(b0[0]), complex(bp0[0]), z)
-
-
 def airy_eval_many(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate (Ai, Ai', Bi, Bi') on an array of complex points.
 
     Points must satisfy |z| <= 40; a ValueError flags anything outside the
-    supported disc.  Relative accuracy is ~1e-10 or better away from zeros
-    of the respective function.
+    supported disc, NaN included.
     """
-    zarr = np.asarray(z, dtype=complex)
-    flat = zarr.ravel()
-    absz = np.abs(flat)
-    if flat.size and float(np.max(absz)) > MAX_ABS_Z:
+    # + 0.0 maps a -0.0 imaginary part to +0.0 (see the module docstring)
+    zarr = np.asarray(z, dtype=complex) + 0.0
+    if not np.all(np.abs(zarr) <= MAX_ABS_Z):
         raise ValueError(f"|z| > {MAX_ABS_Z} is outside the supported disc")
-
-    ai = np.empty(flat.shape, dtype=complex)
-    aip = np.empty(flat.shape, dtype=complex)
-    bi = np.empty(flat.shape, dtype=complex)
-    bip = np.empty(flat.shape, dtype=complex)
-
-    inner = absz <= SWITCH_RADIUS
-    if np.any(inner):
-        zi = flat[inner]
-        a, ap, b, bp, ea, eap, eb, ebp = _maclaurin_many(zi)
-        bad_a = (ea > _MARCH_TOL) | (eap > _MARCH_TOL)
-        bad_b = (eb > _MARCH_TOL) | (ebp > _MARCH_TOL)
-        for idx in np.nonzero(bad_a)[0]:
-            a[idx], ap[idx] = _continued_ai_pair(complex(zi[idx]))
-        for idx in np.nonzero(bad_b)[0]:
-            b[idx], bp[idx] = _continued_bi_pair(complex(zi[idx]))
-        ai[inner] = a
-        aip[inner] = ap
-        bi[inner] = b
-        bip[inner] = bp
-
-    outer = ~inner
-    if np.any(outer):
-        zo = flat[outer]
-        a, ap = _ai_pair_outer_many(zo)
-        b, bp = _bi_pair_outer_many(zo)
-        ai[outer] = a
-        aip[outer] = ap
-        bi[outer] = b
-        bip[outer] = bp
-
-    shape = zarr.shape
-    return (
-        ai.reshape(shape),
-        aip.reshape(shape),
-        bi.reshape(shape),
-        bip.reshape(shape),
-    )
+    return airy(zarr)
 
 
 def airy_eval(z) -> AiryPair:
@@ -340,85 +89,30 @@ def airy_eval(z) -> AiryPair:
     return AiryPair(ai=a[0], ai_prime=ap[0], bi=b[0], bi_prime=bp[0])
 
 
-def _ai_real(x: float) -> float:
-    """Ai at a real argument; imaginary parts cancel by conjugate symmetry."""
-    return airy_eval(x).ai.real
-
-
-def _aip_real(x: float) -> float:
-    return airy_eval(x).ai_prime.real
-
-
-def _zero_guess_ai(k: int) -> float:
-    beta = 3.0 * np.pi * (4 * k - 1) / 8.0
-    b2 = beta * beta
-    return -(beta ** (2.0 / 3.0) * (1 + 5.0 / (48 * b2) - 5.0 / (36 * b2 * b2)))
-
-
-def _zero_guess_aip(k: int) -> float:
-    beta = 3.0 * np.pi * (4 * k - 3) / 8.0
-    b2 = beta * beta
-    return -(beta ** (2.0 / 3.0) * (1 - 7.0 / (48 * b2) + 35.0 / (288 * b2 * b2)))
-
-
-def _refine_zero(f, fprime, guess: float, spacing: float) -> float:
-    """Bracketed bisection around guess, then Newton; raises if lost."""
-    h = 0.35 * spacing
-    lo, hi = guess - h, guess + h
-    flo, fhi = f(lo), f(hi)
-    grow = 0
-    while flo * fhi > 0 and grow < 6:
-        h *= 1.6
-        lo, hi = guess - h, guess + h
-        flo, fhi = f(lo), f(hi)
-        grow += 1
-    if flo * fhi > 0:
-        raise RuntimeError("failed to bracket the requested zero")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-3:
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(30):
-        step = f(x) / fprime(x)
-        x -= step
-        if abs(step) < 5e-16 * abs(x):
-            break
-    return x
-
-
 @functools.lru_cache(maxsize=None)
-def _ai_zero_location(k: int) -> float:
-    guess = _zero_guess_ai(k)
-    spacing = np.pi / np.sqrt(abs(guess))
-    return float(_refine_zero(_ai_real, _aip_real, guess, spacing))
+def _zero_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The first MAX_ZERO_INDEX zeros a_k and a'_k, Newton-polished."""
+    a, ap, _, _ = ai_zeros(MAX_ZERO_INDEX)
+    for _ in range(_NEWTON_STEPS):
+        ai, aip, _, _ = airy(a)
+        a = a - ai / aip
+        ai, aip, _, _ = airy(ap)
+        ap = ap - aip / (ap * ai)
+    return a, ap
 
 
-@functools.lru_cache(maxsize=None)
-def _aip_zero_location(k: int) -> float:
-    guess = _zero_guess_aip(k)
-    spacing = np.pi / np.sqrt(abs(guess))
-    # Ai'' = z Ai supplies the Newton derivative without extra machinery.
-    return float(_refine_zero(_aip_real, lambda x: x * _ai_real(x), guess, spacing))
+def _check_index(k: int):
+    if not 1 <= k <= MAX_ZERO_INDEX:
+        raise ValueError(f"zero index must lie in 1..{MAX_ZERO_INDEX}")
 
 
 def airy_function_zero(k: int) -> AiryZero:
     """k-th negative zero a_k of Ai, counted from the origin (k >= 1)."""
-    if not 1 <= k <= MAX_ZERO_INDEX:
-        raise ValueError(f"zero index must lie in 1..{MAX_ZERO_INDEX}")
-    return AiryZero(kind="function", index=k, location=_ai_zero_location(k))
+    _check_index(k)
+    return AiryZero(kind="function", index=k, location=float(_zero_tables()[0][k - 1]))
 
 
 def airy_derivative_zero(k: int) -> AiryZero:
     """k-th negative zero a'_k of Ai', counted from the origin (k >= 1)."""
-    if not 1 <= k <= MAX_ZERO_INDEX:
-        raise ValueError(f"zero index must lie in 1..{MAX_ZERO_INDEX}")
-    return AiryZero(kind="derivative", index=k, location=_aip_zero_location(k))
+    _check_index(k)
+    return AiryZero(kind="derivative", index=k, location=float(_zero_tables()[1][k - 1]))

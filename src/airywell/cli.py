@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .airy import airy_derivative_zero, airy_eval, airy_function_zero
+from .airy import MAX_ABS_Z, airy_derivative_zero, airy_eval, airy_function_zero
 from .profiles import TimeProfile
 from .spectrum import MAX_LEVEL, density, level
 from .verify import (
@@ -31,7 +31,7 @@ from .verify import (
     tdse_residual,
     von_neumann_residual,
 )
-from .wavefunction import assemble_wavefunction, reconstructed_density
+from .wavefunction import assemble_wavefunction, reconstructed_density, transform_spec
 
 __all__ = ["RunConfig", "run_zeros", "run_spectrum", "run_density",
            "run_solve", "run_verify", "main"]
@@ -214,6 +214,31 @@ def _require_grid_reach(cfg: RunConfig):
             f"{max(cfg.levels)} (needs at least {lam_max + 10.0:.2f})")
 
 
+def _require_kernel_disc(cfg: RunConfig, u_lo: float, u_hi: float,
+                         with_static: bool = False):
+    """Every Airy argument a grid command evaluates must lie in |z| <= 40.
+
+    The branches evaluate Ai(u + S(t) - i b(t) - lambda_n) for u = |x| over
+    [u_lo, u_hi]; with_static adds the static arguments u - lambda_n that
+    the density reconstruction evaluates.  The modulus of a linear function
+    on a segment peaks at an end point, so the two ends decide.
+    """
+    for t in cfg.times:
+        spec = transform_spec(cfg.profile, 1, t)
+        shifts = [complex(spec.shift_c, -spec.rho_shift)]
+        if with_static:
+            shifts.append(0j)
+        for n in cfg.levels:
+            lam = level(n).eigenvalue
+            for shift in shifts:
+                for u in (u_lo, u_hi):
+                    size = abs(u + shift - lam)
+                    if not size <= MAX_ABS_Z:
+                        raise ConfigError(
+                            f"level {n} at t = {t:g} needs Ai at |z| = {size:.2f}"
+                            f" (|x| = {abs(u):g}), beyond the supported {MAX_ABS_Z:g}")
+
+
 # ---------------------------------------------------------- formatting
 
 
@@ -311,6 +336,7 @@ def run_solve(cfg: RunConfig, stdout=None) -> int:
     """Assembled closed-form state per (level, time) on the config grid."""
     _require_grid_reach(cfg)
     grid = Grid1D.centered(cfg.half_width, cfg.dx)
+    _require_kernel_disc(cfg, 0.0, grid.x_max, with_static=True)
     xs = grid.nodes
     written = []
     for n in cfg.levels:
@@ -333,6 +359,8 @@ def _verify_jobs(cfg: RunConfig, wrong_sign_k: bool):
     _require_grid_reach(cfg)
     tol = cfg.tolerances
     full = Grid1D.centered(cfg.half_width, cfg.dx)
+    # the evolution residual reads each branch one node past its half-line
+    _require_kernel_disc(cfg, -full.dx, full.x_max + full.dx)
     halves = {1: Grid1D.half_line(cfg.half_width, cfg.dx, 1),
               2: Grid1D.half_line(cfg.half_width, cfg.dx, 2)}
     prof = cfg.profile

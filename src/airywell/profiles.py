@@ -127,6 +127,8 @@ class SampledMass:
         v = np.asarray(self.samples, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or t.size < 2:
             raise ValueError("sampled mass needs matching 1-d time/value arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("sampled mass times and values must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("sample times must be strictly increasing")
         if np.any(v <= 0):
@@ -205,6 +207,8 @@ class SampledCoupling:
         v = np.asarray(self.samples, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or t.size < 2:
             raise ValueError("sampled coupling needs matching 1-d time/value arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("sampled coupling times and values must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("sample times must be strictly increasing")
         object.__setattr__(self, "times", t)

@@ -153,7 +153,6 @@ class PropagationResult:
     t_final: float
     values: np.ndarray
     steps: int
-    max_step_estimate: float      # max over steps of (dt^3/12)|H^2 psi| / |psi|
     boundary_probe: float         # max |psi| two nodes in from either edge
     wall_time: float
 
@@ -191,7 +190,6 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
         raise ValueError("(t1 - t0) must be an integer number of steps")
 
     start = time.perf_counter()
-    est = 0.0
     probe = 0.0
     band = np.empty((3, grid.n_points), dtype=complex)
     t = t0
@@ -217,23 +215,12 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
         if not np.all(np.isfinite(values)):
             raise RuntimeError(f"propagation diverged at step {step}")
 
-        h2 = ham.apply(ham.apply(values))
-        scale = float(np.max(np.abs(values)))
-        est = max(est, dt**3 / 12.0 * float(np.max(np.abs(h2))) / max(scale, 1e-300))
         probe = max(probe, float(abs(values[2])), float(abs(values[-3])))
         t = t0 + (step + 1) * dt
 
     return PropagationResult(grid=grid, t_final=t, values=values, steps=n_steps,
-                             max_step_estimate=est, boundary_probe=probe,
+                             boundary_probe=probe,
                              wall_time=time.perf_counter() - start)
-
-
-def _branch_on_nodes(profile: TimeProfile, n: int, t: float, grid: Grid1D):
-    """Both branches evaluated on every node (each branch is entire)."""
-    xs = grid.nodes.astype(complex)
-    b1 = wavefunction_branch(profile, n, 1, xs, t)
-    b2 = wavefunction_branch(profile, n, 2, xs, t)
-    return b1, b2
 
 
 def tdse_residual(profile: TimeProfile, n: int, t: float, grid: Grid1D,

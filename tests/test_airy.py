@@ -7,6 +7,10 @@ implementation for general complex points and zeros.  Frozen digits are
 quoted to more places than double precision can hold.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,14 +19,11 @@ import mpmath as mp
 
 from airywell.airy import (
     MAX_ZERO_INDEX,
-    SWITCH_RADIUS,
     AiryPair,
     airy_derivative_zero,
     airy_eval,
     airy_eval_many,
     airy_function_zero,
-    _maclaurin_many,
-    _poincare_pair_many,
 )
 
 mp.mp.dps = 30
@@ -81,7 +82,7 @@ def test_value_at_one_vs_series_oracle():
 
 
 def test_frozen_complex_spots():
-    # one point in the cancellation wedge (reached by Taylor continuation)
+    # one point in the recessive wedge, where series sums cancel badly
     v = airy_eval(6.2 - 0.45j)
     assert v.ai == pytest.approx(2.57518754511915251e-6 + 5.57655311483656223e-6j, rel=1e-9)
     assert v.ai_prime == pytest.approx(-7.00467040477281805e-6 - 1.38844527288278275e-5j, rel=1e-9)
@@ -106,7 +107,7 @@ def test_matches_mpmath_over_disc(r, th):
 
 def test_recessive_wedge_accuracy():
     rng = np.random.default_rng(3)
-    r = rng.uniform(4.0, SWITCH_RADIUS, size=80)
+    r = rng.uniform(4.0, 7.0, size=80)
     th = rng.uniform(-1.2, 1.2, size=80)
     z = r * np.exp(1j * th)
     a, ap, _, _ = airy_eval_many(z)
@@ -148,22 +149,14 @@ def test_ode_residual_by_finite_difference():
 
 
 def test_switch_radius_continuity():
-    # both representations stay within 1e-10 of each other on the overlap
+    # |z| = 7 is a typical hand-over radius between series and asymptotic
+    # methods; all four outputs must match the oracle on that circle
     th = np.linspace(-np.pi, np.pi, 25)
-    z = SWITCH_RADIUS * np.exp(1j * th)
-    a_in, ap_in, b_in, bp_in, ea, eap, eb, ebp = _maclaurin_many(z)
-    # continuation replaces inaccurate series points exactly as the
-    # evaluator would; compare against the asymptotic side
-    from airywell.airy import _ai_pair_outer_many, _bi_pair_outer_many, _MARCH_TOL
-    from airywell.airy import _continued_ai_pair, _continued_bi_pair
-
-    for i in np.nonzero((ea > _MARCH_TOL) | (eap > _MARCH_TOL))[0]:
-        a_in[i], ap_in[i] = _continued_ai_pair(complex(z[i]))
-    a_out, ap_out = _ai_pair_outer_many(z)
-    b_out, bp_out = _bi_pair_outer_many(z)
-    for inner, outer in ((a_in, a_out), (ap_in, ap_out), (b_in, b_out), (bp_in, bp_out)):
-        rel = np.abs(inner - outer) / np.maximum(np.abs(outer), 1e-30)
-        assert float(np.max(rel)) < 1e-9
+    z = 7.0 * np.exp(1j * th)
+    out = airy_eval_many(z)
+    for i in range(z.size):
+        for got, want in zip(out, _mp_all(z[i])):
+            assert abs(got[i] - want) <= 1e-9 * max(abs(want), 1e-30)
 
 
 def test_range_error_outside_disc():
@@ -271,11 +264,33 @@ def test_poincare_series_matches_inside_direct_sector():
     r = rng.uniform(7.5, 35.0, size=40)
     th = rng.uniform(-2.2, 2.2, size=40)
     z = r * np.exp(1j * th)
-    a, ap = _poincare_pair_many(z)
+    a, ap, _, _ = airy_eval_many(z)
     for i in range(z.size):
         ra, rap, _, _ = _mp_all(z[i])
         assert abs(a[i] - ra) <= 1e-10 * abs(ra)
         assert abs(ap[i] - rap) <= 1e-10 * abs(rap)
+
+
+@pytest.mark.parametrize("x", [1.5, 5.0, 12.0, 30.0, 38.0])
+def test_negative_real_axis_with_signed_zero_imaginary_part(x):
+    # a -0.0 imaginary part must not select the far side of the branch cut
+    # on the negative real axis
+    a, ap, b, bp = airy_eval_many(np.array([complex(-x, -0.0)]))
+    for got, want in zip((a[0], ap[0], b[0], bp[0]), _mp_all(-x)):
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_package_import_leaves_mpmath_unloaded():
+    # mpmath is the oracle of these tests; the package must not lean on it
+    import airywell
+
+    root = os.path.dirname(os.path.dirname(airywell.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
+    code = "import sys, airywell; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_airy_pair_wronskian_property():

@@ -170,6 +170,31 @@ def test_verify_report_is_byte_identical(tmp_path):
         (out2 / "verify_report.json").read_bytes()
 
 
+# at t = 9 the branch argument x + S - i b - lambda_0 leaves |z| <= 40
+LATE_TIME = SMALL_PROFILE.replace("window: 3.0", "window: 10.0").replace(
+    "levels: [0, 1]", "levels: [0]").replace("times: [0.3]", "times: [9]")
+# the branches stay inside (S = -11.1 at t = 2), but the density
+# reconstruction evaluates the static |x| - lambda_0 out to x = 45
+WIDE_BOX = SMALL_PROFILE.replace(
+    "mass: {family: constant, m0: 1.0}", "mass: {family: constant, m0: 0.3}").replace(
+    "coupling: {family: constant, f0: 1.0}", "coupling: {family: zero}").replace(
+    "levels: [0, 1]", "levels: [0]").replace(
+    "times: [0.3]", "times: [2]") + "grid: {half_width: 45.0, dx: 0.01}\n"
+
+
+@pytest.mark.parametrize("command, body", [("solve", LATE_TIME), ("verify", LATE_TIME),
+                                           ("solve", WIDE_BOX)],
+                         ids=["solve-late-time", "verify-late-time", "solve-wide-box"])
+def test_kernel_argument_outside_disc_is_a_config_error(tmp_path, capsys, command, body):
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_tolerance_override_can_force_failure(tmp_path):
     body = SMALL_PROFILE + "tolerances: {tdse: 1.0e-9}\n"
     cfg = _write_config(tmp_path, body)
@@ -228,6 +253,30 @@ def test_config_sampled_table_missing_file(tmp_path, capsys):
     cfg = _write_config(tmp_path, body)
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "nowhere.csv" in capsys.readouterr().err
+
+
+def test_config_sampled_mass_table_with_nan_rejected(tmp_path, capsys):
+    table = tmp_path / "mass.csv"
+    table.write_text("0.0,1.0\n1.0,nan\n3.0,2.5\n")
+    body = SMALL_PROFILE.replace(
+        "mass: {family: constant, m0: 1.0}",
+        "mass: {family: sampled, table: mass.csv}")
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_sampled_coupling_table_with_nan_rejected(tmp_path, capsys):
+    body = SMALL_PROFILE.replace(
+        "coupling: {family: constant, f0: 1.0}",
+        "coupling: {family: sampled, table: [[0.0, 1.0], [0.5, .nan], [3.0, 1.0]]}")
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_format_flag_rejected(tmp_path):

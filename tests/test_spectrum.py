@@ -174,8 +174,8 @@ def test_orthonormality():
 
 
 def test_continued_restricts_to_real_branches():
-    # imaginary parts are floating residue only (the rotation identity used
-    # beyond the switch radius leaves ~1e-16 behind on the real axis)
+    # imaginary parts are floating residue only (the complex kernel leaves
+    # ~1e-16 behind on the real axis)
     xs = np.linspace(0.0, 8.0, 33)
     for n in (0, 1, 4, 11):
         r1 = eigenfunction_continued(n, xs.astype(complex), 1)
@@ -215,6 +215,19 @@ def test_continued_branch_solves_shifted_ode():
             d2 = (f(z + h) - 2 * f(z) + f(z - h)) / (h * h)
             res = -d2 + (z - lam) * f(z)
             assert abs(res) < 1e-6 * max(abs(f(z)), 1e-3)
+
+
+def test_continued_region_2_on_real_axis_matches_oracle():
+    # region 2 evaluates Ai(-z - lambda): on a real z that argument carries
+    # a -0.0 imaginary part, which must not select the wrong side of a cut
+    for n in (0, 1, 2, 3):
+        lam, norm = _oracle_level(n)
+        sign = 1.0 if n % 2 == 0 else -1.0
+        for x in (0.5, 2.0, 6.0, 12.0):
+            with mp.workdps(30):
+                want = sign * norm * float(mp.airyai(-mp.mpf(x) - mp.mpf(lam)))
+            got = eigenfunction_continued(n, x, 2)
+            assert abs(got - want) <= 1e-10 * abs(want) + 1e-14, (n, x)
 
 
 def test_continued_region_validation():
