@@ -214,6 +214,14 @@ def _require_grid_reach(cfg: RunConfig):
             f"{max(cfg.levels)} (needs at least {lam_max + 10.0:.2f})")
 
 
+def _require_tables(cfg: RunConfig):
+    """Build the profile's shared time-integral tables once, up front."""
+    try:
+        cfg.profile.tables
+    except (ValueError, RuntimeError) as exc:
+        raise ConfigError(f"profile: {exc}") from exc
+
+
 def _require_kernel_disc(cfg: RunConfig, u_lo: float, u_hi: float,
                          with_static: bool = False):
     """Every Airy argument a grid command evaluates must lie in |z| <= 40.
@@ -335,6 +343,7 @@ def run_density(cfg: RunConfig, stdout=None) -> int:
 def run_solve(cfg: RunConfig, stdout=None) -> int:
     """Assembled closed-form state per (level, time) on the config grid."""
     _require_grid_reach(cfg)
+    _require_tables(cfg)
     grid = Grid1D.centered(cfg.half_width, cfg.dx)
     _require_kernel_disc(cfg, 0.0, grid.x_max, with_static=True)
     xs = grid.nodes
@@ -399,7 +408,7 @@ def _verify_jobs(cfg: RunConfig, wrong_sign_k: bool):
 
 def run_verify(cfg: RunConfig, stdout=None, wrong_sign_k: bool = False) -> int:
     """Full residual suite; exit 0 only when every check passes."""
-    cfg.profile.tables  # build the shared quadrature tables once, up front
+    _require_tables(cfg)
     jobs = _verify_jobs(cfg, wrong_sign_k)
     with ThreadPoolExecutor(max_workers=4) as pool:
         values = list(pool.map(lambda job: job[3](), jobs))

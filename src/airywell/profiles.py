@@ -34,7 +34,7 @@ they exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -398,19 +398,16 @@ class _ProfileTables:
 
     @staticmethod
     def build(profile: TimeProfile) -> "_ProfileTables":
-        knots = profile._knots()
-        n_seg = 1
-        if knots is not None:
-            inside = np.unique(knots[(knots > 0) & (knots < profile.window)])
-            n_seg = inside.size + 1
+        grid = SimpsonGrid.build(profile.window, knots=profile._knots(), panels_per_segment=2)
+        # start as fine as 16 panels per segment allows while the first
+        # refinement still fits the budget
         panels = 16
-        while panels * n_seg > _MAX_TOTAL_PANELS:
+        while 2 * panels * grid.segments > _MAX_TOTAL_PANELS:
             panels //= 2
         if panels < 2:
-            raise RuntimeError("too many sample knots for the quadrature budget")
-
-        grid = SimpsonGrid.build(profile.window, knots=knots, panels_per_segment=panels)
-        prev = _ProfileTables._assemble(profile, grid)
+            raise ValueError(f"{grid.segments} sample intervals exceed the quadrature "
+                             f"budget of {_MAX_TOTAL_PANELS // 4}")
+        prev = _ProfileTables._assemble(profile, replace(grid, panels_per_segment=panels))
         while True:
             fine_grid = prev.g.grid.refined()
             if fine_grid.nodes.size - 1 > _MAX_TOTAL_PANELS:
@@ -421,11 +418,7 @@ class _ProfileTables:
                 for name in ("g", "k", "s", "w", "cum_chi1", "cum_chi2", "cum_shear")
             )
             if est <= _TABLE_TOL:
-                return _ProfileTables(
-                    g=fine.g, k=fine.k, s=fine.s, w=fine.w,
-                    cum_chi1=fine.cum_chi1, cum_chi2=fine.cum_chi2,
-                    cum_shear=fine.cum_shear, estimate=est,
-                )
+                return replace(fine, estimate=est)
             prev = fine
 
     @staticmethod
@@ -436,30 +429,27 @@ class _ProfileTables:
             raise ValueError("mass history must stay strictly positive on the window")
         f = np.asarray(profile.coupling.value(t), dtype=float)
 
-        g_tab = grid.cumulative(-1.0 / m)
-        k_tab = grid.cumulative(2.0 * f)
-        g = g_tab.values
-        k = k_tab.values
-        s_tab = grid.cumulative(-f * k)
-        w_tab = grid.cumulative(f * g)
-        s = s_tab.values
-        w = w_tab.values
-
-        theta = 0.5 * f * (0.5 * k * g - w)
-        chi1 = theta - (k * k + 3.0 * g * g + 4.0 * s) / (16.0 * m)
-        chi2 = theta + (k * k - g * g + 4.0 * s) / (16.0 * m)
-        shear = (k * k + g * g + 4.0 * s) / (8.0 * m)
-
+        g = grid.cumulative(-1.0 / m)
+        k = grid.cumulative(2.0 * f)
+        s = grid.cumulative(-f * k.values)
+        w = grid.cumulative(f * g.values)
+        _, chi1, chi2, shear = _pointwise(m, f, g.values, k.values, s.values, w.values)
         return _ProfileTables(
-            g=g_tab,
-            k=k_tab,
-            s=s_tab,
-            w=w_tab,
+            g=g, k=k, s=s, w=w,
             cum_chi1=grid.cumulative(chi1),
             cum_chi2=grid.cumulative(chi2),
             cum_shear=grid.cumulative(shear),
             estimate=np.inf,
         )
+
+
+def _pointwise(m, f, g, k, s, w):
+    """theta, chi1, chi2 and the reorder shear (k^2 + g^2 + 4s)/(8m)."""
+    theta = 0.5 * f * (0.5 * k * g - w)
+    chi1 = theta - (k * k + 3.0 * g * g + 4.0 * s) / (16.0 * m)
+    chi2 = theta + (k * k - g * g + 4.0 * s) / (16.0 * m)
+    shear = (k * k + g * g + 4.0 * s) / (8.0 * m)
+    return theta, chi1, chi2, shear
 
 
 # ------------------------------------------------------------ closed w
@@ -577,9 +567,7 @@ def coefficients_at(profile: TimeProfile, t: float) -> CoefficientSet:
     g, k, s, w = (float(v) for v in _primitives(profile, tq))
     m = float(profile.mass.value(tq))
     f = float(profile.coupling.value(tq))
-    theta = 0.5 * f * (0.5 * k * g - w)
-    chi1 = theta - (k * k + 3.0 * g * g + 4.0 * s) / (16.0 * m)
-    chi2 = theta + (k * k - g * g + 4.0 * s) / (16.0 * m)
+    theta, chi1, chi2, _ = _pointwise(m, f, g, k, s, w)
     zeta = -0.25 * k * (0.5 * g * k - w)
     return CoefficientSet(t=tq, g=g, k=k, s=s, w=w, theta=theta, chi1=chi1, chi2=chi2, zeta=zeta)
 
@@ -610,9 +598,7 @@ def phase(profile: TimeProfile, n: int, region: int, t: float) -> PhaseValue:
     if cum is None:
         tab = profile.tables
         cum = (tab.cum_chi1 if region == 1 else tab.cum_chi2).value(tq)
-        g = tab.g.value(tq)
-    else:
-        g, _, _, _ = _primitives(profile, tq)
+    g = _primitives(profile, tq)[0]
     eps = float(cum) + lam * float(g) / 2.0
     return PhaseValue(n=n, region=region, t=tq, epsilon=eps)
 

@@ -4,13 +4,17 @@ The derived time functions of the model are nested integrals of the mass
 and coupling histories (one integrand is itself a prior integral), so
 everything is computed on one shared grid per profile:
 
-  * the window [0, T] is split into segments at the supplied knots
-    (sample points of tabulated inputs; [0, T] itself when smooth), so
-    integrands are smooth inside every panel;
-  * each segment carries an even number of uniform panels and a composite
-    Simpson prefix table, fourth order in the panel width, using the
-    half-panel closure
-        F[2i+1] = F[2i] + h/12 (5 y[2i] + 8 y[2i+1] - y[2i+2]);
+  * the grid is fixed by its edges (0, the supplied knots inside the
+    window, T) and one even panel count per segment; the knots are the
+    sample points of tabulated inputs, so integrands are smooth inside
+    every panel, and a smooth profile has the single segment [0, T];
+  * segment j carries uniform panels of width (edge[j+1] - edge[j]) / p,
+    so the nodes read as a (segments x p+1) array whose rows share their
+    end nodes;
+  * the composite Simpson prefix table is computed for all rows at once,
+    fourth order in the panel width, using the half-panel closure
+        F[2i+1] = F[2i] + h/12 (5 y[2i] + 8 y[2i+1] - y[2i+2]),
+    and the running segment totals are added afterwards;
   * off-node queries interpolate the prefix table with a cubic Hermite
     whose end slopes are the exactly known integrand values, which keeps
     the interpolation error at the same fourth order as the table itself.
@@ -22,9 +26,10 @@ difference passes the tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["SimpsonGrid", "CumulativeTable"]
 
@@ -33,67 +38,54 @@ __all__ = ["SimpsonGrid", "CumulativeTable"]
 class SimpsonGrid:
     """Knot-aligned node set on [0, T] with per-segment uniform panels."""
 
-    nodes: np.ndarray           # strictly increasing, nodes[0] = 0
-    segment_starts: np.ndarray  # indices of the first node of each segment
+    edges: np.ndarray           # 0, the knots inside the window, T
     panels_per_segment: int
+    nodes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p = self.panels_per_segment
+        if p < 2 or p % 2:
+            raise ValueError("panel count per segment must be even and >= 2")
+        # the same arithmetic as np.linspace(a, b, p + 1), row by row
+        nodes = self.edges[:-1, None] + np.arange(p + 1) * self._widths()
+        nodes[:, -1] = self.edges[1:]
+        object.__setattr__(self, "nodes", np.concatenate((self.edges[:1], nodes[:, 1:].ravel())))
 
     @staticmethod
     def build(span: float, knots=None, panels_per_segment: int = 16) -> "SimpsonGrid":
         if span <= 0:
             raise ValueError("integration window must have positive length")
-        if panels_per_segment < 2 or panels_per_segment % 2:
-            raise ValueError("panel count per segment must be even and >= 2")
-        if knots is None:
-            edges = np.array([0.0, span])
-        else:
-            k = np.asarray(knots, dtype=float)
-            k = k[(k > 0.0) & (k < span)]
-            edges = np.unique(np.concatenate(([0.0, span], k)))
-        pieces = []
-        starts = []
-        pos = 0
-        for a, b in zip(edges[:-1], edges[1:]):
-            seg = np.linspace(a, b, panels_per_segment + 1)
-            starts.append(pos)
-            pieces.append(seg if pos == 0 else seg[1:])
-            pos += panels_per_segment
-        nodes = np.concatenate(pieces)
-        return SimpsonGrid(
-            nodes=nodes,
-            segment_starts=np.asarray(starts, dtype=int),
-            panels_per_segment=panels_per_segment,
-        )
+        k = np.asarray([] if knots is None else knots, dtype=float)
+        k = k[(k > 0.0) & (k < span)]
+        edges = np.unique(np.concatenate(([0.0, span], k)))
+        return SimpsonGrid(edges=edges, panels_per_segment=panels_per_segment)
+
+    @property
+    def segments(self) -> int:
+        return self.edges.size - 1
 
     def refined(self) -> "SimpsonGrid":
-        edges = np.concatenate((self.nodes[self.segment_starts], [self.nodes[-1]]))
-        return SimpsonGrid.build(
-            span=float(self.nodes[-1]),
-            knots=edges[1:-1],
-            panels_per_segment=2 * self.panels_per_segment,
-        )
+        return SimpsonGrid(edges=self.edges, panels_per_segment=2 * self.panels_per_segment)
+
+    def _widths(self) -> np.ndarray:
+        """Panel width of each segment, as a column."""
+        return (np.diff(self.edges) / self.panels_per_segment)[:, None]
 
     def cumulative(self, y: np.ndarray) -> "CumulativeTable":
         """Prefix integrals of nodewise samples y, fourth order."""
         y = np.asarray(y, dtype=float)
         if y.shape != self.nodes.shape:
             raise ValueError("integrand samples must align with the grid nodes")
-        out = np.zeros_like(y)
-        m = self.panels_per_segment
-        for s in self.segment_starts:
-            h = self.nodes[s + 1] - self.nodes[s]
-            sl = slice(s, s + m + 1)
-            out[sl] = out[s] + _cumulative_simpson_uniform(y[sl], h)
-        return CumulativeTable(grid=self, integrand=y, values=out)
-
-
-def _cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
-    """Prefix Simpson sums over one uniform segment; y has odd length."""
-    n = y.shape[0]
-    out = np.zeros(n)
-    panel = (h / 3.0) * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
-    out[2::2] = np.cumsum(panel)
-    out[1::2] = out[0:-2:2] + (h / 12.0) * (5.0 * y[0:-2:2] + 8.0 * y[1:-1:2] - y[2::2])
-    return out
+        p = self.panels_per_segment
+        h = self._widths()
+        rows = sliding_window_view(y, p + 1)[::p]
+        left, mid, right = rows[:, 0:-2:2], rows[:, 1:-1:2], rows[:, 2::2]
+        local = np.zeros(rows.shape)
+        local[:, 2::2] = np.cumsum((h / 3.0) * (left + 4.0 * mid + right), axis=1)
+        local[:, 1::2] = local[:, 0:-2:2] + (h / 12.0) * (5.0 * left + 8.0 * mid - right)
+        starts = np.concatenate(([0.0], np.cumsum(local[:-1, -1])))
+        values = np.concatenate(([0.0], (starts[:, None] + local[:, 1:]).ravel()))
+        return CumulativeTable(grid=self, integrand=y, values=values)
 
 
 @dataclass(frozen=True)

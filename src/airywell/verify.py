@@ -17,7 +17,6 @@ full-line state, because that is the point of the cross-check.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -154,7 +153,6 @@ class PropagationResult:
     values: np.ndarray
     steps: int
     boundary_probe: float         # max |psi| two nodes in from either edge
-    wall_time: float
 
 
 def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float,
@@ -189,7 +187,6 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     if abs(t0 + n_steps * dt - t1) > 1e-9:
         raise ValueError("(t1 - t0) must be an integer number of steps")
 
-    start = time.perf_counter()
     probe = 0.0
     band = np.empty((3, grid.n_points), dtype=complex)
     t = t0
@@ -219,8 +216,22 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
         t = t0 + (step + 1) * dt
 
     return PropagationResult(grid=grid, t_final=t, values=values, steps=n_steps,
-                             boundary_probe=probe,
-                             wall_time=time.perf_counter() - start)
+                             boundary_probe=probe)
+
+
+def _time_derivative(fn, t: float, delta: float, window: float):
+    """d/dt of fn at t, second order in delta.
+
+    Central difference inside the window; within delta of t = 0 or of
+    t = window, the one-sided three-point formula that stays inside it.
+    """
+    if t - delta < 0.0:
+        stencil = ((0.0, -3.0), (delta, 4.0), (2.0 * delta, -1.0))
+    elif t + delta > window:
+        stencil = ((0.0, 3.0), (-delta, -4.0), (-2.0 * delta, 1.0))
+    else:
+        stencil = ((delta, 1.0), (-delta, -1.0))
+    return sum(weight * fn(t + step) for step, weight in stencil) / (2.0 * delta)
 
 
 def tdse_residual(profile: TimeProfile, n: int, t: float, grid: Grid1D,
@@ -257,9 +268,9 @@ def tdse_residual(profile: TimeProfile, n: int, t: float, grid: Grid1D,
         mid = wavefunction_branch(profile, n, region, ext, t)
         lap = (mid[2:] - 2.0 * mid[1:-1] + mid[:-2]) / dx**2
         mid = mid[1:-1]
-        plus = wavefunction_branch(profile, n, region, xs[idx].astype(complex), t + delta)
-        minus = wavefunction_branch(profile, n, region, xs[idx].astype(complex), t - delta)
-        dpsi = (plus - minus) / (2.0 * delta)
+        nodes = xs[idx].astype(complex)
+        dpsi = _time_derivative(lambda s: wavefunction_branch(profile, n, region, nodes, s),
+                                t, delta, profile.window)
         res[idx] = 1j * dpsi - (-lap / (2.0 * m) + 1j * f * np.abs(xs[idx]) * mid)
         psi_mid[idx] = mid
 
@@ -313,30 +324,24 @@ def von_neumann_residual(profile: TimeProfile, region: int, t: float, grid: Grid
                          delta: float = 1e-5, freeze_tilt: bool = False) -> float:
     """Conservation-law residual |dI/dt - i[I, H]| / |H| (max row sums).
 
-    Region-wise so the potential is smooth on the grid.  At t = 0 the time
-    derivative falls back to a one-sided difference (documented as one
-    order less accurate).  Two rows at each end are excluded: banded
+    Region-wise so the potential is smooth on the grid.  The time
+    derivative is second order everywhere: central inside the window,
+    one-sided at either end.  Two rows at each end are excluded: banded
     products truncate there.
     """
-    if t - delta >= 0.0:
-        ip = build_invariant(profile, region, t + delta, grid, freeze_tilt=freeze_tilt)
-        im = build_invariant(profile, region, t - delta, grid, freeze_tilt=freeze_tilt)
-        dupper = (ip.upper - im.upper) / (2 * delta)
-        ddiag = (ip.diag - im.diag) / (2 * delta)
-        dlower = (ip.lower - im.lower) / (2 * delta)
-    else:
-        ip = build_invariant(profile, region, t + delta, grid, freeze_tilt=freeze_tilt)
-        i0 = build_invariant(profile, region, t, grid, freeze_tilt=freeze_tilt)
-        dupper = (ip.upper - i0.upper) / delta
-        ddiag = (ip.diag - i0.diag) / delta
-        dlower = (ip.lower - i0.lower) / delta
+    def bands(s):
+        op = build_invariant(profile, region, s, grid, freeze_tilt=freeze_tilt)
+        return np.concatenate((op.upper, op.diag, op.lower))
+
+    n = grid.n_points
+    dupper, ddiag, dlower = np.split(
+        _time_derivative(bands, t, delta, profile.window), (n - 1, 2 * n - 1))
 
     inv = build_invariant(profile, region, t, grid, freeze_tilt=freeze_tilt)
     ham = build_hamiltonian(profile, t, grid)
     ih = _tri_product_bands(inv, ham)
     hi = _tri_product_bands(ham, inv)
 
-    n = grid.n_points
     # residual bands: dI/dt - i(IH - HI)
     r2u = -1j * (ih[0] - hi[0])
     r1u = dupper - 1j * (ih[1] - hi[1])

@@ -195,6 +195,68 @@ def test_kernel_argument_outside_disc_is_a_config_error(tmp_path, capsys, comman
     assert not out.exists()
 
 
+def test_verify_at_window_start_passes(tmp_path, capsys):
+    # the time derivatives turn one-sided at t = 0 instead of leaving the window
+    body = SMALL_PROFILE.replace("times: [0.3]", "times: [0.0]")
+    cfg = _write_config(tmp_path, body)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert all(r["pass"] for r in report)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_at_window_end_is_a_failed_check_not_a_crash(tmp_path, capsys):
+    # at t = T the derivatives look backwards; the von Neumann remainder,
+    # O(dx^2) and growing with t, is over its bound there (1.68e-4)
+    body = SMALL_PROFILE.replace("times: [0.3]", "times: [3.0]")
+    cfg = _write_config(tmp_path, body)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    bad = [r for r in report if not r["pass"]]
+    assert bad and all(r["check"] == "von_neumann_residual" for r in bad)
+    assert {r["check"] for r in report if r["pass"]} == {
+        "tdse_residual", "invariant_eigen_residual", "pseudo_hermiticity_check"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _write_sampled_tables(tmp_path, rows):
+    """Mass and coupling CSV tables with `rows` rows each on [0, 2]."""
+    t = np.linspace(0.0, 2.0, rows)
+    for name, values in (("mass.csv", 1.0 + 0.2 * np.sin(t)),
+                         ("coupling.csv", 0.8 + 0.1 * np.cos(t))):
+        np.savetxt(tmp_path / name, np.column_stack((t, values)),
+                   delimiter=",", fmt="%.17g")
+    body = SMALL_PROFILE.replace("window: 3.0", "window: 2.0").replace(
+        "mass: {family: constant, m0: 1.0}",
+        "mass: {family: sampled, table: mass.csv}").replace(
+        "coupling: {family: constant, f0: 1.0}",
+        "coupling: {family: sampled, table: coupling.csv}").replace(
+        "levels: [0, 1]", "levels: [0]").replace("times: [0.3]", "times: [0.5]")
+    return _write_config(tmp_path, body + "grid: {half_width: 12.0, dx: 0.01}\n")
+
+
+def test_solve_on_5001_row_tables(tmp_path):
+    # 5000 sample intervals: the start grid must leave room for one refinement
+    cfg = _write_sampled_tables(tmp_path, 5001)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    header, rows = _read_csv(out / "solve_n0_t0.5.csv")
+    assert len(rows) == 2401
+    assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
+def test_too_many_sample_knots_is_a_config_error(tmp_path, capsys):
+    # 32769 intervals cannot carry 2 panels each and still refine once
+    cfg = _write_sampled_tables(tmp_path, 32770)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "quadrature budget" in err
+    assert not out.exists()
+
+
 def test_verify_tolerance_override_can_force_failure(tmp_path):
     body = SMALL_PROFILE + "tolerances: {tdse: 1.0e-9}\n"
     cfg = _write_config(tmp_path, body)

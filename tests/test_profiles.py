@@ -212,6 +212,20 @@ def test_phase_table_route_matches_oracle():
                 c2 + lam * g / 2, abs=1e-8)
 
 
+def test_phase_reads_g_as_coefficients_at_does():
+    # int chi has no closed form here but g does; both readers take the same g
+    from airywell.spectrum import level
+
+    prof = TimeProfile(mass=ExponentialMass(1.0, 1.0),
+                       coupling=SinusoidalCoupling(1.0, 1.0), window=3.0)
+    tab = prof.tables
+    lam = level(2).eigenvalue
+    for t in np.linspace(0.1, 2.9, 15):
+        g = coefficients_at(prof, t).g
+        for region, cum in ((1, tab.cum_chi1), (2, tab.cum_chi2)):
+            assert phase(prof, 2, region, t).epsilon == float(cum.value(t)) + lam * g / 2.0
+
+
 def test_phase_validation():
     with pytest.raises(ValueError):
         phase(UNIT, -1, 1, 0.5)

@@ -64,6 +64,16 @@ def test_knot_aligned_grid_is_exact_for_piecewise_linear():
     np.testing.assert_allclose(tab.values, want, rtol=0, atol=1e-14)
 
 
+def test_many_segments_keep_full_precision():
+    # Simpson integrates 1 + t/2 exactly; what is left is rounding, which
+    # must not grow with the position of the segment in the window
+    knots = np.linspace(0.0, 10.0, 2001)[1:-1]
+    grid = SimpsonGrid.build(10.0, knots=knots, panels_per_segment=16)
+    t = grid.nodes
+    tab = grid.cumulative(1.0 + t / 2.0)
+    np.testing.assert_allclose(tab.values, t + t * t / 4.0, rtol=0, atol=1e-12)
+
+
 def test_refined_doubles_panels():
     grid = SimpsonGrid.build(2.0, knots=np.array([0.5]), panels_per_segment=4)
     fine = grid.refined()
