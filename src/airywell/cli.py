@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -52,6 +53,9 @@ _DEFAULT_TOLERANCES = {
     "von_neumann": 1e-4,
     "pseudo_hermiticity": 1e-12,
 }
+# nodes of the solve/verify grid, 2 round(half_width/dx) + 1: a few
+# complex arrays of this length are live at once in each verify job
+MAX_GRID_NODES = 1_000_001
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,7 @@ def _validate_levels(levels) -> tuple:
         raise ConfigError("levels: list must be non-empty")
     out = []
     for n in levels:
-        if not float(n) == int(n):
+        if not _is_integer(n):
             raise ConfigError(f"levels: {n!r} is not an integer")
         n = int(n)
         if n < 0:
@@ -84,12 +88,26 @@ def _validate_levels(levels) -> tuple:
     return tuple(out)
 
 
+def _is_integer(n) -> bool:
+    try:
+        return float(n) == int(n)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _number(value, label: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{label}: {value!r} is not a number") from exc
+
+
 def _validate_times(times, window: float) -> tuple:
     if not isinstance(times, (list, tuple)) or len(times) == 0:
         raise ConfigError("times: list must be non-empty")
     out = []
     for t in times:
-        t = float(t)
+        t = _number(t, "times")
         if not 0.0 <= t <= window:
             raise ConfigError(f"times: {t} outside the profile window [0, {window}]")
         out.append(t)
@@ -161,10 +179,19 @@ def load_config(path) -> RunConfig:
         grid = raw["grid"]
         if not isinstance(grid, dict) or set(grid) - {"half_width", "dx"}:
             raise ConfigError("grid: takes exactly the keys half_width and dx")
-        hw = float(grid.get("half_width", cfg.half_width))
-        dx = float(grid.get("dx", cfg.dx))
-        if hw <= 0 or dx <= 0:
-            raise ConfigError("grid: half_width and dx must be positive")
+        hw = _number(grid.get("half_width", cfg.half_width), "grid: half_width")
+        dx = _number(grid.get("dx", cfg.dx), "grid: dx")
+        if not (0.0 < hw < math.inf and 0.0 < dx < math.inf):
+            raise ConfigError("grid: half_width and dx must be positive and finite")
+        # checked before any grid is built: Grid1D.centered lays out
+        # 2 round(half_width/dx) + 1 nodes
+        ratio = hw / dx
+        if not ratio <= (MAX_GRID_NODES - 1) / 2:
+            raise ConfigError(f"grid: 2*half_width/dx + 1 = {2 * ratio + 1:.3g} nodes "
+                              f"exceeds the cap of {MAX_GRID_NODES}")
+        # the residual stencils drop up to three rows at each end
+        if round(ratio) < 4:
+            raise ConfigError("grid: half_width/dx must be at least 4 (9 nodes)")
         cfg = replace(cfg, half_width=hw, dx=dx)
     if "out" in raw:
         cfg = replace(cfg, out_dir=Path(str(raw["out"])))

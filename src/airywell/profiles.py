@@ -538,11 +538,12 @@ def _shear_closed(mass, t) -> Optional[np.ndarray]:
 # ----------------------------------------------------------- operations
 
 
-def _require_in_window(profile: TimeProfile, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-12) or np.any(t > profile.window + 1e-12):
+def _require_in_window(profile: TimeProfile, t) -> float:
+    """Scalar t inside [0, T] up to 1e-12, clipped onto it; NaN is outside."""
+    t = float(t)
+    if not -1e-12 <= t <= profile.window + 1e-12:
         raise ValueError("t outside the configured window [0, T]")
-    return np.clip(t, 0.0, profile.window)
+    return min(max(t, 0.0), profile.window)
 
 
 def _primitives(profile: TimeProfile, t):
@@ -563,7 +564,7 @@ def _primitives(profile: TimeProfile, t):
 
 def coefficients_at(profile: TimeProfile, t: float) -> CoefficientSet:
     """All derived time functions of the profile at one instant."""
-    tq = float(_require_in_window(profile, t))
+    tq = _require_in_window(profile, t)
     g, k, s, w = (float(v) for v in _primitives(profile, tq))
     m = float(profile.mass.value(tq))
     f = float(profile.coupling.value(tq))
@@ -592,7 +593,7 @@ def phase(profile: TimeProfile, n: int, region: int, t: float) -> PhaseValue:
         raise ValueError("the level index n starts at 0")
     from .spectrum import level
 
-    tq = float(_require_in_window(profile, t))
+    tq = _require_in_window(profile, t)
     lam = level(n).eigenvalue
     cum = _cum_chi_closed(profile.mass, profile.coupling, region, tq)
     if cum is None:
@@ -606,7 +607,7 @@ def phase(profile: TimeProfile, n: int, region: int, t: float) -> PhaseValue:
 def shift_reorder_phase(profile: TimeProfile, t: float) -> float:
     """int_0^t (k^2 + g^2 + 4s)/(8m): the scalar phase produced when the
     combined shift-and-tilt transform is split into its displayed factors."""
-    tq = float(_require_in_window(profile, t))
+    tq = _require_in_window(profile, t)
     closed = _shear_closed(profile.mass, tq)
     if closed is not None:
         return float(closed)

@@ -100,12 +100,13 @@ class CumulativeTable:
         """Cubic Hermite read of F at scalar or array t inside the window."""
         nodes = self.grid.nodes
         tq = np.asarray(t, dtype=float)
-        scalar = tq.ndim == 0
-        tq = np.atleast_1d(tq)
-        if tq.size and (tq.min() < nodes[0] - 1e-12 or tq.max() > nodes[-1] + 1e-12):
+        # written so that a NaN query fails the test
+        if tq.size and not (tq.min() >= nodes[0] - 1e-12 and tq.max() <= nodes[-1] + 1e-12):
             raise ValueError("query time outside the configured window")
-        tq = np.clip(tq, nodes[0], nodes[-1])
-        i = np.clip(np.searchsorted(nodes, tq, side="right") - 1, 0, nodes.size - 2)
+        # minimum/maximum rather than np.clip, which costs more than the
+        # whole Hermite formula on a scalar query
+        tq = np.minimum(np.maximum(tq, nodes[0]), nodes[-1])
+        i = np.minimum(np.searchsorted(nodes, tq, side="right") - 1, nodes.size - 2)
         h = nodes[i + 1] - nodes[i]
         u = (tq - nodes[i]) / h
         u2 = u * u
@@ -119,7 +120,7 @@ class CumulativeTable:
             + h01 * self.values[i + 1]
             + h * (h10 * self.integrand[i] + h11 * self.integrand[i + 1])
         )
-        return float(out[0]) if scalar else out
+        return float(out) if out.ndim == 0 else out
 
     def max_node_difference(self, coarse: "CumulativeTable") -> float:
         """Largest |F_fine - F_coarse| over the coarse node set."""

@@ -165,14 +165,20 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     by banded elimination.  Ends are Dirichlet: zero by default, or values
     from `boundary(t_new) -> (left, right)` when the run is fed analytic
     edge data (the half-line cross-checks).
+
+    H(t_mid) is the operator `build_hamiltonian` gives; its bands are
+    filled in place each step from m(t_mid) and f(t_mid), with the same
+    arithmetic, into arrays allocated once per run.
     """
-    if dt > 1e-3:
-        raise ValueError("dt must be at most 1e-3")
+    if not (np.isfinite(dt) and 0.0 < dt <= 1e-3):
+        raise ValueError("dt must be finite and in (0, 1e-3]")
+    if not (np.isfinite(t0) and np.isfinite(t1) and t0 <= t1):
+        raise ValueError("t0 and t1 must be finite with t0 <= t1")
     if not (hasattr(initial, "values") and hasattr(initial, "grid")):
         raise ValueError("initial state must carry .grid and .values")
-    values = np.asarray(initial.values, dtype=complex).copy()
+    psi = np.asarray(initial.values, dtype=complex).copy()
     xs = np.asarray(initial.grid, dtype=float)
-    if xs.ndim != 1 or xs.size != values.size:
+    if xs.ndim != 1 or xs.size != psi.size:
         raise ValueError("initial state grid/values shape mismatch")
     dxs = np.diff(xs)
     if not np.allclose(dxs, dxs[0], rtol=1e-9, atol=0):
@@ -187,35 +193,51 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     if abs(t0 + n_steps * dt - t1) > 1e-9:
         raise ValueError("(t1 - t0) must be an integer number of steps")
 
-    probe = 0.0
+    dx = grid.dx
+    abs_x = np.abs(grid.nodes)
+    half_step = 0.5j * dt
+    diag = np.empty(grid.n_points, dtype=complex)   # H's main band; its side bands are -kin
+    h_psi = np.empty(grid.n_points, dtype=complex)
     band = np.empty((3, grid.n_points), dtype=complex)
+    probe = 0.0
     t = t0
     for step in range(n_steps):
         tm = t + 0.5 * dt
-        ham = build_hamiltonian(profile, tm, grid)
+        m = float(profile.mass.value(tm))
+        if m <= 0.0:
+            raise ValueError("mass must stay positive")
+        f = float(profile.coupling.value(tm))
+        kin = 1.0 / (2.0 * m * dx * dx)
+        diag.real = 2.0 * kin
+        np.multiply(f, abs_x, out=diag.imag)
 
-        rhs = values - 0.5j * dt * ham.apply(values)
-        band[0, 1:] = 0.5j * dt * ham.upper
-        band[1, :] = 1.0 + 0.5j * dt * ham.diag
-        band[2, :-1] = 0.5j * dt * ham.lower
+        # right-hand side (1 - i dt/2 H) psi, built over psi itself
+        np.multiply(diag, psi, out=h_psi)
+        h_psi[:-1] -= kin * psi[1:]
+        h_psi[1:] -= kin * psi[:-1]
+        psi -= half_step * h_psi
+        band[0, 1:] = band[2, :-1] = half_step * -kin
+        np.multiply(half_step, diag, out=band[1])
+        band[1] += 1.0
         left, right = (0.0, 0.0) if boundary is None else boundary(t + dt)
         band[0, 1] = 0.0
         band[1, 0] = 1.0
         band[2, -2] = 0.0
         band[1, -1] = 1.0
-        rhs[0] = left
-        rhs[-1] = right
+        psi[0] = left
+        psi[-1] = right
         try:
-            values = solve_banded((1, 1), band, rhs, check_finite=False)
+            psi = solve_banded((1, 1), band, psi, overwrite_ab=True, overwrite_b=True,
+                               check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"tridiagonal solve broke down at step {step}") from exc
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(psi)):
             raise RuntimeError(f"propagation diverged at step {step}")
 
-        probe = max(probe, float(abs(values[2])), float(abs(values[-3])))
+        probe = max(probe, float(abs(psi[2])), float(abs(psi[-3])))
         t = t0 + (step + 1) * dt
 
-    return PropagationResult(grid=grid, t_final=t, values=values, steps=n_steps,
+    return PropagationResult(grid=grid, t_final=t, values=psi, steps=n_steps,
                              boundary_probe=probe)
 
 

@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import TimeProfile, coefficients_at, phase, shift_reorder_phase
+from .profiles import (CoefficientSet, TimeProfile, coefficients_at, phase,
+                       shift_reorder_phase)
 from .spectrum import eigenfunction_continued, level, tail_integral
 
 __all__ = [
@@ -92,13 +93,17 @@ class WavefunctionSample:
 
 def transform_spec(profile: TimeProfile, region: int, t: float) -> TransformSpec:
     """The map parameters of one region at time t."""
+    return _spec_from(profile, region, coefficients_at(profile, t))
+
+
+def _spec_from(profile: TimeProfile, region: int, c: CoefficientSet) -> TransformSpec:
+    """The map parameters of one region from the coefficients at c.t."""
     if region not in (1, 2):
         raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
-    c = coefficients_at(profile, t)
     shift = (c.k * c.k - c.g * c.g + 4.0 * c.s) / 4.0
     weyl = -c.g * shift / 4.0
     if region == 1:
-        bch = weyl + shift_reorder_phase(profile, t)
+        bch = weyl + shift_reorder_phase(profile, c.t)
         return TransformSpec(region=1, t=c.t, shift_c=shift,
                              plane_wave_slope=-c.g / 2.0, bch_phase=bch,
                              rho_exponent_x=-c.k / 2.0,
@@ -131,8 +136,8 @@ def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):
     The branch is entire in x; evaluating it off its own half-line is what
     the finite-difference residual checks need near the origin.
     """
-    spec = transform_spec(profile, region, t)
     c = coefficients_at(profile, t)
+    spec = _spec_from(profile, region, c)
     eps = phase(profile, n, region, t).epsilon
     xa = np.atleast_1d(np.asarray(x, dtype=complex))
     scalar = np.ndim(x) == 0
@@ -174,8 +179,8 @@ def _undo_maps(profile: TimeProfile, n: int, region: int, x, t: float):
     to phi_n pointwise: it leaves the real shift S and the plane wave in
     place, so the full return trip needs U_j^dagger as well.
     """
-    spec = transform_spec(profile, region, t)
     c = coefficients_at(profile, t)
+    spec = _spec_from(profile, region, c)
     xa = np.atleast_1d(np.asarray(x, dtype=complex))
     sgn = _region_sign(region)
     inner = xa - sgn * spec.shift_c

@@ -1,11 +1,19 @@
 """End-to-end checks of the command line front end."""
 
+import contextlib
 import csv
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from airywell import cli
 from airywell.cli import main
 
 SMALL_PROFILE = """\
@@ -339,6 +347,74 @@ def test_config_sampled_coupling_table_with_nan_rejected(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+class _NoGrid:
+    """Stands in for Grid1D where a run must stop before building a grid."""
+
+    @staticmethod
+    def centered(*args):
+        raise AssertionError("a grid was built")
+
+    half_line = centered
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("grid, words", [
+    ("{half_width: .nan}", "finite"), ("{dx: .nan}", "finite"),
+    ("{half_width: .inf}", "finite"), ("{dx: 1.0e-9}", "cap"),
+], ids=["nan-half-width", "nan-dx", "inf-half-width", "over-cap-dx"])
+def test_grid_values_are_checked_before_any_grid_is_built(tmp_path, capsys, monkeypatch,
+                                                          command, grid, words):
+    monkeypatch.setattr(cli, "Grid1D", _NoGrid)
+    cfg = _write_config(tmp_path, SMALL_PROFILE + f"grid: {grid}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid:") and err.count("\n") == 1
+    assert words in err
+    assert not out.exists()
+
+
+_ODD_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-300, 1e-9, 1e300,
+               "abc", None, [1.0]]
+_FUZZ_DEFAULTS = {"half_width": 12.0, "dx": 0.05, "time": 0.3}
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(["solve", "verify"]),
+       key=st.sampled_from(sorted(_FUZZ_DEFAULTS)),
+       value=st.one_of(st.sampled_from(_ODD_VALUES),
+                       # values in (0, 0.02) come from the sampled list only,
+                       # so that no accepted dx builds an expensive grid
+                       _ANY_FLOAT.filter(lambda v: not 0.0 < v < 0.02)))
+def test_grid_and_time_values_never_end_in_a_traceback(command, key, value):
+    """One odd grid or time value on a small valid config, window 1."""
+    entries = dict(_FUZZ_DEFAULTS, **{key: value})
+    body = _write_fuzz_body(entries)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write_config(Path(tmp), body)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+def _write_fuzz_body(entries):
+    def yaml_value(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return ".nan" if math.isnan(v) else ("-.inf" if v < 0 else ".inf")
+        return json.dumps(v)
+
+    return (SMALL_PROFILE.replace("window: 3.0", "window: 1.0")
+            .replace("levels: [0, 1]", "levels: [0]")
+            .replace("times: [0.3]", f"times: [{yaml_value(entries['time'])}]")
+            + f"grid: {{half_width: {yaml_value(entries['half_width'])}, "
+              f"dx: {yaml_value(entries['dx'])}}}\n")
 
 
 def test_bad_format_flag_rejected(tmp_path):

@@ -266,6 +266,17 @@ def test_window_enforcement():
     assert c.t == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("prof", [UNIT, RAMP], ids=["closed", "table"])
+@pytest.mark.parametrize("read", [
+    lambda prof, t: coefficients_at(prof, t),
+    lambda prof, t: phase(prof, 0, 1, t),
+    lambda prof, t: shift_reorder_phase(prof, t),
+], ids=["coefficients_at", "phase", "shift_reorder_phase"])
+def test_nan_time_is_outside_the_window(read, prof):
+    with pytest.raises(ValueError, match="window"):
+        read(prof, float("nan"))
+
+
 def test_mass_positivity_enforced():
     with pytest.raises(ValueError):
         TimeProfile(mass=PowerMass(1.0, -0.4, 1.0), coupling=ZeroCoupling(), window=3.0)

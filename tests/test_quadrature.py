@@ -117,6 +117,27 @@ def test_out_of_window_evaluation_rejected():
     assert tab.value(1.0 + 1e-13) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_nan_query_rejected():
+    grid = SimpsonGrid.build(1.0, knots=None, panels_per_segment=8)
+    tab = grid.cumulative(np.ones_like(grid.nodes))
+    with pytest.raises(ValueError, match="window"):
+        tab.value(float("nan"))
+    with pytest.raises(ValueError, match="window"):
+        tab.value(np.array([0.25, np.nan, 0.75]))
+
+
+def test_scalar_and_array_reads_agree():
+    # one code path: a 0-d query gives the float the array query holds
+    grid = SimpsonGrid.build(2.0, knots=[0.7], panels_per_segment=8)
+    tab = grid.cumulative(np.cos(grid.nodes))
+    ts = np.array([0.0, 0.33, 0.7, 1.9, 2.0])
+    many = tab.value(ts)
+    for t, want in zip(ts, many):
+        one = tab.value(t)
+        assert type(one) is float and one == want
+    assert tab.value(np.array([])).shape == (0,)
+
+
 def test_cumulative_length_mismatch_rejected():
     grid = SimpsonGrid.build(1.0, knots=None, panels_per_segment=8)
     with pytest.raises(ValueError):

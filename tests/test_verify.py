@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from airywell.profiles import TimeProfile
 from airywell.spectrum import level, eigenfunction
@@ -185,6 +186,63 @@ def test_cn_validation():
     warped = np.concatenate([x[:200], x[200:] + 0.004])
     with pytest.raises(ValueError, match="uniform"):
         crank_nicolson_propagate(FREE, _State(warped, psi), 0.0, 0.1, 1e-3)
+
+
+@pytest.mark.parametrize("t0, t1, dt", [
+    (0.0, 0.01, -2e-4), (0.0, 0.01, 0.0), (0.0, 0.01, np.nan), (0.0, 0.01, np.inf),
+    (0.01, 0.0, 2e-4), (np.nan, 0.01, 2e-4), (0.0, np.nan, 2e-4), (0.0, np.inf, 2e-4),
+], ids=["negative-dt", "zero-dt", "nan-dt", "inf-dt", "t1-before-t0", "nan-t0",
+        "nan-t1", "inf-t1"])
+def test_cn_rejects_bad_step_or_interval(t0, t1, dt):
+    g = Grid1D.centered(8.0, 0.01)
+    x = g.nodes
+    psi = np.exp(-x**2).astype(complex)
+    with pytest.raises(ValueError, match="dt must|t0 and t1"):
+        crank_nicolson_propagate(FREE, _State(x, psi), t0, t1, dt)
+
+
+def _reference_cn(profile, xs, values, t0, t1, dt, boundary=None):
+    """The same Crank-Nicolson scheme, one fresh H(t_mid) per step."""
+    grid = Grid1D(float(xs[0]), float(xs[-1]), xs.size)
+    psi = np.asarray(values, dtype=complex).copy()
+    band = np.zeros((3, xs.size), dtype=complex)
+    probe = 0.0
+    for step in range(int(round((t1 - t0) / dt))):
+        t = t0 + step * dt
+        ham = build_hamiltonian(profile, t + 0.5 * dt, grid)
+        rhs = psi - 0.5j * dt * ham.apply(psi)
+        band[0, 1:] = 0.5j * dt * ham.upper
+        band[1] = 1.0 + 0.5j * dt * ham.diag
+        band[2, :-1] = 0.5j * dt * ham.lower
+        band[0, 1] = band[2, -2] = 0.0
+        band[1, 0] = band[1, -1] = 1.0
+        rhs[0], rhs[-1] = (0.0, 0.0) if boundary is None else boundary(t + dt)
+        psi = solve_banded((1, 1), band, rhs)
+        probe = max(probe, abs(psi[2]), abs(psi[-3]))
+    return psi, probe
+
+
+def test_cn_matches_reference_stepping():
+    # pins the in-place step loop to the scheme written out plainly, on a
+    # free full-line run and a fed half-line run of a time-dependent profile
+    full = Grid1D.centered(10.0, 0.1).nodes
+    gauss = np.exp(-(full - 0.5)**2).astype(complex)
+    half = Grid1D.half_line(20.0, 0.1, 1).nodes
+    branch = wavefunction_branch(WAVY, 1, 1, half.astype(complex), 0.0)
+
+    def feed(t):
+        return complex(wavefunction_branch(WAVY, 1, 1, np.array([0j]), t)[0]), 0.0
+
+    for profile, xs, psi, boundary in ((FREE, full, gauss, None),
+                                       (WAVY, half, branch, feed)):
+        assert xs.size == 201
+        res = crank_nicolson_propagate(profile, _State(xs, psi), 0.0, 0.1, 1e-3,
+                                       boundary=boundary)
+        want, probe = _reference_cn(profile, xs, psi, 0.0, 0.1, 1e-3, boundary)
+        assert res.steps == 100
+        assert np.max(np.abs(res.values - want)) <= 1e-13
+        assert abs(res.boundary_probe - probe) <= 1e-13
+        assert np.max(np.abs(res.values - psi)) > 1e-3     # the state did move
 
 
 def test_cn_step_size_guard():
