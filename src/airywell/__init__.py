@@ -16,6 +16,7 @@ from .airy import (
     AiryZero,
     airy_eval,
     airy_eval_many,
+    airy_ai_many,
     airy_function_zero,
     airy_derivative_zero,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "AiryZero",
     "airy_eval",
     "airy_eval_many",
+    "airy_ai_many",
     "airy_function_zero",
     "airy_derivative_zero",
     "CoefficientSet",

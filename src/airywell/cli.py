@@ -89,6 +89,9 @@ def _validate_levels(levels) -> tuple:
 
 
 def _is_integer(n) -> bool:
+    # YAML reads true/false as bools, which int() would take as 1/0
+    if isinstance(n, bool):
+        return False
     try:
         return float(n) == int(n)
     except (TypeError, ValueError, OverflowError):
@@ -96,6 +99,8 @@ def _is_integer(n) -> bool:
 
 
 def _number(value, label: str) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"{label}: {value!r} is not a number")
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
@@ -205,7 +210,12 @@ def load_config(path) -> RunConfig:
         if extra:
             raise ConfigError(f"tolerances: unknown keys {sorted(extra)}")
         merged = dict(_DEFAULT_TOLERANCES)
-        merged.update({k: float(v) for k, v in tol.items()})
+        for key, value in tol.items():
+            bound = _number(value, f"tolerances: {key}")
+            if not 0.0 < bound < math.inf:
+                raise ConfigError(f"tolerances: {key} must be positive and finite, "
+                                  f"not {bound!r}")
+            merged[key] = bound
         cfg = replace(cfg, tolerances=merged)
     return cfg
 
@@ -270,7 +280,7 @@ def _require_kernel_disc(cfg: RunConfig, u_lo: float, u_hi: float,
                     size = abs(u + shift - lam)
                     if not size <= MAX_ABS_Z:
                         raise ConfigError(
-                            f"level {n} at t = {t:g} needs Ai at |z| = {size:.2f}"
+                            f"level {n} at t = {t:g} needs Ai at |z| = {size:.3g}"
                             f" (|x| = {abs(u):g}), beyond the supported {MAX_ABS_Z:g}")
 
 

@@ -40,8 +40,10 @@ from typing import Optional
 import numpy as np
 
 from .quadrature import CumulativeTable, SimpsonGrid
+from .spectrum import level
 
 __all__ = [
+    "MAX_WINDOW",
     "ConstantMass",
     "ExponentialMass",
     "PowerMass",
@@ -63,6 +65,13 @@ __all__ = [
 
 _TABLE_TOL = 1e-10
 _MAX_TOTAL_PANELS = 2**17
+# the longest window: at 1e6 the panel budget leaves panels no finer than
+# 7.6 time units, and at 1e300 the table arithmetic overflows
+MAX_WINDOW = 1e6
+# a rate gamma or omega below this counts as zero: over any window
+# |rate t| < 1e-294, so the zero-rate limit is exact in double precision,
+# while dividing by a subnormal rate (or by m0 times it) loses every digit
+_NEGLIGIBLE_RATE = 1e-300
 
 
 # ------------------------------------------------------------ mass laws
@@ -90,7 +99,7 @@ class ExponentialMass:
 
     def inverse_integral(self, t):
         t = np.asarray(t, dtype=float)
-        if self.gamma == 0.0:
+        if abs(self.gamma) < _NEGLIGIBLE_RATE:
             return t / self.m0
         # expm1 keeps the gamma -> 0 limit t/m0 to full precision
         return -np.expm1(-self.gamma * t) / (self.m0 * self.gamma)
@@ -107,7 +116,7 @@ class PowerMass:
 
     def inverse_integral(self, t):
         t = np.asarray(t, dtype=float)
-        if self.gamma == 0.0:
+        if abs(self.gamma) < _NEGLIGIBLE_RATE:
             return t / self.m0
         # log1p/expm1 keep the gamma -> 0 limit t/m0 to full precision
         lb = np.log1p(self.gamma * t)
@@ -192,7 +201,7 @@ class SinusoidalCoupling:
 
     def integral(self, t):
         t = np.asarray(t, dtype=float)
-        if self.omega == 0.0:
+        if abs(self.omega) < _NEGLIGIBLE_RATE:
             return self.f0 * t
         return self.f0 * np.sin(self.omega * t) / self.omega
 
@@ -289,8 +298,8 @@ class TimeProfile:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.window > 0:
-            raise ValueError("window length must be positive")
+        if not 0.0 < self.window <= MAX_WINDOW:
+            raise ValueError(f"window length must be positive and at most {MAX_WINDOW:g}")
         for fam, need in ((self.mass, ("value",)), (self.coupling, ("value",))):
             for meth in need:
                 if not callable(getattr(fam, meth, None)):
@@ -477,21 +486,21 @@ def _w_closed(mass, coupling, t) -> Optional[np.ndarray]:
             return -coupling.f0 * t**3 / (3.0 * m0)
         if isinstance(coupling, SinusoidalCoupling):
             f0, om = coupling.f0, coupling.omega
-            if om == 0.0:
+            if abs(om) < _NEGLIGIBLE_RATE:
                 return -f0 * t * t / (2.0 * m0)
             return -(f0 / m0) * (
                 t * np.sin(om * t) / om + (np.cos(om * t) - 1.0) / om**2
             )
     if isinstance(mass, ExponentialMass):
         m0, ga = mass.m0, mass.gamma
-        if ga == 0.0:
+        if abs(ga) < _NEGLIGIBLE_RATE:
             return _w_closed(ConstantMass(m0), coupling, t)
         if isinstance(coupling, ConstantCoupling):
             # -(f0/(m0 ga)) (t + expm1(-ga t)/ga) rewritten cancellation-free
             return -(coupling.f0 * t * t / m0) * _remainder2(ga * t)
         if isinstance(coupling, SinusoidalCoupling):
             f0, om = coupling.f0, coupling.omega
-            if om == 0.0:
+            if abs(om) < _NEGLIGIBLE_RATE:
                 return _w_closed(mass, ConstantCoupling(f0), t)
             # each bracket term is individually O(ga), so dividing the
             # antiderivative by ga never amplifies rounding
@@ -505,9 +514,9 @@ def _w_closed(mass, coupling, t) -> Optional[np.ndarray]:
 
 def _cum_chi_closed(mass, coupling, region: int, t) -> Optional[np.ndarray]:
     """int_0^t chi_region for the two fully elementary profile pairs."""
-    t = np.asarray(t, dtype=float)
     if not isinstance(mass, ConstantMass):
         return None
+    t = np.asarray(t, dtype=float)
     m0 = mass.m0
     curvature = t**3 / (48.0 * m0**3)      # int g^2/(16 m)
     if isinstance(coupling, ZeroCoupling):
@@ -528,7 +537,7 @@ def _shear_closed(mass, t) -> Optional[np.ndarray]:
         return t**3 / (24.0 * mass.m0**3)
     if isinstance(mass, ExponentialMass):
         m0, ga = mass.m0, mass.gamma
-        if ga == 0.0:
+        if abs(ga) < _NEGLIGIBLE_RATE:
             return t**3 / (24.0 * m0**3)
         # cube the O(t) ratio: no cancellation, and ga^3 cannot underflow
         return (-np.expm1(-ga * t) / ga) ** 3 / (24.0 * m0**3)
@@ -546,20 +555,37 @@ def _require_in_window(profile: TimeProfile, t) -> float:
     return min(max(t, 0.0), profile.window)
 
 
+def _closed_primitives(profile: TimeProfile) -> bool:
+    """Whether g, k, s and w all come from closed forms rather than tables.
+
+    The answer depends only on the families, not on t, so it is worked
+    out once per profile.
+    """
+    closed = profile._cache.get("closed")
+    if closed is None:
+        mass, coupling = profile.mass, profile.coupling
+        closed = (callable(getattr(mass, "inverse_integral", None))
+                  and callable(getattr(coupling, "integral", None))
+                  and _w_closed(mass, coupling, 0.0) is not None)
+        profile._cache["closed"] = closed
+    return closed
+
+
+def _g(profile: TimeProfile, t):
+    """g at t, from the same closed-or-table choice as the other primitives."""
+    if _closed_primitives(profile):
+        return -np.asarray(profile.mass.inverse_integral(t), dtype=float)
+    return profile.tables.g.value(t)
+
+
 def _primitives(profile: TimeProfile, t):
     """g, k, s, w at t, preferring closed forms over tables."""
-    mass, coupling = profile.mass, profile.coupling
-    inv = getattr(mass, "inverse_integral", None)
-    fint = getattr(coupling, "integral", None)
-    if callable(inv) and callable(fint):
-        g = -np.asarray(inv(t), dtype=float)
-        k = 2.0 * np.asarray(fint(t), dtype=float)
-        s = -0.25 * k * k
-        w = _w_closed(mass, coupling, t)
-        if w is not None:
-            return g, k, s, w
+    g = _g(profile, t)
+    if _closed_primitives(profile):
+        k = 2.0 * np.asarray(profile.coupling.integral(t), dtype=float)
+        return g, k, -0.25 * k * k, _w_closed(profile.mass, profile.coupling, t)
     tab = profile.tables
-    return tab.g.value(t), tab.k.value(t), tab.s.value(t), tab.w.value(t)
+    return g, tab.k.value(t), tab.s.value(t), tab.w.value(t)
 
 
 def coefficients_at(profile: TimeProfile, t: float) -> CoefficientSet:
@@ -591,17 +617,22 @@ def phase(profile: TimeProfile, n: int, region: int, t: float) -> PhaseValue:
         raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
     if n < 0:
         raise ValueError("the level index n starts at 0")
-    from .spectrum import level
-
     tq = _require_in_window(profile, t)
-    lam = level(n).eigenvalue
+    return PhaseValue(n=n, region=region, t=tq,
+                      epsilon=_epsilon(profile, n, region, tq, _g(profile, tq)))
+
+
+def _epsilon(profile: TimeProfile, n: int, region: int, tq: float, g) -> float:
+    """eps of `phase` at a time tq already inside the window, given g(tq).
+
+    A caller that holds the coefficient set at tq passes its g, which is
+    the value `phase` reads, so g is not computed twice.
+    """
     cum = _cum_chi_closed(profile.mass, profile.coupling, region, tq)
     if cum is None:
         tab = profile.tables
         cum = (tab.cum_chi1 if region == 1 else tab.cum_chi2).value(tq)
-    g = _primitives(profile, tq)[0]
-    eps = float(cum) + lam * float(g) / 2.0
-    return PhaseValue(n=n, region=region, t=tq, epsilon=eps)
+    return float(cum) + level(n).eigenvalue * float(g) / 2.0
 
 
 def shift_reorder_phase(profile: TimeProfile, t: float) -> float:

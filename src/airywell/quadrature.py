@@ -106,7 +106,7 @@ class CumulativeTable:
         # minimum/maximum rather than np.clip, which costs more than the
         # whole Hermite formula on a scalar query
         tq = np.minimum(np.maximum(tq, nodes[0]), nodes[-1])
-        i = np.minimum(np.searchsorted(nodes, tq, side="right") - 1, nodes.size - 2)
+        i = np.minimum(nodes.searchsorted(tq, side="right") - 1, nodes.size - 2)
         h = nodes[i + 1] - nodes[i]
         u = (tq - nodes[i]) / h
         u2 = u * u

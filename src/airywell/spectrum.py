@@ -29,7 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import airy_derivative_zero, airy_eval, airy_eval_many, airy_function_zero
+# airy_eval_many is not called here, but the benchmark tracer in
+# bench/tracing.py rebinds it in this namespace
+from .airy import (airy_ai_many, airy_derivative_zero, airy_eval, airy_eval_many,  # noqa: F401
+                   airy_function_zero)
 
 __all__ = [
     "MAX_LEVEL",
@@ -86,12 +89,10 @@ def eigenfunction(n: int, x):
     """phi_n at real x (scalar or array); real-valued by construction."""
     lev = level(n)
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    vals = airy_eval_many(np.abs(xa) - lev.eigenvalue)[0].real * lev.norm_const
+    vals = airy_ai_many(np.abs(xa) - lev.eigenvalue).real * lev.norm_const
     if lev.parity == "odd":
         vals = vals * np.sign(xa)        # sgn(0) = 0 zeroes the origin exactly
-    return float(vals[0]) if scalar else vals
+    return float(vals) if xa.ndim == 0 else vals
 
 
 def eigenfunction_continued(n: int, z, region: int):
@@ -104,14 +105,12 @@ def eigenfunction_continued(n: int, z, region: int):
         raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
     lev = level(n)
     za = np.asarray(z, dtype=complex)
-    scalar = za.ndim == 0
-    za = np.atleast_1d(za)
     if region == 1:
-        vals = airy_eval_many(za - lev.eigenvalue)[0] * lev.norm_const
+        vals = airy_ai_many(za - lev.eigenvalue) * lev.norm_const
     else:
         sign = 1.0 if lev.parity == "even" else -1.0
-        vals = sign * airy_eval_many(-za - lev.eigenvalue)[0] * lev.norm_const
-    return complex(vals[0]) if scalar else vals
+        vals = airy_ai_many(-za - lev.eigenvalue) * (sign * lev.norm_const)
+    return complex(vals) if za.ndim == 0 else vals
 
 
 def sample_eigenfunction(n: int, x, region: str = "auto") -> EigenfunctionSample:

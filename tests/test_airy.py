@@ -20,6 +20,7 @@ import mpmath as mp
 from airywell.airy import (
     MAX_ZERO_INDEX,
     AiryPair,
+    airy_ai_many,
     airy_derivative_zero,
     airy_eval,
     airy_eval_many,
@@ -297,3 +298,90 @@ def test_airy_pair_wronskian_property():
     v = airy_eval(2.0 - 1.0j)
     assert isinstance(v, AiryPair)
     assert v.wronskian == pytest.approx(1.0 / np.pi, rel=1e-11)
+
+
+# ------------------------------------------------------ Ai-only kernel
+
+
+def _mp_ai(z):
+    return complex(mp.airyai(mp.mpc(z)))
+
+
+def _assert_ai_matches_mpmath(z, rel):
+    got = airy_ai_many(z)
+    want = np.array([_mp_ai(w) for w in z])
+    err = np.abs(got - want) / np.abs(want)
+    assert float(np.max(err)) <= rel, z[np.argmax(err)]
+
+
+def test_ai_only_kernel_matches_mpmath_over_disc():
+    # 800 points spread uniformly over the working disc |z| <= 40
+    rng = np.random.default_rng(11)
+    z = 40.0 * np.sqrt(rng.uniform(0.0, 1.0, 800)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 800))
+    _assert_ai_matches_mpmath(z, 1e-12)
+
+
+def test_ai_only_kernel_on_both_sides_of_the_sector_boundary():
+    # arg z = +-2pi/3 separates the K_{1/3} formula from the rotated one;
+    # the points sit on the ray as rounded, next to it by a few ulps, and
+    # at small and moderate angular offsets on either side
+    on_ray = np.array([r * np.exp(1j * s * (2 * np.pi / 3 + d))
+                       for r in (0.5, 3.0, 10.0, 25.0, 39.9) for s in (1, -1)
+                       for d in (0.0, 1e-15, -1e-15, 1e-9, -1e-9, 1e-4, -1e-4)])
+    nudged = [complex(np.nextafter(w.real, a), np.nextafter(w.imag, b))
+              for w in on_ray[::7] for a in (-1, 1) for b in (-1, 1)]
+    _assert_ai_matches_mpmath(np.concatenate([on_ray, nudged]), 1e-12)
+
+
+@pytest.mark.parametrize("x", [1.5, 5.0, 12.0, 30.0, 38.0])
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus-zero", "minus-zero"])
+def test_ai_only_kernel_on_negative_real_axis(x, zero):
+    got = airy_ai_many(np.array([complex(-x, zero)]))[0]
+    want = _mp_ai(-x)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_ai_only_kernel_along_negative_real_axis():
+    # Ai oscillates here, so the error is taken against the modulus
+    # function M = sqrt(Ai^2 + Bi^2) (DLMF 9.8), which stays clear of zero
+    xs = np.linspace(0.0, 38.0, 381)
+    want = np.array([_mp_ai(-x) for x in xs])
+    scale = np.array([float(mp.sqrt(mp.airyai(-x) ** 2 + mp.airybi(-x) ** 2)) for x in xs])
+    for zero in (0.0, -0.0):
+        got = airy_ai_many(np.array([complex(-x, zero) for x in xs]))
+        assert float(np.max(np.abs(got - want) / scale)) <= 1e-13
+
+
+@pytest.mark.parametrize("r", [1e-12, 1e-8])
+def test_ai_only_kernel_near_the_origin(r):
+    _assert_ai_matches_mpmath(r * np.exp(1j * np.linspace(-np.pi, np.pi, 13)), 1e-12)
+
+
+def test_ai_only_kernel_at_the_origin():
+    # K_{1/3} is infinite at 0 and kv overflows below |z| ~ 1e-205
+    ai0 = float(mp.airyai(0))
+    got = airy_ai_many(np.array([0.0, -0.0, 1e-300j, -1e-250, 5e-324]))
+    assert np.all(got == ai0)
+    assert airy_ai_many(0.0) == ai0
+
+
+@pytest.mark.parametrize("z", [
+    0.5, -3.0 + 0.2j, np.array(2.0 - 1.0j), np.array([-2.0 - 0.1j]), np.array([4.0]),
+    np.array([-9.0, 3.0 + 4.0j, -1.0 - 1.7j, 0.0, 7.5]),
+    np.array([[1.0, -20.0 + 1.0j], [-5.0 - 0.0j, 2.0j]]), np.zeros(0),
+], ids=["float", "complex", "0-d", "one-far", "one-near", "mixed", "2-d", "empty"])
+def test_ai_only_kernel_shape_and_dtype_match_airy_eval_many(z):
+    got = airy_ai_many(z)
+    want = airy_eval_many(z)[0]
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want) and got.dtype == want.dtype
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("z", [
+    np.nan, complex(0.0, np.nan), np.inf, 41.0, 30.0 + 30.0j,
+    np.array([1.0, np.nan]), np.array([1.0, -40.5]),
+])
+def test_ai_only_kernel_rejects_points_outside_the_disc(z):
+    with pytest.raises(ValueError):
+        airy_ai_many(z)

@@ -265,6 +265,52 @@ def test_too_many_sample_knots_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _assert_one_line_config_error(capsys, out, *words):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    for word in words:
+        assert word in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", ".nan", "-1", "0", ".inf", "true"])
+def test_tolerance_must_be_a_positive_finite_number(tmp_path, capsys, value):
+    cfg = _write_config(tmp_path, SMALL_PROFILE + f"tolerances: {{tdse: {value}}}\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    _assert_one_line_config_error(capsys, out, "tolerances: tdse")
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_boolean_level_is_a_config_error(tmp_path, capsys, command):
+    # YAML true is not level 1
+    cfg = _write_config(tmp_path, SMALL_PROFILE.replace("levels: [0, 1]", "levels: [true]"))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    _assert_one_line_config_error(capsys, out, "levels")
+
+
+@pytest.mark.parametrize("window", [".inf", "1.0e300"])
+def test_window_beyond_the_cap_is_a_one_line_config_error(tmp_path, capsys, recwarn, window):
+    cfg = _write_config(tmp_path, SMALL_PROFILE.replace("window: 3.0", f"window: {window}"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    _assert_one_line_config_error(capsys, out, "window")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_huge_grid_reports_a_short_modulus(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, SMALL_PROFILE + "grid: {half_width: 1.0e300, dx: 1.0e298}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "|z| = 1e+" in err and len(err) < 200
+    assert not out.exists()
+
+
 def test_verify_tolerance_override_can_force_failure(tmp_path):
     body = SMALL_PROFILE + "tolerances: {tdse: 1.0e-9}\n"
     cfg = _write_config(tmp_path, body)
@@ -404,17 +450,45 @@ def test_grid_and_time_values_never_end_in_a_traceback(command, key, value):
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
-def _write_fuzz_body(entries):
-    def yaml_value(v):
-        if isinstance(v, float) and not math.isfinite(v):
-            return ".nan" if math.isnan(v) else ("-.inf" if v < 0 else ".inf")
-        return json.dumps(v)
+_LEVEL_VALUES = [0, 1, 2, 40, 41, -1, 1.0, 1.5, True, False, math.nan, math.inf,
+                 "abc", None, [0]]
 
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["solve", "verify"]),
+       key=st.sampled_from(["tolerance", "level"]),
+       value=st.one_of(st.sampled_from(_ODD_VALUES + _LEVEL_VALUES), _ANY_FLOAT,
+                       st.integers(min_value=-3, max_value=60)))
+def test_tolerance_and_level_values_never_end_in_a_traceback(command, key, value):
+    """One odd tdse tolerance or level entry on a small valid config, window 1."""
+    body = _write_fuzz_body(_FUZZ_DEFAULTS)
+    if key == "tolerance":
+        body += f"tolerances: {{tdse: {_yaml_value(value)}}}\n"
+    else:
+        body = body.replace("levels: [0]", f"levels: [{_yaml_value(value)}]")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write_config(Path(tmp), body)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+def _yaml_value(v):
+    if isinstance(v, float) and not math.isfinite(v):
+        return ".nan" if math.isnan(v) else ("-.inf" if v < 0 else ".inf")
+    return json.dumps(v)
+
+
+def _write_fuzz_body(entries):
     return (SMALL_PROFILE.replace("window: 3.0", "window: 1.0")
             .replace("levels: [0, 1]", "levels: [0]")
-            .replace("times: [0.3]", f"times: [{yaml_value(entries['time'])}]")
-            + f"grid: {{half_width: {yaml_value(entries['half_width'])}, "
-              f"dx: {yaml_value(entries['dx'])}}}\n")
+            .replace("times: [0.3]", f"times: [{_yaml_value(entries['time'])}]")
+            + f"grid: {{half_width: {_yaml_value(entries['half_width'])}, "
+              f"dx: {_yaml_value(entries['dx'])}}}\n")
 
 
 def test_bad_format_flag_rejected(tmp_path):

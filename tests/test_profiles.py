@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from airywell.profiles import (
+    MAX_WINDOW,
     ConstantCoupling,
     ConstantMass,
     ExponentialMass,
@@ -282,6 +283,34 @@ def test_mass_positivity_enforced():
         TimeProfile(mass=PowerMass(1.0, -0.4, 1.0), coupling=ZeroCoupling(), window=3.0)
     with pytest.raises(ValueError):
         TimeProfile(mass=ConstantMass(-2.0), coupling=ZeroCoupling(), window=1.0)
+
+
+@pytest.mark.parametrize("window", [float("inf"), float("nan"), 1e300, 1.01 * MAX_WINDOW, 0.0])
+def test_window_must_be_positive_and_at_most_the_cap(window):
+    with pytest.raises(ValueError, match="window"):
+        TimeProfile(mass=ConstantMass(1.0), coupling=ConstantCoupling(1.0), window=window)
+
+
+def test_window_at_the_cap_is_accepted():
+    prof = TimeProfile(mass=ConstantMass(1.0), coupling=ZeroCoupling(), window=MAX_WINDOW)
+    assert coefficients_at(prof, MAX_WINDOW).g == -MAX_WINDOW
+
+
+def test_subnormal_rates_take_the_zero_rate_limit(recwarn):
+    # 0.5 * 5e-324 underflows to 0: the closed forms must not divide by it
+    t = 1.3
+    for ga, om in ((5e-324, 1.0), (-5e-324, 1.0), (0.0, 5e-324), (1e-310, -1e-310)):
+        prof = TimeProfile(mass=ExponentialMass(0.5, ga),
+                           coupling=SinusoidalCoupling(1.0, om), window=2.0)
+        limit = TimeProfile(mass=ConstantMass(0.5),
+                            coupling=SinusoidalCoupling(1.0, om) if om == 1.0
+                            else ConstantCoupling(1.0), window=2.0)
+        got, want = coefficients_at(prof, t), coefficients_at(limit, t)
+        for name in ("g", "k", "s", "w"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-14), name
+        assert shift_reorder_phase(prof, t) == pytest.approx(t**3 / (24 * 0.5**3), rel=1e-14)
+        assert PowerMass(0.5, ga, 0.7).inverse_integral(t) == pytest.approx(t / 0.5, rel=1e-14)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_sampled_families_interpolate_linearly():
