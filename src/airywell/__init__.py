@@ -6,7 +6,7 @@ Modules:
     quadrature   cumulative Simpson integrals with Richardson control
     profiles     mass and coupling histories and the frozen time integrals
     spectrum     static half-line spectrum, normalization, densities
-    wavefunction solution assembly in both half-line regions
+    wavefunction region-1 branch, region 2 by parity, solution assembly
     verify       finite-difference residual checks and propagator runs
     cli          command-line front end
 """
@@ -23,7 +23,6 @@ from .airy import (
 from .profiles import (
     CoefficientSet,
     InvariantCoefficients,
-    PhaseValue,
     TimeProfile,
     coefficients_at,
     invariant_coefficients,
@@ -38,14 +37,10 @@ from .spectrum import (
     density,
 )
 from .wavefunction import (
-    TransformSpec,
     WavefunctionSample,
-    transform_spec,
-    transformed_eigenfunction,
     wavefunction_branch,
     assemble_wavefunction,
     reconstructed_density,
-    eta_inner_product,
 )
 from .verify import (
     Grid1D,
@@ -70,7 +65,6 @@ __all__ = [
     "airy_derivative_zero",
     "CoefficientSet",
     "InvariantCoefficients",
-    "PhaseValue",
     "TimeProfile",
     "coefficients_at",
     "invariant_coefficients",
@@ -81,14 +75,10 @@ __all__ = [
     "eigenfunction",
     "eigenfunction_continued",
     "density",
-    "TransformSpec",
     "WavefunctionSample",
-    "transform_spec",
-    "transformed_eigenfunction",
     "wavefunction_branch",
     "assemble_wavefunction",
     "reconstructed_density",
-    "eta_inner_product",
     "Grid1D",
     "DiscretizedOperator",
     "PropagationResult",

@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .airy import MAX_ABS_Z, airy_derivative_zero, airy_eval, airy_function_zero
-from .profiles import TimeProfile
+from .profiles import TimeProfile, coefficients_at
 from .spectrum import MAX_LEVEL, density, level
 from .verify import (
     Grid1D,
@@ -32,7 +32,7 @@ from .verify import (
     tdse_residual,
     von_neumann_residual,
 )
-from .wavefunction import assemble_wavefunction, reconstructed_density, transform_spec
+from .wavefunction import assemble_wavefunction, reconstructed_density
 
 __all__ = ["RunConfig", "run_zeros", "run_spectrum", "run_density",
            "run_solve", "run_verify", "main"]
@@ -128,17 +128,21 @@ def _resolve_table_paths(block, base: Path, label: str):
         path = base / path
     if not path.exists():
         raise ConfigError(f"{label}: table file {path} does not exist")
+    try:
+        with open(path, newline="") as fh:
+            table = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{label}: cannot read table file {path}: {exc}") from exc
     rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != 2:
-                raise ConfigError(f"{label}: table rows need exactly (t, value)")
-            try:
-                rows.append([float(row[0]), float(row[1])])
-            except ValueError as exc:
-                raise ConfigError(f"{label}: non-numeric table entry {row!r}") from exc
+    for row in table:
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        if len(row) != 2:
+            raise ConfigError(f"{label}: table rows need exactly (t, value)")
+        try:
+            rows.append([float(row[0]), float(row[1])])
+        except ValueError as exc:
+            raise ConfigError(f"{label}: non-numeric table entry {row!r}") from exc
     out = dict(block)
     out["table"] = rows
     return out
@@ -269,8 +273,8 @@ def _require_kernel_disc(cfg: RunConfig, u_lo: float, u_hi: float,
     on a segment peaks at an end point, so the two ends decide.
     """
     for t in cfg.times:
-        spec = transform_spec(cfg.profile, 1, t)
-        shifts = [complex(spec.shift_c, -spec.rho_shift)]
+        c = coefficients_at(cfg.profile, t)
+        shifts = [complex(c.shift, -c.b)]
         if with_static:
             shifts.append(0j)
         for n in cfg.levels:
@@ -389,6 +393,9 @@ def run_solve(cfg: RunConfig, stdout=None) -> int:
         for t in cfg.times:
             sample = assemble_wavefunction(cfg.profile, n, t, xs)
             rho = reconstructed_density(cfg.profile, n, t, xs)
+            if not (np.all(np.isfinite(sample.values)) and np.all(np.isfinite(rho))):
+                raise ConfigError(f"level {n} at t = {t:g}: the state leaves double "
+                                  f"precision range on the grid")
             path = _out_path(cfg, f"solve_n{n}_t{t:g}")
             _write_rows(path,
                         ("x", "re", "im", "reconstructed_density"),
@@ -443,15 +450,29 @@ def _verify_jobs(cfg: RunConfig, wrong_sign_k: bool):
     return jobs
 
 
+def _run_job(job) -> float:
+    # numpy's error state is per thread; overflow is reported by the
+    # finiteness check on the result instead
+    with np.errstate(all="ignore"):
+        return job[3]()
+
+
+def _format_params(params: dict) -> str:
+    return ",".join(f"{k}={v}" for k, v in sorted(params.items()))
+
+
 def run_verify(cfg: RunConfig, stdout=None, wrong_sign_k: bool = False) -> int:
     """Full residual suite; exit 0 only when every check passes."""
     _require_tables(cfg)
     jobs = _verify_jobs(cfg, wrong_sign_k)
     with ThreadPoolExecutor(max_workers=4) as pool:
-        values = list(pool.map(lambda job: job[3](), jobs))
+        values = list(pool.map(_run_job, jobs))
 
     report = []
     for (check, params, threshold, _), value in zip(jobs, values):
+        if not math.isfinite(value):
+            raise ConfigError(f"{check}({_format_params(params)}) is {value}: the states "
+                              f"leave double precision range")
         report.append({
             "check": check,
             "params": params,
@@ -471,8 +492,7 @@ def run_verify(cfg: RunConfig, stdout=None, wrong_sign_k: bool = False) -> int:
     if stdout:
         for r in report:
             mark = "pass" if r["pass"] else "FAIL"
-            params = ",".join(f"{k}={v}" for k, v in sorted(r["params"].items()))
-            print(f"[{mark}] {r['check']}({params}) = {_sci(r['value'])}"
+            print(f"[{mark}] {r['check']}({_format_params(r['params'])}) = {_sci(r['value'])}"
                   f" vs {_sci(r['threshold'])}", file=stdout)
         n_fail = sum(not r["pass"] for r in report)
         print(f"{len(report)} checks, {n_fail} failed; wrote {path}", file=stdout)
@@ -510,30 +530,28 @@ def main(argv=None) -> int:
                                "inside the evolution residual (must fail)")
 
     args = parser.parse_args(argv)
-    try:
-        if args.config is not None:
-            cfg = load_config(args.config)
-        else:
-            cfg = RunConfig(profile=TimeProfile.from_config(_DEFAULT_PROFILE))
-        cfg = _apply_cli_overrides(cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     runner = {
         "zeros": run_zeros,
         "spectrum": run_spectrum,
         "density": run_density,
         "solve": run_solve,
     }
-    try:
-        if args.command == "verify":
-            return run_verify(cfg, stdout=sys.stdout,
-                              wrong_sign_k=args.wrong_sign_k)
-        return runner[args.command](cfg, stdout=sys.stdout)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # floating-point overflow from extreme inputs is reported by explicit
+    # finiteness checks, in one line, not by numpy warnings
+    with np.errstate(all="ignore"):
+        try:
+            if args.config is not None:
+                cfg = load_config(args.config)
+            else:
+                cfg = RunConfig(profile=TimeProfile.from_config(_DEFAULT_PROFILE))
+            cfg = _apply_cli_overrides(cfg, args)
+            if args.command == "verify":
+                return run_verify(cfg, stdout=sys.stdout,
+                                  wrong_sign_k=args.wrong_sign_k)
+            return runner[args.command](cfg, stdout=sys.stdout)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -56,7 +56,6 @@ __all__ = [
     "TimeProfile",
     "CoefficientSet",
     "InvariantCoefficients",
-    "PhaseValue",
     "coefficients_at",
     "invariant_coefficients",
     "phase",
@@ -247,7 +246,12 @@ _COUPLING_FAMILIES = {
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """The derived time functions at one instant; every field is real."""
+    """The derived time functions at one instant; every field is real.
+
+    shift and b are the magnitudes of the state's maps: the real
+    coordinate shift S of the shift-tilt unitary and the imaginary
+    translation of the metric root (see `wavefunction`).
+    """
 
     t: float
     g: float
@@ -258,6 +262,8 @@ class CoefficientSet:
     chi1: float
     chi2: float
     zeta: float
+    shift: float             # (k^2 - g^2 + 4s)/4
+    b: float                 # gk/2 - w
 
 
 @dataclass(frozen=True)
@@ -273,16 +279,6 @@ class InvariantCoefficients:
     x: complex
     p: complex
     const: complex
-
-
-@dataclass(frozen=True)
-class PhaseValue:
-    """Accumulated real phase of level n in one region at time t."""
-
-    n: int
-    region: int
-    t: float
-    epsilon: float
 
 
 # ------------------------------------------------------------- profile
@@ -386,10 +382,26 @@ def _family_from_config(block, registry, sampled_cls, label):
     missing = set(names) - set(params)
     if missing:
         raise ValueError(f"{label} family '{family}' needs: {sorted(missing)}")
-    return cls(**{k: float(params[k]) for k in names})
+    return cls(**{k: _family_parameter(params[k], f"{label} {k}") for k in names})
+
+
+def _family_parameter(value, label: str) -> float:
+    """A family parameter: a finite number (YAML's true/false are not)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{label}: {value!r} is not a number")
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{label}: {value!r} is not a number") from None
+    if not np.isfinite(number):
+        raise ValueError(f"{label} must be finite, not {value!r}")
+    return number
 
 
 # --------------------------------------------------- quadrature tables
+
+
+_TABLE_NAMES = ("g", "k", "s", "w", "cum_chi1", "cum_chi2", "cum_shear")
 
 
 @dataclass(frozen=True)
@@ -417,15 +429,15 @@ class _ProfileTables:
             raise ValueError(f"{grid.segments} sample intervals exceed the quadrature "
                              f"budget of {_MAX_TOTAL_PANELS // 4}")
         prev = _ProfileTables._assemble(profile, replace(grid, panels_per_segment=panels))
+        if not all(np.all(np.isfinite(getattr(prev, name).values)) for name in _TABLE_NAMES):
+            raise ValueError("the time integrals overflow double precision on the window")
         while True:
             fine_grid = prev.g.grid.refined()
             if fine_grid.nodes.size - 1 > _MAX_TOTAL_PANELS:
                 raise RuntimeError("quadrature did not converge within the panel budget")
             fine = _ProfileTables._assemble(profile, fine_grid)
-            est = max(
-                getattr(fine, name).max_node_difference(getattr(prev, name))
-                for name in ("g", "k", "s", "w", "cum_chi1", "cum_chi2", "cum_shear")
-            )
+            est = max(getattr(fine, name).max_node_difference(getattr(prev, name))
+                      for name in _TABLE_NAMES)
             if est <= _TABLE_TOL:
                 return replace(fine, estimate=est)
             prev = fine
@@ -488,8 +500,9 @@ def _w_closed(mass, coupling, t) -> Optional[np.ndarray]:
             f0, om = coupling.f0, coupling.omega
             if abs(om) < _NEGLIGIBLE_RATE:
                 return -f0 * t * t / (2.0 * m0)
+            # cos - 1 = -2 sin^2(om t/2) keeps the slow-coupling limit exact
             return -(f0 / m0) * (
-                t * np.sin(om * t) / om + (np.cos(om * t) - 1.0) / om**2
+                t * np.sin(om * t) / om - 2.0 * (np.sin(om * t / 2.0) / om) ** 2
             )
     if isinstance(mass, ExponentialMass):
         m0, ga = mass.m0, mass.gamma
@@ -517,13 +530,15 @@ def _cum_chi_closed(mass, coupling, region: int, t) -> Optional[np.ndarray]:
     if not isinstance(mass, ConstantMass):
         return None
     t = np.asarray(t, dtype=float)
-    m0 = mass.m0
+    # numpy scalars: a huge parameter's power overflows to inf, where a
+    # Python float power would raise OverflowError
+    m0 = np.float64(mass.m0)
     curvature = t**3 / (48.0 * m0**3)      # int g^2/(16 m)
     if isinstance(coupling, ZeroCoupling):
         theta_part = np.zeros_like(t)
     elif isinstance(coupling, ConstantCoupling):
         # theta = -f0^2 t^2/(4 m0)
-        theta_part = -coupling.f0**2 * t**3 / (12.0 * m0)
+        theta_part = -np.float64(coupling.f0)**2 * t**3 / (12.0 * m0)
     else:
         return None
     # chi1 = theta - 3 g^2/(16 m), chi2 = theta - g^2/(16 m)  (k^2 + 4s = 0)
@@ -532,16 +547,15 @@ def _cum_chi_closed(mass, coupling, region: int, t) -> Optional[np.ndarray]:
 
 def _shear_closed(mass, t) -> Optional[np.ndarray]:
     """int_0^t g^2/(8m) (the k^2 + 4s part vanishes identically)."""
+    if not isinstance(mass, (ConstantMass, ExponentialMass)):
+        return None
     t = np.asarray(t, dtype=float)
-    if isinstance(mass, ConstantMass):
-        return t**3 / (24.0 * mass.m0**3)
-    if isinstance(mass, ExponentialMass):
-        m0, ga = mass.m0, mass.gamma
-        if abs(ga) < _NEGLIGIBLE_RATE:
-            return t**3 / (24.0 * m0**3)
-        # cube the O(t) ratio: no cancellation, and ga^3 cannot underflow
-        return (-np.expm1(-ga * t) / ga) ** 3 / (24.0 * m0**3)
-    return None
+    m0 = np.float64(mass.m0)                 # as in _cum_chi_closed
+    ga = getattr(mass, "gamma", 0.0)
+    if abs(ga) < _NEGLIGIBLE_RATE:
+        return t**3 / (24.0 * m0**3)
+    # cube the O(t) ratio: no cancellation, and ga^3 cannot underflow
+    return (-np.expm1(-ga * t) / ga) ** 3 / (24.0 * m0**3)
 
 
 # ----------------------------------------------------------- operations
@@ -595,8 +609,9 @@ def coefficients_at(profile: TimeProfile, t: float) -> CoefficientSet:
     m = float(profile.mass.value(tq))
     f = float(profile.coupling.value(tq))
     theta, chi1, chi2, _ = _pointwise(m, f, g, k, s, w)
-    zeta = -0.25 * k * (0.5 * g * k - w)
-    return CoefficientSet(t=tq, g=g, k=k, s=s, w=w, theta=theta, chi1=chi1, chi2=chi2, zeta=zeta)
+    b = 0.5 * g * k - w
+    return CoefficientSet(t=tq, g=g, k=k, s=s, w=w, theta=theta, chi1=chi1, chi2=chi2,
+                          zeta=-0.25 * k * b, shift=(k * k - g * g + 4.0 * s) / 4.0, b=b)
 
 
 def invariant_coefficients(profile: TimeProfile, t: float, region: int) -> InvariantCoefficients:
@@ -611,15 +626,14 @@ def invariant_coefficients(profile: TimeProfile, t: float, region: int) -> Invar
     return InvariantCoefficients(region=2, p2=1.0 + 0.0j, x=-1.0 + 0.0j, p=-linear_p, const=const)
 
 
-def phase(profile: TimeProfile, n: int, region: int, t: float) -> PhaseValue:
+def phase(profile: TimeProfile, n: int, region: int, t: float) -> float:
     """Accumulated phase eps of level n in one region up to time t."""
     if region not in (1, 2):
         raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
     if n < 0:
         raise ValueError("the level index n starts at 0")
     tq = _require_in_window(profile, t)
-    return PhaseValue(n=n, region=region, t=tq,
-                      epsilon=_epsilon(profile, n, region, tq, _g(profile, tq)))
+    return _epsilon(profile, n, region, tq, _g(profile, tq))
 
 
 def _epsilon(profile: TimeProfile, n: int, region: int, tq: float, g) -> float:

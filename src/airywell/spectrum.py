@@ -37,11 +37,9 @@ from .airy import (airy_ai_many, airy_derivative_zero, airy_eval, airy_eval_many
 __all__ = [
     "MAX_LEVEL",
     "SpectralLevel",
-    "EigenfunctionSample",
     "level",
     "eigenfunction",
     "eigenfunction_continued",
-    "sample_eigenfunction",
     "density",
     "tail_integral",
 ]
@@ -57,16 +55,6 @@ class SpectralLevel:
     parity: str              # "even" | "odd"
     eigenvalue: float
     norm_const: float
-
-
-@dataclass(frozen=True)
-class EigenfunctionSample:
-    """One evaluation point: which state, where, which branch, what value."""
-
-    n: int
-    x: complex
-    region: str              # "1" | "2" | "auto"
-    value: complex
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,24 +99,6 @@ def eigenfunction_continued(n: int, z, region: int):
         sign = 1.0 if lev.parity == "even" else -1.0
         vals = airy_ai_many(-za - lev.eigenvalue) * (sign * lev.norm_const)
     return complex(vals) if za.ndim == 0 else vals
-
-
-def sample_eigenfunction(n: int, x, region: str = "auto") -> EigenfunctionSample:
-    """Evaluate one point with the branch spelled out in the record.
-
-    region "auto" needs a real coordinate (the branch is then the sign of x);
-    complex coordinates must name their branch explicitly.
-    """
-    if region not in ("1", "2", "auto"):
-        raise ValueError('region must be "1", "2" or "auto"')
-    zc = complex(x)
-    if region == "auto":
-        if zc.imag != 0.0:
-            raise ValueError("region auto is only defined for real coordinates")
-        value = complex(eigenfunction(n, zc.real))
-    else:
-        value = eigenfunction_continued(n, zc, int(region))
-    return EigenfunctionSample(n=n, x=zc, region=region, value=value)
 
 
 def density(n: int, x):

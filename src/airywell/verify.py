@@ -104,14 +104,8 @@ class DiscretizedOperator:
         return float(np.max(rows))
 
 
-def build_hamiltonian(profile: TimeProfile, t: float, grid: Grid1D,
-                      real_potential: bool = False) -> DiscretizedOperator:
-    """H = -(1/2m) d^2/dx^2 + i f |x| on the grid (Dirichlet ends).
-
-    real_potential drops the i, turning the generator into a real |x|
-    well; with m = 1/2 and f = 1 that is exactly the t = 0 invariant,
-    which gives the eigen-residual code path an analytic target.
-    """
+def build_hamiltonian(profile: TimeProfile, t: float, grid: Grid1D) -> DiscretizedOperator:
+    """H = -(1/2m) d^2/dx^2 + i f |x| on the grid (Dirichlet ends)."""
     m = float(profile.mass.value(t))
     if m <= 0.0:
         raise ValueError("mass must stay positive")
@@ -119,9 +113,7 @@ def build_hamiltonian(profile: TimeProfile, t: float, grid: Grid1D,
     x = grid.nodes
     dx = grid.dx
     kin = 1.0 / (2.0 * m * dx * dx)
-    pot = f * np.abs(x)
-    diag = 2.0 * kin + (pot if real_potential else 1j * pot)
-    diag = diag.astype(complex)
+    diag = (2.0 * kin + 1j * (f * np.abs(x))).astype(complex)
     off = np.full(grid.n_points - 1, -kin, dtype=complex)
     return DiscretizedOperator(grid=grid, diag=diag, upper=off, lower=off.copy())
 
@@ -396,7 +388,7 @@ def pseudo_hermiticity_check(profile: TimeProfile, t: float, region: int,
     c = coefficients_at(profile, t)
     sgn = 1.0 if region == 1 else -1.0
     alpha = sgn * c.k + alpha_offset
-    beta = sgn * (c.g * c.k - 2.0 * c.w)
+    beta = sgn * 2.0 * c.b
     p_new = co.p - 2j * alpha * co.p2
     const_new = co.const - co.p2 * alpha**2 + 1j * co.x * beta - 1j * alpha * co.p
     return float(max(abs(p_new - np.conj(co.p)), abs(const_new - np.conj(co.const))))

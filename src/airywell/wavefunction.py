@@ -1,42 +1,46 @@
 """Time-dependent states assembled from the static Airy eigenfunctions.
 
-Each half-line region j carries its own pair of maps built from the frozen
-time integrals g, k, s, w (module `profiles`):
+The state is written once, for region 1 (x >= 0), from two maps built
+out of the frozen time integrals g, k, s, w (module `profiles`):
 
-  * a shift-tilt unitary U_j: a plane-wave factor exp(i m_j g x / 2) with
-    m_1 = -1, m_2 = +1, together with a real coordinate shift by
-    +-(k^2 - g^2 + 4s)/4.  Splitting the single exponential that defines
-    U_j into (phase) x (plane wave) x (translation) produces a real scalar
-    phase from the commutator of the shift and tilt generators; that scalar
-    (the bch_phase field) is fixed numerically, not assumed: the split with
-    symmetric (Weyl) ordering gives -g (k^2 - g^2 + 4s)/16 for region 2,
-    and region 1 picks up the additional time integral
-    int_0^t (k^2 + g^2 + 4s)/(8m) because its generator ordering differs.
-    Both choices are validated by the residual checks in `verify`.
+  * a shift-tilt unitary U: a plane-wave factor exp(-i g x / 2) together
+    with a real coordinate shift by S = (k^2 - g^2 + 4s)/4.  Splitting the
+    single exponential that defines U into (phase) x (plane wave) x
+    (translation) produces a real scalar phase bch from the commutator of
+    the shift and tilt generators.  That scalar is fixed numerically, not
+    assumed: the symmetric (Weyl) split gives -g S/4, and the generator
+    ordering adds the time integral int_0^t (k^2 + g^2 + 4s)/(8m)
+    (`shift_reorder_phase`).  The residual checks in `verify` validate it.
 
-  * the inverse metric root rho_j^{-1} = exp[+-(k x/2 + (gk/2 - w) p)]:
-    a real exponential tilt exp(+-kx/2), an imaginary coordinate
-    translation by -+ i(gk/2 - w), and the scalar phase
-    zeta = -k(gk/2 - w)/4 from the same Weyl split.
+  * the inverse metric root rho^{-1} = exp[k x/2 + b p] with b = gk/2 - w:
+    a real exponential tilt exp(kx/2), an imaginary coordinate
+    translation by -ib, and the scalar phase zeta = -k b/4 from the same
+    Weyl split.
 
-With the accumulated dynamical phase eps_n^j the region branches read
+S and b are the `shift` and `b` fields of `CoefficientSet`.  With the
+accumulated dynamical phase eps_n^1 the branch reads
 
-  Psi_n,1(x,t) = e^{i(eps^1 + zeta + bch_1)} e^{-g b/2}
-                 e^{(k - ig)x/2} N_n Ai(x + S - ib - lambda_n)
+  Psi_n,1(x,t) = e^{i(eps^1 + zeta + bch)} e^{-g b/2}
+                 e^{(k - ig)x/2} N_n Ai(x + S - ib - lambda_n).
 
-  Psi_n,2(x,t) = e^{i(eps^2 + zeta + bch_2)} e^{-g b/2}
-                 e^{(-k + ig)x/2} sigma_n N_n Ai(-x + S - ib - lambda_n)
+The sign of the imaginary translation is the one the time-dependent
+equation itself selects; the opposite choice fails the residual checks.
+Undoing both maps recovers e^{i eps} phi_n exactly, which is what the
+density reconstruction below does.
 
-with S = (k^2 - g^2 + 4s)/4, b = gk/2 - w, sigma_n the parity sign.  The
-sign of the imaginary translation (-ib, identical in both regions) is the
-one the time-dependent equation itself selects; the opposite choice fails
-the residual checks.  Undoing both maps recovers e^{i eps} phi_n exactly,
-which is what the density reconstruction below does.
+Region 2 (x <= 0) needs no formula of its own.  H(t) = -d^2/dx^2 / (2m)
++ i f |x| commutes with parity P, the region-2 invariant is P I_1 P, and
+the phases agree: eps^2 - eps^1 = int_0^t (chi2 - chi1) is exactly the
+reorder integral inside bch.  So the paper's region-2 branch is
 
-For odd n the two branches share the value sigma_n N Ai(S - ib - lambda)
-at x = 0 up to sign: the glued function is discontinuous there for t > 0
-(and the even branches meet with a slope kink).  Both facts are measured
-rather than hidden; see the origin tests and the residual checks.
+  Psi_n,2(x,t) = sigma_n Psi_n,1(-x,t),
+
+with sigma_n the parity sign, and that is how it is evaluated.
+
+For odd n the two branches take opposite values at x = 0, which are not
+zero for t > 0: the glued function is discontinuous there (and the even
+branches meet with a slope kink).  Both facts are measured rather than
+hidden; see the origin tests and the residual checks.
 """
 
 from __future__ import annotations
@@ -45,41 +49,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# phase is not called here, but the benchmark tracer in bench/tracing.py
-# rebinds it in this namespace; the branches read eps through _epsilon
+# level and phase are not called here, but the benchmark tracer in
+# bench/tracing.py rebinds them in this namespace; the branch reads eps
+# through _epsilon
 from .profiles import (CoefficientSet, TimeProfile, _epsilon, coefficients_at,  # noqa: F401
                        phase, shift_reorder_phase)
-from .spectrum import eigenfunction_continued, level, tail_integral
+from .spectrum import eigenfunction_continued, level  # noqa: F401
 
 __all__ = [
-    "TransformSpec",
     "WavefunctionSample",
-    "transform_spec",
-    "transformed_eigenfunction",
     "wavefunction_branch",
     "assemble_wavefunction",
     "reconstructed_density",
-    "eta_inner_product",
 ]
-
-
-@dataclass(frozen=True)
-class TransformSpec:
-    """Frozen parameters of the region maps at one instant.
-
-    shift_c and rho_shift are shared magnitudes; the region only flips
-    signs where they are applied.  rho_exponent_x is the x-slope of the
-    metric root rho_j itself (its inverse, used in the solution, negates
-    it).  Everything vanishes at t = 0.
-    """
-
-    region: int
-    t: float
-    shift_c: float           # (k^2 - g^2 + 4s)/4
-    plane_wave_slope: float  # -g/2 in region 1, +g/2 in region 2
-    bch_phase: float         # scalar phase of the split U_j exponential
-    rho_exponent_x: float    # -k/2 in region 1, +k/2 in region 2
-    rho_shift: float         # gk/2 - w
 
 
 @dataclass(frozen=True)
@@ -93,61 +75,34 @@ class WavefunctionSample:
     regions: np.ndarray      # 1 for x >= 0, 2 for x < 0
 
 
-def transform_spec(profile: TimeProfile, region: int, t: float) -> TransformSpec:
-    """The map parameters of one region at time t."""
-    return _spec_from(profile, region, coefficients_at(profile, t))
+def _bch(profile: TimeProfile, c: CoefficientSet) -> float:
+    """The scalar phase of the split shift-tilt unitary at c.t."""
+    return -c.g * c.shift / 4.0 + shift_reorder_phase(profile, c.t)
 
 
-def _spec_from(profile: TimeProfile, region: int, c: CoefficientSet) -> TransformSpec:
-    """The map parameters of one region from the coefficients at c.t."""
-    if region not in (1, 2):
-        raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
-    shift = (c.k * c.k - c.g * c.g + 4.0 * c.s) / 4.0
-    weyl = -c.g * shift / 4.0
-    if region == 1:
-        bch = weyl + shift_reorder_phase(profile, c.t)
-        return TransformSpec(region=1, t=c.t, shift_c=shift,
-                             plane_wave_slope=-c.g / 2.0, bch_phase=bch,
-                             rho_exponent_x=-c.k / 2.0,
-                             rho_shift=0.5 * c.g * c.k - c.w)
-    return TransformSpec(region=2, t=c.t, shift_c=shift,
-                         plane_wave_slope=c.g / 2.0, bch_phase=weyl,
-                         rho_exponent_x=c.k / 2.0,
-                         rho_shift=0.5 * c.g * c.k - c.w)
-
-
-def _region_sign(region: int) -> float:
-    return 1.0 if region == 1 else -1.0
-
-
-def transformed_eigenfunction(profile: TimeProfile, n: int, region: int, x, t: float):
-    """U_j phi_n in position representation (x may be complex)."""
-    spec = transform_spec(profile, region, t)
-    xa = np.atleast_1d(np.asarray(x, dtype=complex))
-    scalar = np.ndim(x) == 0
-    sgn = _region_sign(region)
-    vals = (np.exp(1j * spec.bch_phase)
-            * np.exp(1j * spec.plane_wave_slope * xa)
-            * eigenfunction_continued(n, xa + sgn * spec.shift_c, region))
-    return complex(vals[0]) if scalar else vals
+def _branch1(profile: TimeProfile, n: int, c: CoefficientSet, x: np.ndarray) -> np.ndarray:
+    """Psi_n,1 at the complex points x, from the coefficients c at c.t."""
+    eps = _epsilon(profile, n, 1, c.t, c.g)
+    amp = np.exp(1j * (eps + c.zeta + _bch(profile, c))) * np.exp(-c.g * c.b / 2.0)
+    slope = c.k / 2.0 + 1j * (-c.g / 2.0)
+    return amp * np.exp(slope * x) * eigenfunction_continued(n, x + (c.shift - 1j * c.b), 1)
 
 
 def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):
     """One region's branch of the assembled state, valid at complex x.
 
     The branch is entire in x; evaluating it off its own half-line is what
-    the finite-difference residual checks need near the origin.
+    the finite-difference residual checks need near the origin.  Region 2
+    is sigma_n times region 1 at -x.
     """
+    if region not in (1, 2):
+        raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
     c = coefficients_at(profile, t)
-    spec = _spec_from(profile, region, c)
-    eps = _epsilon(profile, n, region, c.t, c.g)
     xa = np.asarray(x, dtype=complex)
-    sgn = _region_sign(region)
-    amp = (np.exp(1j * (eps + c.zeta + spec.bch_phase))
-           * np.exp(-c.g * spec.rho_shift / 2.0))
-    slope = -spec.rho_exponent_x + 1j * spec.plane_wave_slope
-    arg = xa + sgn * (spec.shift_c - 1j * spec.rho_shift)
-    vals = amp * np.exp(slope * xa) * eigenfunction_continued(n, arg, region)
+    if region == 1:
+        vals = _branch1(profile, n, c, xa)
+    else:
+        vals = (-1.0 if n % 2 else 1.0) * _branch1(profile, n, c, -xa)
     return complex(vals) if xa.ndim == 0 else vals
 
 
@@ -170,66 +125,35 @@ def assemble_wavefunction(profile: TimeProfile, n: int, t: float, grid) -> Wavef
     return WavefunctionSample(n=n, t=float(t), grid=xs, values=values, regions=regions)
 
 
-def _undo_maps(profile: TimeProfile, n: int, region: int, x, t: float):
-    """Apply U_j^dagger rho_j to the branch: recovers e^{i eps} phi_n.
+def _undo_maps(profile: TimeProfile, n: int, x: np.ndarray, t: float) -> np.ndarray:
+    """Apply U^dagger rho to the region-1 branch: recovers e^{i eps} phi_n.
 
-    rho_j psi(x)      = e^{i zeta} e^{mp k x/2} psi(x +- i b)
-    U_j^dagger chi(x) = e^{-i bch} e^{-i slope (x -+ S)} chi(x -+ S)
+    rho psi(x)      = e^{i zeta} e^{-k x/2} psi(x + i b)
+    U^dagger chi(x) = e^{-i bch} e^{i g (x - S)/2} chi(x - S)
 
-    (upper signs region 1).  Note rho_j alone does not reduce the branch
-    to phi_n pointwise: it leaves the real shift S and the plane wave in
-    place, so the full return trip needs U_j^dagger as well.
+    Note rho alone does not reduce the branch to phi_n pointwise: it
+    leaves the real shift S and the plane wave in place, so the full
+    return trip needs U^dagger as well.
     """
     c = coefficients_at(profile, t)
-    spec = _spec_from(profile, region, c)
-    xa = np.atleast_1d(np.asarray(x, dtype=complex))
-    sgn = _region_sign(region)
-    inner = xa - sgn * spec.shift_c
+    inner = x - c.shift
     chi = (np.exp(1j * c.zeta)
-           * np.exp(spec.rho_exponent_x * inner)
-           * wavefunction_branch(profile, n, region,
-                                 inner + sgn * 1j * spec.rho_shift, t))
-    return (np.exp(-1j * spec.bch_phase)
-            * np.exp(-1j * spec.plane_wave_slope * inner)
+           * np.exp((-c.k / 2.0) * inner)
+           * _branch1(profile, n, c, inner + 1j * c.b))
+    return (np.exp(-1j * _bch(profile, c))
+            * np.exp(-1j * (-c.g / 2.0) * inner)
             * chi)
 
 
 def reconstructed_density(profile: TimeProfile, n: int, t: float, grid):
-    """|Psi|^2 pulled back through both maps, region by region.
+    """|Psi|^2 pulled back through both maps.
 
-    Undoing the metric root and the shift-tilt unitary returns each branch
+    Undoing the metric root and the shift-tilt unitary returns the branch
     to e^{i eps} phi_n, so the reconstruction reproduces the static density
-    at every time; this exercises every factor of the assembly.
+    at every time; this exercises every factor of the assembly.  By parity
+    the density at x equals the one at |x|, which region 1 reconstructs.
     """
     xs = np.asarray(grid, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    out = np.empty(xs.size, dtype=float)
-    pos = xs >= 0.0
-    for region, mask in ((1, pos), (2, ~pos)):
-        if not np.any(mask):
-            continue
-        rec = _undo_maps(profile, n, region, xs[mask].astype(complex), t)
-        out[mask] = np.abs(rec) ** 2
-    return float(out[0]) if scalar else out
-
-
-def eta_inner_product(profile: TimeProfile, n: int, t: float, region="both") -> float:
-    """Metric-weighted norm of the state over one region or the line.
-
-    The weighted integral of |Psi_j|^2 over its region reduces exactly to
-    the static integral of phi_n^2 there (the maps are metric-preserving
-    and the unitary leaves full-line integrals alone), which the closed
-    tail identity evaluates without any grid:
-    int_0^inf phi_n^2 = N^2 (Ai'(-lam)^2 + lam Ai(-lam)^2) = 1/2.
-    Discretizing the metric itself is rejected by design: it contains an
-    imaginary translation, which is ill-conditioned on a real grid.
-    """
-    coefficients_at(profile, t)          # window check; value is t-free
-    lev = level(n)
-    half = lev.norm_const**2 * tail_integral(-lev.eigenvalue)
-    if region == "both":
-        return 2.0 * half
-    if region in (1, 2):
-        return half
-    raise ValueError('region must be 1, 2 or "both"')
+    rec = _undo_maps(profile, n, np.abs(np.atleast_1d(xs)).astype(complex), t)
+    out = np.abs(rec) ** 2
+    return float(out[0]) if xs.ndim == 0 else out

@@ -351,7 +351,7 @@ def test_criterion_8_phase_reality_and_closed_forms():
     lam0 = level(0).eigenvalue
     worst_phase = 0.0
     for t in (0.25, 0.5, 1.0):
-        got = phase(FREE, 0, 1, t).epsilon
+        got = phase(FREE, 0, 1, t)
         assert isinstance(got, float)
         want = -t**3 / 16.0 - lam0 * t / 2.0
         worst_phase = max(worst_phase, abs(got - want))

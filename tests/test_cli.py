@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -475,6 +476,90 @@ def test_tolerance_and_level_values_never_end_in_a_traceback(command, key, value
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("block, words", [
+    ("coupling: {family: constant, f0: .inf}", "error: profile: coupling f0 must be finite"),
+    ("mass: {family: constant, m0: true}", "error: profile: mass m0: True is not a number"),
+    ("mass: {family: constant, m0: 1.0e+300}", None),
+    ("coupling: {family: sinusoidal, f0: 1.0, omega: 1.0e-300}", None),
+    ("mass: {family: constant, m0: 1.0e-300}", "profile: the time integrals overflow"),
+    ("mass: {family: exponential, m0: 1.0, gamma: -700.0}",
+     "profile: the time integrals overflow"),
+    ("coupling: {family: constant, f0: 700.0}", "double precision range"),
+], ids=["infinite-f0", "boolean-m0", "huge-m0", "tiny-omega", "tiny-m0",
+        "fast-shrinking-mass", "strong-coupling"])
+def test_odd_family_parameters_end_cleanly(tmp_path, capsys, recwarn, command, block, words):
+    """A run ends in 0 or 1 without stderr, or in one line that says why."""
+    cfg = _write_config(tmp_path, _body_with_block(block))
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if words is None:
+        assert code in (0, 1) and err == ""
+    else:
+        assert code == 2 and err.count("\n") == 1 and words in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+_FAMILY_PARAMETERS = {
+    "mass": {"constant": ["m0"], "exponential": ["m0", "gamma"],
+             "power": ["m0", "gamma", "alpha"], "sampled": ["table"], "smooth": []},
+    "coupling": {"zero": [], "constant": ["f0"], "linear": ["f0"],
+                 "sinusoidal": ["f0", "omega"], "sampled": ["table"], "smooth": []},
+}
+_PARAMETER_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.sampled_from([math.inf, -math.inf, math.nan, True, False, 0.0, -0.0,
+                     1e300, -1e300, 1e-300, 5e-324, 700.0, -700.0]),
+    st.text(max_size=4))
+
+
+@st.composite
+def _profile_blocks(draw):
+    """One mass or coupling block: a family, its parameters with odd values,
+    some keys dropped and perhaps one unknown key added."""
+    part = draw(st.sampled_from(sorted(_FAMILY_PARAMETERS)))
+    family = draw(st.sampled_from(sorted(_FAMILY_PARAMETERS[part])))
+    block = {"family": family}
+    for name in _FAMILY_PARAMETERS[part][family]:
+        if draw(st.booleans()) or draw(st.booleans()):
+            block[name] = draw(_PARAMETER_VALUES)
+    if draw(st.integers(0, 5)) == 0:
+        block[draw(st.sampled_from(["m0", "f0", "omega", "zz"]))] = draw(_PARAMETER_VALUES)
+    if draw(st.integers(0, 7)) == 0:
+        del block["family"]
+    return part, block
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["solve", "verify"]), drawn=_profile_blocks())
+def test_profile_blocks_never_end_in_a_traceback(command, drawn):
+    """One odd mass or coupling block on a 9-node grid, one level, one time."""
+    part, block = drawn
+    flow = ", ".join(f"{k}: {_yaml_value(v)}" for k, v in block.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write_config(Path(tmp), _body_with_block(f"{part}: {{{flow}}}"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            # a shown warning would be more stderr lines
+            warnings.simplefilter("always")
+            code = main([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+def _body_with_block(block):
+    """The fuzz config on a 9-node grid with its mass or coupling line replaced."""
+    part = block.split(":")[0]
+    body = _write_fuzz_body(dict(_FUZZ_DEFAULTS, dx=3.0))
+    return "\n".join(f"  {block}" if line.startswith(f"  {part}:") else line
+                     for line in body.splitlines()) + "\n"
 
 
 def _yaml_value(v):

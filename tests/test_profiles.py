@@ -63,13 +63,14 @@ RAMP = TimeProfile(mass=PowerMass(1.2, 0.4, 1.6), coupling=LinearCoupling(0.9), 
 def test_everything_vanishes_at_zero():
     for prof in (UNIT, FREE, WAVY, RAMP):
         c = coefficients_at(prof, 0.0)
-        for name in ("g", "k", "s", "w", "theta", "chi1", "chi2", "zeta"):
+        for name in ("g", "k", "s", "w", "theta", "chi1", "chi2", "zeta", "shift", "b"):
             assert getattr(c, name) == pytest.approx(0.0, abs=1e-13), name
 
 
 def test_unit_profile_closed_coefficients():
     # m = 1, f = 1: g = -t, k = 2t, s = -t^2, w = -t^2/2,
-    # theta = -t^2/4, zeta = t^3/4, chi1 = -7t^2/16, chi2 = -5t^2/16
+    # theta = -t^2/4, zeta = t^3/4, chi1 = -7t^2/16, chi2 = -5t^2/16,
+    # and the map magnitudes S = (k^2 - g^2 + 4s)/4 = -t^2/4, b = gk/2 - w = -t^2/2
     for t in (0.3, 1.0, 2.0):
         c = coefficients_at(UNIT, t)
         assert c.g == pytest.approx(-t, rel=1e-13)
@@ -80,6 +81,8 @@ def test_unit_profile_closed_coefficients():
         assert c.zeta == pytest.approx(t**3 / 4, rel=1e-13)
         assert c.chi1 == pytest.approx(-7 * t * t / 16, rel=1e-13)
         assert c.chi2 == pytest.approx(-5 * t * t / 16, rel=1e-13)
+        assert c.shift == pytest.approx(-t * t / 4, rel=1e-13)
+        assert c.b == pytest.approx(-t * t / 2, rel=1e-13)
 
 
 def test_zero_coupling_phase_integrands():
@@ -187,14 +190,14 @@ def test_phase_closed_examples():
         lam = level(n).eigenvalue
         for t in (0.7, 1.5):
             # free particle: int chi1 = -t^3/16, int chi2 = -t^3/48
-            assert phase(FREE, n, 1, t).epsilon == pytest.approx(
+            assert phase(FREE, n, 1, t) == pytest.approx(
                 -t**3 / 16 - lam * t / 2, rel=1e-12)
-            assert phase(FREE, n, 2, t).epsilon == pytest.approx(
+            assert phase(FREE, n, 2, t) == pytest.approx(
                 -t**3 / 48 - lam * t / 2, rel=1e-12)
             # unit coupling: int chi1 = -7t^3/48, int chi2 = -5t^3/48
-            assert phase(UNIT, n, 1, t).epsilon == pytest.approx(
+            assert phase(UNIT, n, 1, t) == pytest.approx(
                 -7 * t**3 / 48 - lam * t / 2, rel=1e-12)
-            assert phase(UNIT, n, 2, t).epsilon == pytest.approx(
+            assert phase(UNIT, n, 2, t) == pytest.approx(
                 -5 * t**3 / 48 - lam * t / 2, rel=1e-12)
 
 
@@ -207,9 +210,9 @@ def test_phase_table_route_matches_oracle():
         lam = level(n).eigenvalue
         for t in times:
             g, _, _, _, c1, c2, _ = oracle[t]
-            assert phase(RAMP, n, 1, t).epsilon == pytest.approx(
+            assert phase(RAMP, n, 1, t) == pytest.approx(
                 c1 + lam * g / 2, abs=1e-8)
-            assert phase(RAMP, n, 2, t).epsilon == pytest.approx(
+            assert phase(RAMP, n, 2, t) == pytest.approx(
                 c2 + lam * g / 2, abs=1e-8)
 
 
@@ -224,7 +227,7 @@ def test_phase_reads_g_as_coefficients_at_does():
     for t in np.linspace(0.1, 2.9, 15):
         g = coefficients_at(prof, t).g
         for region, cum in ((1, tab.cum_chi1), (2, tab.cum_chi2)):
-            assert phase(prof, 2, region, t).epsilon == float(cum.value(t)) + lam * g / 2.0
+            assert phase(prof, 2, region, t) == float(cum.value(t)) + lam * g / 2.0
 
 
 def test_phase_validation():
@@ -311,6 +314,16 @@ def test_subnormal_rates_take_the_zero_rate_limit(recwarn):
         assert shift_reorder_phase(prof, t) == pytest.approx(t**3 / (24 * 0.5**3), rel=1e-14)
         assert PowerMass(0.5, ga, 0.7).inverse_integral(t) == pytest.approx(t / 0.5, rel=1e-14)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("om", [1e-6, 1e-8, 1e-10])
+def test_slow_sinusoidal_coupling_on_constant_mass(om):
+    # w = -(f0/m0)(t^2/2 - om^2 t^4/8 + O(om^4)); cos(om t) - 1 cancels here
+    f0, m0 = 1.3, 0.7
+    prof = TimeProfile(mass=ConstantMass(m0), coupling=SinusoidalCoupling(f0, om), window=2.0)
+    for t in (0.5, 1.0, 2.0):
+        want = -(f0 / m0) * (t * t / 2 - om * om * t**4 / 8)
+        assert coefficients_at(prof, t).w == pytest.approx(want, rel=1e-12)
 
 
 def test_sampled_families_interpolate_linearly():

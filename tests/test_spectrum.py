@@ -10,12 +10,10 @@ from scipy.integrate import quad
 
 from airywell.spectrum import (
     MAX_LEVEL,
-    EigenfunctionSample,
     density,
     eigenfunction,
     eigenfunction_continued,
     level,
-    sample_eigenfunction,
     tail_integral,
 )
 
@@ -233,22 +231,6 @@ def test_continued_region_2_on_real_axis_matches_oracle():
 def test_continued_region_validation():
     with pytest.raises(ValueError):
         eigenfunction_continued(0, 0.5 + 0.0j, 3)
-
-
-def test_sample_records():
-    s = sample_eigenfunction(2, -0.7)
-    assert isinstance(s, EigenfunctionSample)
-    assert s.region == "auto"
-    assert s.value.imag == 0.0
-    assert s.value.real == pytest.approx(eigenfunction(2, -0.7), rel=1e-15)
-
-    s1 = sample_eigenfunction(1, 0.4 + 0.2j, region="1")
-    assert s1.value == eigenfunction_continued(1, 0.4 + 0.2j, 1)
-
-    with pytest.raises(ValueError):
-        sample_eigenfunction(0, 0.4 + 0.2j, region="auto")
-    with pytest.raises(ValueError):
-        sample_eigenfunction(0, 0.4, region="left")
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import solve_banded
 
 from airywell.profiles import TimeProfile
-from airywell.spectrum import level, eigenfunction
 from airywell.verify import (
     Grid1D,
     DiscretizedOperator,
@@ -114,31 +113,6 @@ def test_hamiltonian_rejects_nonpositive_mass():
     # ... beyond it the linear ramp goes negative and must be refused
     with pytest.raises(ValueError, match="positive"):
         build_hamiltonian(shrinking, 2.0, GRID)
-
-
-def test_real_potential_toggle_reproduces_static_well():
-    # with m = 1/2 and f = 1 the real-potential operator is exactly the
-    # static |x| well whose eigenpairs the spectrum module provides
-    still = TimeProfile.from_config({
-        "mass": {"family": "constant", "m0": 0.5},
-        "coupling": {"family": "constant", "f0": 1.0},
-        "window": 1.0,
-    })
-    ham = build_hamiltonian(still, 0.0, GRID, real_potential=True)
-    for n in (0, 1, 2):
-        lam = level(n).eigenvalue
-        phi = eigenfunction(n, GRID.nodes).astype(complex)
-        res = ham.apply(phi) - lam * phi
-        keep = np.ones(GRID.n_points, bool)
-        keep[:3] = keep[-3:] = False
-        rel = np.linalg.norm(res[keep]) / np.linalg.norm(phi[keep])
-        assert rel < 1e-4
-    # the default (complex) build differs: potential is rotated by i
-    ham_c = build_hamiltonian(still, 0.0, GRID)
-    assert np.max(np.abs(ham_c.diag.imag)) > 1.0
-
-
-# ------------------------------------------------------- Crank-Nicolson
 
 
 def test_cn_conserves_norm_without_coupling():

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from airywell.profiles import (
     ConstantCoupling,
     ConstantMass,
     ExponentialMass,
+    LinearCoupling,
+    PowerMass,
     SinusoidalCoupling,
     TimeProfile,
     ZeroCoupling,
@@ -24,71 +25,23 @@ from airywell.profiles import (
 )
 from airywell.spectrum import density, eigenfunction, eigenfunction_continued
 from airywell.wavefunction import (
-    TransformSpec,
     assemble_wavefunction,
-    eta_inner_product,
     reconstructed_density,
-    transform_spec,
-    transformed_eigenfunction,
     wavefunction_branch,
 )
 
 UNIT = TimeProfile(mass=ConstantMass(1.0), coupling=ConstantCoupling(1.0), window=3.0)
 FREE = TimeProfile(mass=ConstantMass(1.0), coupling=ZeroCoupling(), window=3.0)
 WAVY = TimeProfile(mass=ExponentialMass(1.3, 0.6), coupling=SinusoidalCoupling(0.8, 2.2), window=2.5)
-
-
-def test_transform_spec_frozen_point():
-    # m = f = 1, t = 1: g = -1, k = 2, s = -1, w = -1/2
-    s1 = transform_spec(UNIT, 1, 1.0)
-    s2 = transform_spec(UNIT, 2, 1.0)
-    assert s1.shift_c == pytest.approx(-0.25, rel=1e-13)
-    assert s2.shift_c == pytest.approx(-0.25, rel=1e-13)
-    assert s1.rho_shift == pytest.approx(-0.5, rel=1e-13)
-    assert s1.plane_wave_slope == pytest.approx(0.5, rel=1e-13)
-    assert s2.plane_wave_slope == pytest.approx(-0.5, rel=1e-13)
-    assert s1.rho_exponent_x == pytest.approx(-1.0, rel=1e-13)
-    assert s2.rho_exponent_x == pytest.approx(1.0, rel=1e-13)
-    # split scalars: symmetric ordering gives -gS/4 = -1/16 in region 2;
-    # region 1 adds int g^2/(8m) = t^3/24
-    assert s2.bch_phase == pytest.approx(-1.0 / 16.0, rel=1e-13)
-    assert s1.bch_phase == pytest.approx(-1.0 / 16.0 + 1.0 / 24.0, rel=1e-12)
-
-
-def test_transform_spec_is_identity_at_zero():
-    for prof in (UNIT, WAVY):
-        for region in (1, 2):
-            s = transform_spec(prof, region, 0.0)
-            assert isinstance(s, TransformSpec)
-            for fld in ("shift_c", "plane_wave_slope", "bch_phase",
-                        "rho_exponent_x", "rho_shift"):
-                assert getattr(s, fld) == pytest.approx(0.0, abs=1e-13), fld
-
-
-def test_transform_spec_region_validation():
-    with pytest.raises(ValueError):
-        transform_spec(UNIT, 0, 1.0)
-
-
-def test_transformed_eigenfunction_identity_at_zero_time():
-    xs = np.linspace(0.0, 5.0, 21)
-    for n in (0, 1, 3):
-        got = transformed_eigenfunction(UNIT, n, 1, xs.astype(complex), 0.0)
-        np.testing.assert_allclose(got.real, eigenfunction(n, xs), rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(got.imag, 0.0, atol=1e-13)
-
-
-def test_transformed_modulus_is_shifted_eigenfunction():
-    # the scalar and plane-wave factors are pure phases at real x, so the
-    # modulus is the shifted static profile; with f = 0 the shift is -g^2/4
-    t = 1.1
-    c = coefficients_at(FREE, t)
-    shift = -c.g**2 / 4.0
-    assert transform_spec(FREE, 1, t).shift_c == pytest.approx(shift, rel=1e-13)
-    xs = np.linspace(-2.0, 4.0, 25)
-    got = transformed_eigenfunction(FREE, 0, 1, xs.astype(complex), t)
-    want = np.abs(eigenfunction_continued(0, (xs + shift).astype(complex), 1))
-    np.testing.assert_allclose(np.abs(got), want, rtol=1e-12)
+RAMP = TimeProfile(mass=PowerMass(1.2, 0.4, 1.6), coupling=LinearCoupling(0.9), window=2.0)
+_KNOTS = np.linspace(0.0, 2.0, 41)
+SAMPLED = TimeProfile.from_config({
+    "window": 2.0,
+    "mass": {"family": "sampled",
+             "table": [[t, 1.0 + 0.3 * np.sin(3.0 * t)] for t in _KNOTS]},
+    "coupling": {"family": "sampled",
+                 "table": [[t, 0.7 + 0.5 * np.cos(2.0 * t)] for t in _KNOTS]},
+})
 
 
 def test_assemble_identity_at_zero_time():
@@ -115,22 +68,25 @@ def test_region_tags():
 
 
 def test_branch_composition_consistency():
-    # Psi_j = e^{i eps} rho_j^{-1} U_j phi: apply rho_j^{-1} to the
-    # transformed eigenfunction by hand and compare with the branch
-    t = 0.9
-    xs = np.linspace(-1.5, 2.5, 9)
-    for region in (1, 2):
-        spec = transform_spec(UNIT, region, t)
-        c = coefficients_at(UNIT, t)
-        sgn = 1.0 if region == 1 else -1.0
-        for n in (0, 1):
-            eps = phase(UNIT, n, region, t).epsilon
-            shifted = xs - sgn * 1j * spec.rho_shift
-            by_hand = (np.exp(1j * (eps + c.zeta))
-                       * np.exp(-spec.rho_exponent_x * xs)
-                       * transformed_eigenfunction(UNIT, n, region, shifted, t))
-            got = wavefunction_branch(UNIT, n, region, xs.astype(complex), t)
-            np.testing.assert_allclose(got, by_hand, rtol=1e-12)
+    # the paper's region-2 branch written out factor by factor:
+    # e^{i(eps^2 + zeta - gS/4)} e^{-gb/2} e^{(-k + ig)x/2} sigma N Ai(-x + S - ib - lambda)
+    xs = np.linspace(-3.0, 2.0, 11) + 1j * np.linspace(-0.8, 0.6, 11)
+    for prof, t in ((UNIT, 0.9), (WAVY, 1.7), (RAMP, 1.3), (SAMPLED, 1.1)):
+        c = coefficients_at(prof, t)
+        for n in (0, 1, 4, 7):
+            eps = phase(prof, n, 2, t)
+            weyl = -c.g * c.shift / 4.0
+            want = (np.exp(1j * (eps + c.zeta + weyl)) * np.exp(-c.g * c.b / 2.0)
+                    * np.exp((-c.k + 1j * c.g) * xs / 2.0)
+                    * eigenfunction_continued(n, xs - (c.shift - 1j * c.b), 2))
+            got = wavefunction_branch(prof, n, 2, xs, t)
+            np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=f"n={n}")
+
+
+def test_branch_region_validation():
+    for region in (0, 3):
+        with pytest.raises(ValueError):
+            wavefunction_branch(UNIT, 0, region, 0.5, 0.5)
 
 
 def test_branch_satisfies_equation_of_motion():
@@ -195,31 +151,6 @@ def test_origin_jump_of_odd_states_is_real_and_measured():
     v2 = wavefunction_branch(UNIT, 1, 2, 0.0, 0.7)
     assert abs(v1 - v2) == pytest.approx(2 * abs(v1), rel=1e-12)
     assert abs(v1 - v2) > 0.1
-
-
-def test_eta_inner_product_values():
-    for t in (0.0, 0.8, 2.1):
-        for n in (0, 1, 5):
-            assert eta_inner_product(UNIT, n, t, 1) == pytest.approx(0.5, abs=1e-12)
-            assert eta_inner_product(UNIT, n, t, 2) == pytest.approx(0.5, abs=1e-12)
-            assert eta_inner_product(UNIT, n, t, "both") == pytest.approx(1.0, abs=1e-12)
-
-
-def test_eta_inner_product_matches_quadrature_at_zero_time():
-    # at t = 0 the state is the bare eigenfunction, so the region-1 weight
-    # is a plain integral of |Psi(x, 0)|^2
-    w = assemble_wavefunction(UNIT, 0, 0.0, np.linspace(-1.0, 1.0, 5))
-    assert w.t == 0.0
-    val, _ = quad(lambda xx: abs(wavefunction_branch(UNIT, 0, 1, xx, 0.0))**2,
-                  0.0, 16.0, limit=200)
-    assert val == pytest.approx(eta_inner_product(UNIT, 0, 0.0, 1), abs=1e-8)
-
-
-def test_eta_inner_product_region_validation():
-    with pytest.raises(ValueError):
-        eta_inner_product(UNIT, 0, 0.5, "left")
-    with pytest.raises(ValueError):
-        eta_inner_product(UNIT, 0, 9.0, 1)       # outside the window
 
 
 @settings(max_examples=20, deadline=None)
