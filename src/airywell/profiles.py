@@ -9,16 +9,14 @@ of the package:
     g = -int_0^t dtau/m,   k = 2 int_0^t f,
     s = -int_0^t f k,      w =  int_0^t f g.
 
-Because k' = 2f, the third primitive collapses exactly: s = -k^2/4 (and
-hence k^2 + 4s = 0).  The code keeps the defining integral on the table
-path and uses the collapse only where a closed form is wanted; the two
-routes agreeing is one of the test-suite guards.
+Because k' = 2f, the third primitive collapses exactly: s = -k^2/4, so
+k^2 + 4s = 0 and s is never integrated.
 
 Pointwise combinations used by the solution and its phases:
 
     theta = (f/2) (k g/2 - w)
-    chi1  = theta - (k^2 + 3 g^2 + 4 s)/(16 m)
-    chi2  = theta + (k^2 - g^2 + 4 s)/(16 m)
+    chi1  = theta - (k^2 + 3 g^2 + 4 s)/(16 m) = theta - 3 g^2/(16 m)
+    chi2  = theta + (k^2 - g^2 + 4 s)/(16 m)   = theta -   g^2/(16 m)
     zeta  = -(k/4) (g k/2 - w)
 
 and the level-n phase in region j,
@@ -26,16 +24,19 @@ and the level-n phase in region j,
     eps = int_0^t chi_j dtau - lambda_n int_0^t dtau/(2m)
         = int_0^t chi_j dtau + lambda_n g/2.
 
-Nested integrals are evaluated on one shared knot-aligned Simpson grid
-per profile (see quadrature), refined until successive builds agree to
-1e-10 at shared nodes; built-in families use closed forms instead where
-they exist.
+Every family, built-in or sampled, takes the same route: g, k, w,
+int chi1 and int chi2 are the rows of one stacked cumulative table on a
+knot-aligned Simpson grid per profile (see quadrature), and one cubic
+Hermite read gives all five at any t.  The grid is refined until each
+row changes by at most max(1e-10, 64 ulp of its largest value) at the
+shared nodes: a fixed absolute tolerance alone cannot be met once the
+integrals grow large (int chi grows like T^3), and for integrals below
+about 7e3 in size the relative term never binds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -63,14 +64,12 @@ __all__ = [
 ]
 
 _TABLE_TOL = 1e-10
+# the relative floor of the convergence test, in units of eps
+_TABLE_ULPS = 64
 _MAX_TOTAL_PANELS = 2**17
 # the longest window: at 1e6 the panel budget leaves panels no finer than
 # 7.6 time units, and at 1e300 the table arithmetic overflows
 MAX_WINDOW = 1e6
-# a rate gamma or omega below this counts as zero: over any window
-# |rate t| < 1e-294, so the zero-rate limit is exact in double precision,
-# while dividing by a subnormal rate (or by m0 times it) loses every digit
-_NEGLIGIBLE_RATE = 1e-300
 
 
 # ------------------------------------------------------------ mass laws
@@ -83,10 +82,6 @@ class ConstantMass:
     def value(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.m0)
 
-    def inverse_integral(self, t):
-        """int_0^t dtau/m, closed form."""
-        return np.asarray(t, dtype=float) / self.m0
-
 
 @dataclass(frozen=True)
 class ExponentialMass:
@@ -95,13 +90,6 @@ class ExponentialMass:
 
     def value(self, t):
         return self.m0 * np.exp(self.gamma * np.asarray(t, dtype=float))
-
-    def inverse_integral(self, t):
-        t = np.asarray(t, dtype=float)
-        if abs(self.gamma) < _NEGLIGIBLE_RATE:
-            return t / self.m0
-        # expm1 keeps the gamma -> 0 limit t/m0 to full precision
-        return -np.expm1(-self.gamma * t) / (self.m0 * self.gamma)
 
 
 @dataclass(frozen=True)
@@ -112,17 +100,6 @@ class PowerMass:
 
     def value(self, t):
         return self.m0 * (1.0 + self.gamma * np.asarray(t, dtype=float)) ** self.alpha
-
-    def inverse_integral(self, t):
-        t = np.asarray(t, dtype=float)
-        if abs(self.gamma) < _NEGLIGIBLE_RATE:
-            return t / self.m0
-        # log1p/expm1 keep the gamma -> 0 limit t/m0 to full precision
-        lb = np.log1p(self.gamma * t)
-        if self.alpha == 1.0:
-            return lb / (self.m0 * self.gamma)
-        p = 1.0 - self.alpha
-        return np.expm1(p * lb) / (self.m0 * self.gamma * p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +124,6 @@ class SampledMass:
     def value(self, t):
         return np.interp(np.asarray(t, dtype=float), self.times, self.samples)
 
-    inverse_integral = None
-
 
 # -------------------------------------------------------- coupling laws
 
@@ -158,10 +133,6 @@ class ZeroCoupling:
     def value(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    def integral(self, t):
-        """int_0^t f, closed form."""
-        return np.zeros_like(np.asarray(t, dtype=float))
-
 
 @dataclass(frozen=True)
 class ConstantCoupling:
@@ -169,9 +140,6 @@ class ConstantCoupling:
 
     def value(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.f0)
-
-    def integral(self, t):
-        return self.f0 * np.asarray(t, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -183,10 +151,6 @@ class LinearCoupling:
     def value(self, t):
         return self.f0 * np.asarray(t, dtype=float)
 
-    def integral(self, t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 * self.f0 * t * t
-
 
 @dataclass(frozen=True)
 class SinusoidalCoupling:
@@ -197,12 +161,6 @@ class SinusoidalCoupling:
 
     def value(self, t):
         return self.f0 * np.cos(self.omega * np.asarray(t, dtype=float))
-
-    def integral(self, t):
-        t = np.asarray(t, dtype=float)
-        if abs(self.omega) < _NEGLIGIBLE_RATE:
-            return self.f0 * t
-        return self.f0 * np.sin(self.omega * t) / self.omega
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +182,6 @@ class SampledCoupling:
 
     def value(self, t):
         return np.interp(np.asarray(t, dtype=float), self.times, self.samples)
-
-    integral = None
 
 
 _MASS_FAMILIES = {
@@ -250,7 +206,8 @@ class CoefficientSet:
 
     shift and b are the magnitudes of the state's maps: the real
     coordinate shift S of the shift-tilt unitary and the imaginary
-    translation of the metric root (see `wavefunction`).
+    translation of the metric root (see `wavefunction`).  cum_chi1 and
+    cum_chi2 are the phase integrals int_0^t chi_j.
     """
 
     t: float
@@ -262,8 +219,10 @@ class CoefficientSet:
     chi1: float
     chi2: float
     zeta: float
-    shift: float             # (k^2 - g^2 + 4s)/4
+    shift: float             # (k^2 - g^2 + 4s)/4 = -g^2/4
     b: float                 # gk/2 - w
+    cum_chi1: float
+    cum_chi2: float
 
 
 @dataclass(frozen=True)
@@ -401,20 +360,14 @@ def _family_parameter(value, label: str) -> float:
 # --------------------------------------------------- quadrature tables
 
 
-_TABLE_NAMES = ("g", "k", "s", "w", "cum_chi1", "cum_chi2", "cum_shear")
-
-
 @dataclass(frozen=True)
 class _ProfileTables:
-    """All cumulative integrals of one profile on a shared Simpson grid."""
+    """The cumulative integrals of one profile, stacked on a shared Simpson grid.
 
-    g: CumulativeTable
-    k: CumulativeTable
-    s: CumulativeTable
-    w: CumulativeTable
-    cum_chi1: CumulativeTable
-    cum_chi2: CumulativeTable
-    cum_shear: CumulativeTable       # int (k^2 + g^2 + 4s)/(8m)
+    The rows of `table` are g, k, w, int chi1 and int chi2, in that order.
+    """
+
+    table: CumulativeTable
     estimate: float
 
     @staticmethod
@@ -429,133 +382,41 @@ class _ProfileTables:
             raise ValueError(f"{grid.segments} sample intervals exceed the quadrature "
                              f"budget of {_MAX_TOTAL_PANELS // 4}")
         prev = _ProfileTables._assemble(profile, replace(grid, panels_per_segment=panels))
-        if not all(np.all(np.isfinite(getattr(prev, name).values)) for name in _TABLE_NAMES):
-            raise ValueError("the time integrals overflow double precision on the window")
         while True:
-            fine_grid = prev.g.grid.refined()
+            fine_grid = prev.grid.refined()
             if fine_grid.nodes.size - 1 > _MAX_TOTAL_PANELS:
                 raise RuntimeError("quadrature did not converge within the panel budget")
             fine = _ProfileTables._assemble(profile, fine_grid)
-            est = max(getattr(fine, name).max_node_difference(getattr(prev, name))
-                      for name in _TABLE_NAMES)
-            if est <= _TABLE_TOL:
-                return replace(fine, estimate=est)
+            diff = fine.max_node_difference(prev)
+            scale = np.max(np.abs(fine.values), axis=-1)
+            if np.all(diff <= np.maximum(_TABLE_TOL, _TABLE_ULPS * np.finfo(float).eps * scale)):
+                return _ProfileTables(table=fine, estimate=float(np.max(diff)))
             prev = fine
 
     @staticmethod
-    def _assemble(profile: TimeProfile, grid: SimpsonGrid) -> "_ProfileTables":
+    def _assemble(profile: TimeProfile, grid: SimpsonGrid) -> CumulativeTable:
         t = grid.nodes
         m = np.asarray(profile.mass.value(t), dtype=float)
         if np.any(m <= 0):
             raise ValueError("mass history must stay strictly positive on the window")
         f = np.asarray(profile.coupling.value(t), dtype=float)
 
-        g = grid.cumulative(-1.0 / m)
-        k = grid.cumulative(2.0 * f)
-        s = grid.cumulative(-f * k.values)
-        w = grid.cumulative(f * g.values)
-        _, chi1, chi2, shear = _pointwise(m, f, g.values, k.values, s.values, w.values)
-        return _ProfileTables(
-            g=g, k=k, s=s, w=w,
-            cum_chi1=grid.cumulative(chi1),
-            cum_chi2=grid.cumulative(chi2),
-            cum_shear=grid.cumulative(shear),
-            estimate=np.inf,
-        )
+        dg, dk = -1.0 / m, 2.0 * f
+        g = grid.cumulative(dg).values
+        k = grid.cumulative(dk).values
+        dw = f * g
+        _, chi1, chi2 = _pointwise(m, f, g, k, grid.cumulative(dw).values)
+        table = grid.cumulative(np.stack((dg, dk, dw, chi1, chi2)))
+        if not np.all(np.isfinite(table.values)):
+            raise ValueError("the time integrals overflow double precision on the window")
+        return table
 
 
-def _pointwise(m, f, g, k, s, w):
-    """theta, chi1, chi2 and the reorder shear (k^2 + g^2 + 4s)/(8m)."""
+def _pointwise(m, f, g, k, w):
+    """theta, chi1 and chi2, with s = -k^2/4 already cancelled."""
     theta = 0.5 * f * (0.5 * k * g - w)
-    chi1 = theta - (k * k + 3.0 * g * g + 4.0 * s) / (16.0 * m)
-    chi2 = theta + (k * k - g * g + 4.0 * s) / (16.0 * m)
-    shear = (k * k + g * g + 4.0 * s) / (8.0 * m)
-    return theta, chi1, chi2, shear
-
-
-# ------------------------------------------------------------ closed w
-
-
-def _remainder2(u):
-    """(u + expm1(-u))/u^2; series below 1e-3 where the subtraction cancels."""
-    u = np.asarray(u, dtype=float)
-    direct = np.abs(u) >= 1e-3
-    safe = np.where(direct, u, 1.0)
-    series = 1.0 / 2.0 + u * (-1.0 / 6.0 + u * (1.0 / 24.0 + u * (-1.0 / 120.0 + u / 720.0)))
-    return np.where(direct, (safe + np.expm1(-safe)) / safe**2, series)
-
-
-def _w_closed(mass, coupling, t) -> Optional[np.ndarray]:
-    """int_0^t f g where both factors admit elementary antiderivatives."""
-    t = np.asarray(t, dtype=float)
-    if isinstance(coupling, ZeroCoupling):
-        return np.zeros_like(t)
-    if isinstance(mass, ConstantMass):
-        m0 = mass.m0
-        if isinstance(coupling, ConstantCoupling):
-            return -coupling.f0 * t * t / (2.0 * m0)
-        if isinstance(coupling, LinearCoupling):
-            return -coupling.f0 * t**3 / (3.0 * m0)
-        if isinstance(coupling, SinusoidalCoupling):
-            f0, om = coupling.f0, coupling.omega
-            if abs(om) < _NEGLIGIBLE_RATE:
-                return -f0 * t * t / (2.0 * m0)
-            # cos - 1 = -2 sin^2(om t/2) keeps the slow-coupling limit exact
-            return -(f0 / m0) * (
-                t * np.sin(om * t) / om - 2.0 * (np.sin(om * t / 2.0) / om) ** 2
-            )
-    if isinstance(mass, ExponentialMass):
-        m0, ga = mass.m0, mass.gamma
-        if abs(ga) < _NEGLIGIBLE_RATE:
-            return _w_closed(ConstantMass(m0), coupling, t)
-        if isinstance(coupling, ConstantCoupling):
-            # -(f0/(m0 ga)) (t + expm1(-ga t)/ga) rewritten cancellation-free
-            return -(coupling.f0 * t * t / m0) * _remainder2(ga * t)
-        if isinstance(coupling, SinusoidalCoupling):
-            f0, om = coupling.f0, coupling.omega
-            if abs(om) < _NEGLIGIBLE_RATE:
-                return _w_closed(mass, ConstantCoupling(f0), t)
-            # each bracket term is individually O(ga), so dividing the
-            # antiderivative by ga never amplifies rounding
-            sn, cs = np.sin(om * t), np.cos(om * t)
-            decay = np.expm1(-ga * t)
-            bracket = (ga * sn / om - om * sn * (decay / ga)
-                       + decay * cs - 2.0 * np.sin(om * t / 2.0) ** 2)
-            return -(f0 / m0) * bracket / (ga * ga + om * om)
-    return None
-
-
-def _cum_chi_closed(mass, coupling, region: int, t) -> Optional[np.ndarray]:
-    """int_0^t chi_region for the two fully elementary profile pairs."""
-    if not isinstance(mass, ConstantMass):
-        return None
-    t = np.asarray(t, dtype=float)
-    # numpy scalars: a huge parameter's power overflows to inf, where a
-    # Python float power would raise OverflowError
-    m0 = np.float64(mass.m0)
-    curvature = t**3 / (48.0 * m0**3)      # int g^2/(16 m)
-    if isinstance(coupling, ZeroCoupling):
-        theta_part = np.zeros_like(t)
-    elif isinstance(coupling, ConstantCoupling):
-        # theta = -f0^2 t^2/(4 m0)
-        theta_part = -np.float64(coupling.f0)**2 * t**3 / (12.0 * m0)
-    else:
-        return None
-    # chi1 = theta - 3 g^2/(16 m), chi2 = theta - g^2/(16 m)  (k^2 + 4s = 0)
-    return theta_part - (3.0 * curvature if region == 1 else curvature)
-
-
-def _shear_closed(mass, t) -> Optional[np.ndarray]:
-    """int_0^t g^2/(8m) (the k^2 + 4s part vanishes identically)."""
-    if not isinstance(mass, (ConstantMass, ExponentialMass)):
-        return None
-    t = np.asarray(t, dtype=float)
-    m0 = np.float64(mass.m0)                 # as in _cum_chi_closed
-    ga = getattr(mass, "gamma", 0.0)
-    if abs(ga) < _NEGLIGIBLE_RATE:
-        return t**3 / (24.0 * m0**3)
-    # cube the O(t) ratio: no cancellation, and ga^3 cannot underflow
-    return (-np.expm1(-ga * t) / ga) ** 3 / (24.0 * m0**3)
+    curvature = g * g / (16.0 * m)
+    return theta, theta - 3.0 * curvature, theta - curvature
 
 
 # ----------------------------------------------------------- operations
@@ -569,49 +430,17 @@ def _require_in_window(profile: TimeProfile, t) -> float:
     return min(max(t, 0.0), profile.window)
 
 
-def _closed_primitives(profile: TimeProfile) -> bool:
-    """Whether g, k, s and w all come from closed forms rather than tables.
-
-    The answer depends only on the families, not on t, so it is worked
-    out once per profile.
-    """
-    closed = profile._cache.get("closed")
-    if closed is None:
-        mass, coupling = profile.mass, profile.coupling
-        closed = (callable(getattr(mass, "inverse_integral", None))
-                  and callable(getattr(coupling, "integral", None))
-                  and _w_closed(mass, coupling, 0.0) is not None)
-        profile._cache["closed"] = closed
-    return closed
-
-
-def _g(profile: TimeProfile, t):
-    """g at t, from the same closed-or-table choice as the other primitives."""
-    if _closed_primitives(profile):
-        return -np.asarray(profile.mass.inverse_integral(t), dtype=float)
-    return profile.tables.g.value(t)
-
-
-def _primitives(profile: TimeProfile, t):
-    """g, k, s, w at t, preferring closed forms over tables."""
-    g = _g(profile, t)
-    if _closed_primitives(profile):
-        k = 2.0 * np.asarray(profile.coupling.integral(t), dtype=float)
-        return g, k, -0.25 * k * k, _w_closed(profile.mass, profile.coupling, t)
-    tab = profile.tables
-    return g, tab.k.value(t), tab.s.value(t), tab.w.value(t)
-
-
 def coefficients_at(profile: TimeProfile, t: float) -> CoefficientSet:
     """All derived time functions of the profile at one instant."""
     tq = _require_in_window(profile, t)
-    g, k, s, w = (float(v) for v in _primitives(profile, tq))
+    g, k, w, cum_chi1, cum_chi2 = profile.tables.table.value(tq).tolist()
     m = float(profile.mass.value(tq))
     f = float(profile.coupling.value(tq))
-    theta, chi1, chi2, _ = _pointwise(m, f, g, k, s, w)
+    theta, chi1, chi2 = _pointwise(m, f, g, k, w)
     b = 0.5 * g * k - w
-    return CoefficientSet(t=tq, g=g, k=k, s=s, w=w, theta=theta, chi1=chi1, chi2=chi2,
-                          zeta=-0.25 * k * b, shift=(k * k - g * g + 4.0 * s) / 4.0, b=b)
+    return CoefficientSet(t=tq, g=g, k=k, s=-0.25 * k * k, w=w, theta=theta, chi1=chi1,
+                          chi2=chi2, zeta=-0.25 * k * b, shift=-0.25 * g * g, b=b,
+                          cum_chi1=cum_chi1, cum_chi2=cum_chi2)
 
 
 def invariant_coefficients(profile: TimeProfile, t: float, region: int) -> InvariantCoefficients:
@@ -632,28 +461,13 @@ def phase(profile: TimeProfile, n: int, region: int, t: float) -> float:
         raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
     if n < 0:
         raise ValueError("the level index n starts at 0")
-    tq = _require_in_window(profile, t)
-    return _epsilon(profile, n, region, tq, _g(profile, tq))
-
-
-def _epsilon(profile: TimeProfile, n: int, region: int, tq: float, g) -> float:
-    """eps of `phase` at a time tq already inside the window, given g(tq).
-
-    A caller that holds the coefficient set at tq passes its g, which is
-    the value `phase` reads, so g is not computed twice.
-    """
-    cum = _cum_chi_closed(profile.mass, profile.coupling, region, tq)
-    if cum is None:
-        tab = profile.tables
-        cum = (tab.cum_chi1 if region == 1 else tab.cum_chi2).value(tq)
-    return float(cum) + level(n).eigenvalue * float(g) / 2.0
+    c = coefficients_at(profile, t)
+    return (c.cum_chi1 if region == 1 else c.cum_chi2) + level(n).eigenvalue * c.g / 2.0
 
 
 def shift_reorder_phase(profile: TimeProfile, t: float) -> float:
-    """int_0^t (k^2 + g^2 + 4s)/(8m): the scalar phase produced when the
-    combined shift-and-tilt transform is split into its displayed factors."""
-    tq = _require_in_window(profile, t)
-    closed = _shear_closed(profile.mass, tq)
-    if closed is not None:
-        return float(closed)
-    return float(profile.tables.cum_shear.value(tq))
+    """int_0^t (k^2 + g^2 + 4s)/(8m) = int_0^t (chi2 - chi1): the scalar
+    phase produced when the combined shift-and-tilt transform is split
+    into its displayed factors."""
+    c = coefficients_at(profile, t)
+    return c.cum_chi2 - c.cum_chi1

@@ -72,32 +72,45 @@ class SimpsonGrid:
         return (np.diff(self.edges) / self.panels_per_segment)[:, None]
 
     def cumulative(self, y: np.ndarray) -> "CumulativeTable":
-        """Prefix integrals of nodewise samples y, fourth order."""
+        """Prefix integrals of nodewise samples y, fourth order.
+
+        y may stack several integrands as rows (shape (..., nodes)); each
+        row gets its own table, with the arithmetic of a single row.
+        """
         y = np.asarray(y, dtype=float)
-        if y.shape != self.nodes.shape:
+        if y.shape[-1:] != self.nodes.shape:
             raise ValueError("integrand samples must align with the grid nodes")
         p = self.panels_per_segment
         h = self._widths()
-        rows = sliding_window_view(y, p + 1)[::p]
-        left, mid, right = rows[:, 0:-2:2], rows[:, 1:-1:2], rows[:, 2::2]
+        rows = sliding_window_view(y, p + 1, axis=-1)[..., ::p, :]
+        left, mid, right = rows[..., 0:-2:2], rows[..., 1:-1:2], rows[..., 2::2]
         local = np.zeros(rows.shape)
-        local[:, 2::2] = np.cumsum((h / 3.0) * (left + 4.0 * mid + right), axis=1)
-        local[:, 1::2] = local[:, 0:-2:2] + (h / 12.0) * (5.0 * left + 8.0 * mid - right)
-        starts = np.concatenate(([0.0], np.cumsum(local[:-1, -1])))
-        values = np.concatenate(([0.0], (starts[:, None] + local[:, 1:]).ravel()))
+        local[..., 2::2] = np.cumsum((h / 3.0) * (left + 4.0 * mid + right), axis=-1)
+        local[..., 1::2] = local[..., 0:-2:2] + (h / 12.0) * (5.0 * left + 8.0 * mid - right)
+        starts = np.zeros(rows.shape[:-1])
+        np.cumsum(local[..., :-1, -1], axis=-1, out=starts[..., 1:])
+        values = np.zeros(y.shape)
+        values[..., 1:] = (starts[..., None] + local[..., 1:]).reshape(y.shape[:-1] + (-1,))
         return CumulativeTable(grid=self, integrand=y, values=values)
 
 
 @dataclass(frozen=True)
 class CumulativeTable:
-    """F on grid nodes plus its exact slopes (the integrand samples)."""
+    """F on grid nodes plus its exact slopes (the integrand samples).
+
+    values and integrand have shape (..., nodes): a stacked table holds
+    one integral per row and answers for all of them in one read.
+    """
 
     grid: SimpsonGrid
     integrand: np.ndarray
     values: np.ndarray
 
     def value(self, t):
-        """Cubic Hermite read of F at scalar or array t inside the window."""
+        """Cubic Hermite read of F at scalar or array t inside the window.
+
+        A stacked table returns its rows along the leading axes.
+        """
         nodes = self.grid.nodes
         tq = np.asarray(t, dtype=float)
         # written so that a NaN query fails the test
@@ -116,12 +129,13 @@ class CumulativeTable:
         h01 = -2 * u3 + 3 * u2
         h11 = u3 - u2
         out = (
-            h00 * self.values[i]
-            + h01 * self.values[i + 1]
-            + h * (h10 * self.integrand[i] + h11 * self.integrand[i + 1])
+            h00 * self.values[..., i]
+            + h01 * self.values[..., i + 1]
+            + h * (h10 * self.integrand[..., i] + h11 * self.integrand[..., i + 1])
         )
         return float(out) if out.ndim == 0 else out
 
-    def max_node_difference(self, coarse: "CumulativeTable") -> float:
-        """Largest |F_fine - F_coarse| over the coarse node set."""
-        return float(np.max(np.abs(self.value(coarse.grid.nodes) - coarse.values)))
+    def max_node_difference(self, coarse: "CumulativeTable"):
+        """Largest |F_fine - F_coarse| over the coarse node set, per row."""
+        diff = np.max(np.abs(self.value(coarse.grid.nodes) - coarse.values), axis=-1)
+        return float(diff) if diff.ndim == 0 else diff

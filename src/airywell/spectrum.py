@@ -17,9 +17,9 @@ sgn(x) N_n Ai(|x| - lambda_n) for odd n (sgn(0) = 0), with
 which normalize the full-line integral to 1 through the tail identity
 int_a^inf Ai^2 = Ai'(a)^2 - a Ai(a)^2; the same identity makes each
 half-line carry exactly 1/2.  The analytic continuation used by the
-time-dependent solution keeps the region branch explicit:
-region 1 evaluates Ai(z - lambda), region 2 evaluates +-Ai(-z - lambda),
-because |.| of a complex argument would be meaningless.
+time-dependent solution is that of the x >= 0 branch, N Ai(z - lambda),
+because |.| of a complex argument would be meaningless; the x <= 0
+branch is sigma_n times it at -z (see `wavefunction`).
 """
 
 from __future__ import annotations
@@ -83,21 +83,11 @@ def eigenfunction(n: int, x):
     return float(vals) if xa.ndim == 0 else vals
 
 
-def eigenfunction_continued(n: int, z, region: int):
-    """Analytic continuation of phi_n with the half-line branch explicit.
-
-    Region 1 (x >= 0 branch) evaluates N Ai(z - lambda); region 2 evaluates
-    +-N Ai(-z - lambda), the sign carrying the parity of the state.
-    """
-    if region not in (1, 2):
-        raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
+def eigenfunction_continued(n: int, z):
+    """Analytic continuation N Ai(z - lambda) of phi_n's x >= 0 branch."""
     lev = level(n)
     za = np.asarray(z, dtype=complex)
-    if region == 1:
-        vals = airy_ai_many(za - lev.eigenvalue) * lev.norm_const
-    else:
-        sign = 1.0 if lev.parity == "even" else -1.0
-        vals = airy_ai_many(-za - lev.eigenvalue) * (sign * lev.norm_const)
+    vals = airy_ai_many(za - lev.eigenvalue) * lev.norm_const
     return complex(vals) if za.ndim == 0 else vals
 
 

@@ -4,12 +4,13 @@ The state is written once, for region 1 (x >= 0), from two maps built
 out of the frozen time integrals g, k, s, w (module `profiles`):
 
   * a shift-tilt unitary U: a plane-wave factor exp(-i g x / 2) together
-    with a real coordinate shift by S = (k^2 - g^2 + 4s)/4.  Splitting the
-    single exponential that defines U into (phase) x (plane wave) x
-    (translation) produces a real scalar phase bch from the commutator of
-    the shift and tilt generators.  That scalar is fixed numerically, not
-    assumed: the symmetric (Weyl) split gives -g S/4, and the generator
-    ordering adds the time integral int_0^t (k^2 + g^2 + 4s)/(8m)
+    with a real coordinate shift by S = (k^2 - g^2 + 4s)/4 = -g^2/4.
+    Splitting the single exponential that defines U into (phase) x
+    (plane wave) x (translation) produces a real scalar phase bch from
+    the commutator of the shift and tilt generators.  That scalar is
+    fixed numerically, not assumed: the symmetric (Weyl) split gives
+    -g S/4, and the generator ordering adds the time integral
+    int_0^t (k^2 + g^2 + 4s)/(8m) = int_0^t (chi2 - chi1)
     (`shift_reorder_phase`).  The residual checks in `verify` validate it.
 
   * the inverse metric root rho^{-1} = exp[k x/2 + b p] with b = gk/2 - w:
@@ -17,16 +18,18 @@ out of the frozen time integrals g, k, s, w (module `profiles`):
     translation by -ib, and the scalar phase zeta = -k b/4 from the same
     Weyl split.
 
-S and b are the `shift` and `b` fields of `CoefficientSet`.  With the
-accumulated dynamical phase eps_n^1 the branch reads
+S and b are the `shift` and `b` fields of `CoefficientSet`.  The
+accumulated phase eps^1 = int chi1 + lambda_n g/2 plus the reorder
+integral in bch is eps^2 = int chi2 + lambda_n g/2, so the branch reads
 
-  Psi_n,1(x,t) = e^{i(eps^1 + zeta + bch)} e^{-g b/2}
-                 e^{(k - ig)x/2} N_n Ai(x + S - ib - lambda_n).
+  Psi_n,1(x,t) = e^{i(eps^2 + zeta - g S/4)} e^{-g b/2}
+                 e^{(k - ig)x/2} N_n Ai(x + S - ib - lambda_n),
 
-The sign of the imaginary translation is the one the time-dependent
-equation itself selects; the opposite choice fails the residual checks.
-Undoing both maps recovers e^{i eps} phi_n exactly, which is what the
-density reconstruction below does.
+with every scalar taken from the one `CoefficientSet` at t.  The sign of
+the imaginary translation is the one the time-dependent equation itself
+selects; the opposite choice fails the residual checks.  Undoing both
+maps recovers e^{i eps} phi_n exactly, which is what the density
+reconstruction below does.
 
 Region 2 (x <= 0) needs no formula of its own.  H(t) = -d^2/dx^2 / (2m)
 + i f |x| commutes with parity P, the region-2 invariant is P I_1 P, and
@@ -49,12 +52,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# level and phase are not called here, but the benchmark tracer in
-# bench/tracing.py rebinds them in this namespace; the branch reads eps
-# through _epsilon
-from .profiles import (CoefficientSet, TimeProfile, _epsilon, coefficients_at,  # noqa: F401
-                       phase, shift_reorder_phase)
-from .spectrum import eigenfunction_continued, level  # noqa: F401
+# phase and shift_reorder_phase are not called here, but the benchmark
+# tracer in bench/tracing.py rebinds them in this namespace; the branch
+# reads both phases from its CoefficientSet
+from .profiles import (CoefficientSet, TimeProfile, coefficients_at, phase,  # noqa: F401
+                       shift_reorder_phase)
+from .spectrum import eigenfunction_continued, level
 
 __all__ = [
     "WavefunctionSample",
@@ -66,26 +69,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WavefunctionSample:
-    """One assembled state on a real grid with per-point region tags."""
+    """One assembled state on a real grid."""
 
     n: int
     t: float
     grid: np.ndarray
     values: np.ndarray
-    regions: np.ndarray      # 1 for x >= 0, 2 for x < 0
 
 
-def _bch(profile: TimeProfile, c: CoefficientSet) -> float:
-    """The scalar phase of the split shift-tilt unitary at c.t."""
-    return -c.g * c.shift / 4.0 + shift_reorder_phase(profile, c.t)
-
-
-def _branch1(profile: TimeProfile, n: int, c: CoefficientSet, x: np.ndarray) -> np.ndarray:
+def _branch1(n: int, c: CoefficientSet, x: np.ndarray) -> np.ndarray:
     """Psi_n,1 at the complex points x, from the coefficients c at c.t."""
-    eps = _epsilon(profile, n, 1, c.t, c.g)
-    amp = np.exp(1j * (eps + c.zeta + _bch(profile, c))) * np.exp(-c.g * c.b / 2.0)
+    eps2 = c.cum_chi2 + level(n).eigenvalue * c.g / 2.0
+    amp = np.exp(1j * (eps2 + c.zeta - c.g * c.shift / 4.0)) * np.exp(-c.g * c.b / 2.0)
     slope = c.k / 2.0 + 1j * (-c.g / 2.0)
-    return amp * np.exp(slope * x) * eigenfunction_continued(n, x + (c.shift - 1j * c.b), 1)
+    return amp * np.exp(slope * x) * eigenfunction_continued(n, x + (c.shift - 1j * c.b))
 
 
 def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):
@@ -100,9 +97,9 @@ def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):
     c = coefficients_at(profile, t)
     xa = np.asarray(x, dtype=complex)
     if region == 1:
-        vals = _branch1(profile, n, c, xa)
+        vals = _branch1(n, c, xa)
     else:
-        vals = (-1.0 if n % 2 else 1.0) * _branch1(profile, n, c, -xa)
+        vals = (-1.0 if n % 2 else 1.0) * _branch1(n, c, -xa)
     return complex(vals) if xa.ndim == 0 else vals
 
 
@@ -117,19 +114,19 @@ def assemble_wavefunction(profile: TimeProfile, n: int, t: float, grid) -> Wavef
         raise ValueError("grid must be a 1-d array with at least two points")
     if np.min(np.abs(xs)) > 1e-12:
         raise ValueError("grid must include x = 0 (the region boundary)")
-    regions = np.where(xs >= 0.0, 1, 2)
     values = np.empty(xs.size, dtype=complex)
-    pos = regions == 1
+    pos = xs >= 0.0
     values[pos] = wavefunction_branch(profile, n, 1, xs[pos].astype(complex), t)
     values[~pos] = wavefunction_branch(profile, n, 2, xs[~pos].astype(complex), t)
-    return WavefunctionSample(n=n, t=float(t), grid=xs, values=values, regions=regions)
+    return WavefunctionSample(n=n, t=float(t), grid=xs, values=values)
 
 
 def _undo_maps(profile: TimeProfile, n: int, x: np.ndarray, t: float) -> np.ndarray:
     """Apply U^dagger rho to the region-1 branch: recovers e^{i eps} phi_n.
 
     rho psi(x)      = e^{i zeta} e^{-k x/2} psi(x + i b)
-    U^dagger chi(x) = e^{-i bch} e^{i g (x - S)/2} chi(x - S)
+    U^dagger chi(x) = e^{-i bch} e^{i g (x - S)/2} chi(x - S),
+    bch             = -g S/4 + int (chi2 - chi1)
 
     Note rho alone does not reduce the branch to phi_n pointwise: it
     leaves the real shift S and the plane wave in place, so the full
@@ -139,8 +136,9 @@ def _undo_maps(profile: TimeProfile, n: int, x: np.ndarray, t: float) -> np.ndar
     inner = x - c.shift
     chi = (np.exp(1j * c.zeta)
            * np.exp((-c.k / 2.0) * inner)
-           * _branch1(profile, n, c, inner + 1j * c.b))
-    return (np.exp(-1j * _bch(profile, c))
+           * _branch1(n, c, inner + 1j * c.b))
+    bch = -c.g * c.shift / 4.0 + (c.cum_chi2 - c.cum_chi1)
+    return (np.exp(-1j * bch)
             * np.exp(-1j * (-c.g / 2.0) * inner)
             * chi)
 

@@ -356,38 +356,47 @@ def test_criterion_8_phase_reality_and_closed_forms():
         want = -t**3 / 16.0 - lam0 * t / 2.0
         worst_phase = max(worst_phase, abs(got - want))
 
-    # quadrature route against the closed route for every built-in pair
-    # owning closed forms, coefficient by coefficient
+    # the tables against elementary antiderivatives written out here, for
+    # six built-in family pairs, coefficient by coefficient (s = -k^2/4)
+    def build(mass, coupling):
+        return TimeProfile.from_config({"mass": mass, "coupling": coupling, "window": 2.0})
+
+    def g_exp(m0, ga):
+        return lambda t: -(1.0 - math.exp(-ga * t)) / (m0 * ga)
+
     pairs = {
-        "const-const": UNIT,
-        "const-zero": FREE,
-        "const-linear": TimeProfile.from_config({
-            "mass": {"family": "constant", "m0": 1.3},
-            "coupling": {"family": "linear", "f0": 0.7},
-            "window": 2.0}),
-        "const-sin": TimeProfile.from_config({
-            "mass": {"family": "constant", "m0": 0.9},
-            "coupling": {"family": "sinusoidal", "f0": 0.8, "omega": 1.7},
-            "window": 2.0}),
-        "exp-const": TimeProfile.from_config({
-            "mass": {"family": "exponential", "m0": 1.1, "gamma": 0.5},
-            "coupling": {"family": "constant", "f0": 0.6},
-            "window": 2.0}),
-        "exp-sin": WAVY,
+        "const-const": (UNIT, lambda t: -t, lambda t: 2.0 * t, lambda t: -t * t / 2.0),
+        "const-zero": (FREE, lambda t: -t, lambda t: 0.0, lambda t: 0.0),
+        "const-linear": (
+            build({"family": "constant", "m0": 1.3}, {"family": "linear", "f0": 0.7}),
+            lambda t: -t / 1.3, lambda t: 0.7 * t * t, lambda t: -0.7 * t**3 / (3.0 * 1.3)),
+        "const-sin": (
+            build({"family": "constant", "m0": 0.9},
+                  {"family": "sinusoidal", "f0": 0.8, "omega": 1.7}),
+            lambda t: -t / 0.9, lambda t: 1.6 * math.sin(1.7 * t) / 1.7,
+            lambda t: -(0.8 / 0.9) * (t * math.sin(1.7 * t) / 1.7
+                                      + (math.cos(1.7 * t) - 1.0) / 1.7**2)),
+        "exp-const": (
+            build({"family": "exponential", "m0": 1.1, "gamma": 0.5},
+                  {"family": "constant", "f0": 0.6}),
+            g_exp(1.1, 0.5), lambda t: 1.2 * t,
+            lambda t: -(0.6 / (1.1 * 0.5)) * (t - (1.0 - math.exp(-0.5 * t)) / 0.5)),
+        # m = e^t, f = cos t: w = -int_0^t cos(u) (1 - e^{-u}) du
+        "exp-sin": (
+            WAVY, g_exp(1.0, 1.0), lambda t: 2.0 * math.sin(t),
+            lambda t: -math.sin(t) + (math.exp(-t) * (math.sin(t) - math.cos(t)) + 1.0) / 2.0),
     }
     worst_routes = 0.0
-    for name, prof in pairs.items():
-        tab = prof.tables
+    for prof, g, k, w in pairs.values():
         for t in (0.3, 0.9, 1.5):
             c = coefficients_at(prof, t)
-            for closed_val, table_val in (
-                    (c.g, tab.g.value(t)), (c.k, tab.k.value(t)),
-                    (c.s, tab.s.value(t)), (c.w, tab.w.value(t))):
+            for table_val, closed_val in ((c.g, g(t)), (c.k, k(t)),
+                                          (c.s, -k(t) ** 2 / 4.0), (c.w, w(t))):
                 worst_routes = max(worst_routes, abs(closed_val - table_val))
 
     ok = worst_phase <= 1e-8 and worst_routes <= 1e-8
     _verdict(8, ok, f"free-profile phase err {worst_phase:.2e} vs 1e-8, "
-                    f"phases real by type, closed-vs-quadrature worst "
+                    f"phases real by type, tables vs closed forms worst "
                     f"{worst_routes:.2e} vs 1e-8 over 6 family pairs")
     assert worst_phase <= 1e-8
     assert worst_routes <= 1e-8

@@ -137,6 +137,12 @@ def test_solve_writes_state_files(tmp_path):
     assert np.trapezoid(rec, x) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_solve_on_a_long_window(tmp_path):
+    # int chi grows like T^3, so the tables converge by a relative test here
+    cfg = _write_config(tmp_path, SMALL_PROFILE.replace("window: 3.0", "window: 1000.0"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_solve_rejects_small_box(tmp_path):
     body = SMALL_PROFILE + "grid: {half_width: 8.0, dx: 0.01}\n"
     cfg = _write_config(tmp_path, body)

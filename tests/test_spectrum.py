@@ -176,61 +176,37 @@ def test_continued_restricts_to_real_branches():
     # ~1e-16 behind on the real axis)
     xs = np.linspace(0.0, 8.0, 33)
     for n in (0, 1, 4, 11):
-        r1 = eigenfunction_continued(n, xs.astype(complex), 1)
-        r2 = eigenfunction_continued(n, (-xs).astype(complex), 2)
+        r1 = eigenfunction_continued(n, xs.astype(complex))
         np.testing.assert_allclose(r1.imag, 0.0, atol=1e-13)
-        np.testing.assert_allclose(r2.imag, 0.0, atol=1e-13)
         v1 = eigenfunction(n, xs)
-        v2 = eigenfunction(n, -xs)
         if n % 2 == 1:
             # sgn(0) = 0 zeroes the direct value at the origin; the branch
             # value there is N Ai(-lam) = 0 up to the zero-finder residual
-            assert abs(r1[0]) < 1e-12 and abs(r2[0]) < 1e-12
+            assert abs(r1[0]) < 1e-12
             np.testing.assert_allclose(r1[1:].real, v1[1:], rtol=1e-12)
-            np.testing.assert_allclose(r2[1:].real, v2[1:], rtol=1e-12)
         else:
             np.testing.assert_allclose(r1.real, v1, rtol=1e-12)
-            np.testing.assert_allclose(r2.real, v2, rtol=1e-12)
 
 
 def test_continued_schwarz_reflection():
     zs = np.array([0.3 + 0.4j, -1.2 + 0.9j, 2.0 - 1.5j, 0.1j])
     for n in (0, 3):
-        for region in (1, 2):
-            up = eigenfunction_continued(n, zs, region)
-            down = eigenfunction_continued(n, np.conj(zs), region)
-            np.testing.assert_allclose(np.conj(down), up, rtol=1e-13)
+        up = eigenfunction_continued(n, zs)
+        down = eigenfunction_continued(n, np.conj(zs))
+        np.testing.assert_allclose(np.conj(down), up, rtol=1e-13)
 
 
 def test_continued_branch_solves_shifted_ode():
-    # region 1 branch: -psi'' + z psi = lambda psi for the smooth continuation
+    # -psi'' + z psi = lambda psi for the smooth continuation
     h = 1e-4
     zs = [0.5 + 0.2j, -0.3 + 1.0j, 1.7 - 0.6j]
     for n in (0, 1):
         lam = level(n).eigenvalue
         for z in zs:
-            f = lambda w: eigenfunction_continued(n, w, 1)
+            f = lambda w: eigenfunction_continued(n, w)
             d2 = (f(z + h) - 2 * f(z) + f(z - h)) / (h * h)
             res = -d2 + (z - lam) * f(z)
             assert abs(res) < 1e-6 * max(abs(f(z)), 1e-3)
-
-
-def test_continued_region_2_on_real_axis_matches_oracle():
-    # region 2 evaluates Ai(-z - lambda): on a real z that argument carries
-    # a -0.0 imaginary part, which must not select the wrong side of a cut
-    for n in (0, 1, 2, 3):
-        lam, norm = _oracle_level(n)
-        sign = 1.0 if n % 2 == 0 else -1.0
-        for x in (0.5, 2.0, 6.0, 12.0):
-            with mp.workdps(30):
-                want = sign * norm * float(mp.airyai(-mp.mpf(x) - mp.mpf(lam)))
-            got = eigenfunction_continued(n, x, 2)
-            assert abs(got - want) <= 1e-10 * abs(want) + 1e-14, (n, x)
-
-
-def test_continued_region_validation():
-    with pytest.raises(ValueError):
-        eigenfunction_continued(0, 0.5 + 0.0j, 3)
 
 
 @settings(max_examples=40, deadline=None)

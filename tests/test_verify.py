@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from airywell.profiles import TimeProfile
+from airywell.profiles import TimeProfile, coefficients_at
 from airywell.verify import (
     Grid1D,
     DiscretizedOperator,
@@ -335,6 +335,20 @@ def test_von_neumann_residual_interior_times():
     for prof in (UNIT, WAVY):
         for region, grid in ((1, HALF1), (2, HALF2)):
             assert von_neumann_residual(prof, region, 0.4, grid) < 1e-4
+
+
+def test_von_neumann_residual_is_the_grid_remainder():
+    # on the grid [D1, X] = I + (dx^2/2) D2, so the p-term of the invariant
+    # leaves c_p f (dx^2/2) D2 against i f|x|: a row sum of 2|c_p f| over
+    # |H| ~ 2/(m dx^2), with c_p = g + ik
+    for prof in (UNIT, WAVY):
+        for t in (0.5, 1.5):
+            c = coefficients_at(prof, t)
+            m, f = prof.mass.value(t), prof.coupling.value(t)
+            for region, grid in ((1, HALF1), (2, HALF2)):
+                want = abs(complex(c.g, c.k)) * abs(f) * m * grid.dx**2
+                ratio = von_neumann_residual(prof, region, t, grid) / want
+                assert ratio == pytest.approx(1.0, abs=1e-3), (t, region)
 
 
 def test_von_neumann_residual_start_uses_one_sided_difference():

@@ -23,7 +23,8 @@ from airywell.profiles import (
     coefficients_at,
     phase,
 )
-from airywell.spectrum import density, eigenfunction, eigenfunction_continued
+from airywell.airy import airy_ai_many
+from airywell.spectrum import density, eigenfunction, level
 from airywell.wavefunction import (
     assemble_wavefunction,
     reconstructed_density,
@@ -60,13 +61,6 @@ def test_assemble_grid_validation():
         assemble_wavefunction(UNIT, 0, 0.5, np.array([0.0]))
 
 
-def test_region_tags():
-    x = np.array([-1.0, -0.25, 0.0, 0.5, 2.0])
-    w = assemble_wavefunction(UNIT, 0, 0.4, x)
-    np.testing.assert_array_equal(w.regions, [2, 2, 1, 1, 1])
-    assert np.all(np.isfinite(w.values))
-
-
 def test_branch_composition_consistency():
     # the paper's region-2 branch written out factor by factor:
     # e^{i(eps^2 + zeta - gS/4)} e^{-gb/2} e^{(-k + ig)x/2} sigma N Ai(-x + S - ib - lambda)
@@ -76,9 +70,11 @@ def test_branch_composition_consistency():
         for n in (0, 1, 4, 7):
             eps = phase(prof, n, 2, t)
             weyl = -c.g * c.shift / 4.0
+            lev = level(n)
+            sigma = 1.0 if n % 2 == 0 else -1.0
             want = (np.exp(1j * (eps + c.zeta + weyl)) * np.exp(-c.g * c.b / 2.0)
-                    * np.exp((-c.k + 1j * c.g) * xs / 2.0)
-                    * eigenfunction_continued(n, xs - (c.shift - 1j * c.b), 2))
+                    * np.exp((-c.k + 1j * c.g) * xs / 2.0) * sigma * lev.norm_const
+                    * airy_ai_many(-xs + c.shift - 1j * c.b - lev.eigenvalue))
             got = wavefunction_branch(prof, n, 2, xs, t)
             np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=f"n={n}")
 
