@@ -6,7 +6,7 @@ Modules:
     quadrature   cumulative Simpson integrals with Richardson control
     profiles     mass and coupling histories and the frozen time integrals
     spectrum     static half-line spectrum, normalization, densities
-    wavefunction region-1 branch, region 2 by parity, solution assembly
+    wavefunction region-1 branch, region 2 by parity, solution assembly, phases
     verify       finite-difference residual checks and propagator runs
     cli          command-line front end
 """
@@ -26,8 +26,6 @@ from .profiles import (
     TimeProfile,
     coefficients_at,
     invariant_coefficients,
-    phase,
-    shift_reorder_phase,
 )
 from .spectrum import (
     SpectralLevel,
@@ -41,6 +39,8 @@ from .wavefunction import (
     wavefunction_branch,
     assemble_wavefunction,
     reconstructed_density,
+    phase,
+    shift_reorder_phase,
 )
 from .verify import (
     Grid1D,
@@ -68,8 +68,6 @@ __all__ = [
     "TimeProfile",
     "coefficients_at",
     "invariant_coefficients",
-    "phase",
-    "shift_reorder_phase",
     "SpectralLevel",
     "level",
     "eigenfunction",
@@ -79,6 +77,8 @@ __all__ = [
     "wavefunction_branch",
     "assemble_wavefunction",
     "reconstructed_density",
+    "phase",
+    "shift_reorder_phase",
     "Grid1D",
     "DiscretizedOperator",
     "PropagationResult",

@@ -153,11 +153,13 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config is not valid YAML: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config is not valid YAML: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -323,9 +325,16 @@ def _write_rows(path: Path, header, rows, fmt: str):
             fh.write("\n")
 
 
+def _out_dir(cfg: RunConfig) -> Path:
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot create directory {cfg.out_dir}: {exc.strerror}") from exc
+    return cfg.out_dir
+
+
 def _out_path(cfg: RunConfig, stem: str) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.out_dir / f"{stem}.{cfg.fmt}"
+    return _out_dir(cfg) / f"{stem}.{cfg.fmt}"
 
 
 # ---------------------------------------------------------- subcommands
@@ -482,8 +491,7 @@ def run_verify(cfg: RunConfig, stdout=None, wrong_sign_k: bool = False) -> int:
         })
     report.sort(key=lambda r: (r["check"], json.dumps(r["params"], sort_keys=True)))
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / "verify_report.json"
+    path = _out_dir(cfg) / "verify_report.json"
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -12,17 +12,14 @@ of the package:
 Because k' = 2f, the third primitive collapses exactly: s = -k^2/4, so
 k^2 + 4s = 0 and s is never integrated.
 
-Pointwise combinations used by the solution and its phases:
+Two more rows integrate pointwise combinations of these:
 
     theta = (f/2) (k g/2 - w)
     chi1  = theta - (k^2 + 3 g^2 + 4 s)/(16 m) = theta - 3 g^2/(16 m)
     chi2  = theta + (k^2 - g^2 + 4 s)/(16 m)   = theta -   g^2/(16 m)
-    zeta  = -(k/4) (g k/2 - w)
 
-and the level-n phase in region j,
-
-    eps = int_0^t chi_j dtau - lambda_n int_0^t dtau/(2m)
-        = int_0^t chi_j dtau + lambda_n g/2.
+theta and chi are build-time integrands only: an instant reads their
+integrals int chi1 and int chi2, which the phases in `wavefunction` use.
 
 Every family, built-in or sampled, takes the same route: g, k, w,
 int chi1 and int chi2 are the rows of one stacked cumulative table on a
@@ -41,7 +38,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .quadrature import CumulativeTable, SimpsonGrid
-from .spectrum import level
 
 __all__ = [
     "MAX_WINDOW",
@@ -59,8 +55,6 @@ __all__ = [
     "InvariantCoefficients",
     "coefficients_at",
     "invariant_coefficients",
-    "phase",
-    "shift_reorder_phase",
 ]
 
 _TABLE_TOL = 1e-10
@@ -204,20 +198,17 @@ _COUPLING_FAMILIES = {
 class CoefficientSet:
     """The derived time functions at one instant; every field is real.
 
+    zeta = -(k/4) (g k/2 - w) is the scalar phase of the metric root.
     shift and b are the magnitudes of the state's maps: the real
     coordinate shift S of the shift-tilt unitary and the imaginary
     translation of the metric root (see `wavefunction`).  cum_chi1 and
     cum_chi2 are the phase integrals int_0^t chi_j.
     """
 
-    t: float
     g: float
     k: float
     s: float
     w: float
-    theta: float
-    chi1: float
-    chi2: float
     zeta: float
     shift: float             # (k^2 - g^2 + 4s)/4 = -g^2/4
     b: float                 # gk/2 - w
@@ -229,12 +220,10 @@ class CoefficientSet:
 class InvariantCoefficients:
     """Coefficients of the quadratic invariant p^2 + x_sign x + p_coeff p + const.
 
-    Region 1 (x >= 0) carries (1, +1, g + ik, s + iw); region 2 (x <= 0)
-    carries (1, -1, -g - ik, s + iw).
+    Region 1 (x >= 0) carries (+1, g + ik, s + iw); region 2 (x <= 0)
+    carries (-1, -g - ik, s + iw).
     """
 
-    region: int
-    p2: complex
     x: complex
     p: complex
     const: complex
@@ -297,7 +286,8 @@ class TimeProfile:
         coupling = _family_from_config(
             cfg["coupling"], _COUPLING_FAMILIES, SampledCoupling, "coupling"
         )
-        return TimeProfile(mass=mass, coupling=coupling, window=float(cfg["window"]))
+        window = _finite_number(cfg["window"], "window")
+        return TimeProfile(mass=mass, coupling=coupling, window=window)
 
     # -- shared quadrature tables
 
@@ -324,11 +314,16 @@ def _family_from_config(block, registry, sampled_cls, label):
     if "family" not in block:
         raise ValueError(f"{label} block needs a 'family' name")
     family = block["family"]
+    if not isinstance(family, str):
+        raise ValueError(f"{label} family: {family!r} is not a name")
     params = {k: v for k, v in block.items() if k != "family"}
     if family == "sampled":
         if set(params) != {"table"}:
             raise ValueError(f"sampled {label} takes exactly the 'table' key")
-        table = np.asarray(params["table"], dtype=float)
+        try:
+            table = np.asarray(params["table"], dtype=float)
+        except (TypeError, ValueError):     # a mapping, or ragged rows
+            table = np.empty(0)
         if table.ndim != 2 or table.shape[1] != 2:
             raise ValueError(f"sampled {label} table must be rows of (t, value)")
         return sampled_cls(times=table[:, 0], samples=table[:, 1])
@@ -341,11 +336,11 @@ def _family_from_config(block, registry, sampled_cls, label):
     missing = set(names) - set(params)
     if missing:
         raise ValueError(f"{label} family '{family}' needs: {sorted(missing)}")
-    return cls(**{k: _family_parameter(params[k], f"{label} {k}") for k in names})
+    return cls(**{k: _finite_number(params[k], f"{label} {k}") for k in names})
 
 
-def _family_parameter(value, label: str) -> float:
-    """A family parameter: a finite number (YAML's true/false are not)."""
+def _finite_number(value, label: str) -> float:
+    """A window or family parameter: a finite number (YAML's true/false are not)."""
     if isinstance(value, bool):
         raise ValueError(f"{label}: {value!r} is not a number")
     try:
@@ -401,46 +396,29 @@ class _ProfileTables:
             raise ValueError("mass history must stay strictly positive on the window")
         f = np.asarray(profile.coupling.value(t), dtype=float)
 
-        dg, dk = -1.0 / m, 2.0 * f
-        g = grid.cumulative(dg).values
-        k = grid.cumulative(dk).values
-        dw = f * g
-        _, chi1, chi2 = _pointwise(m, f, g, k, grid.cumulative(dw).values)
-        table = grid.cumulative(np.stack((dg, dk, dw, chi1, chi2)))
+        gk = grid.cumulative(np.stack((-1.0 / m, 2.0 * f)))
+        g, k = gk.values
+        w = grid.cumulative(f * g)
+        theta = 0.5 * f * (0.5 * k * g - w.values)
+        curvature = g * g / (16.0 * m)        # s = -k^2/4 already cancelled
+        chi = grid.cumulative(np.stack((theta - 3.0 * curvature, theta - curvature)))
+        parts = (gk, w, chi)
+        table = CumulativeTable(grid=grid, integrand=np.vstack([p.integrand for p in parts]),
+                                values=np.vstack([p.values for p in parts]))
         if not np.all(np.isfinite(table.values)):
             raise ValueError("the time integrals overflow double precision on the window")
         return table
 
 
-def _pointwise(m, f, g, k, w):
-    """theta, chi1 and chi2, with s = -k^2/4 already cancelled."""
-    theta = 0.5 * f * (0.5 * k * g - w)
-    curvature = g * g / (16.0 * m)
-    return theta, theta - 3.0 * curvature, theta - curvature
-
-
 # ----------------------------------------------------------- operations
 
 
-def _require_in_window(profile: TimeProfile, t) -> float:
-    """Scalar t inside [0, T] up to 1e-12, clipped onto it; NaN is outside."""
-    t = float(t)
-    if not -1e-12 <= t <= profile.window + 1e-12:
-        raise ValueError("t outside the configured window [0, T]")
-    return min(max(t, 0.0), profile.window)
-
-
 def coefficients_at(profile: TimeProfile, t: float) -> CoefficientSet:
-    """All derived time functions of the profile at one instant."""
-    tq = _require_in_window(profile, t)
-    g, k, w, cum_chi1, cum_chi2 = profile.tables.table.value(tq).tolist()
-    m = float(profile.mass.value(tq))
-    f = float(profile.coupling.value(tq))
-    theta, chi1, chi2 = _pointwise(m, f, g, k, w)
+    """All derived time functions of the profile at one instant t in [0, T]."""
+    g, k, w, cum_chi1, cum_chi2 = profile.tables.table.value(float(t)).tolist()
     b = 0.5 * g * k - w
-    return CoefficientSet(t=tq, g=g, k=k, s=-0.25 * k * k, w=w, theta=theta, chi1=chi1,
-                          chi2=chi2, zeta=-0.25 * k * b, shift=-0.25 * g * g, b=b,
-                          cum_chi1=cum_chi1, cum_chi2=cum_chi2)
+    return CoefficientSet(g=g, k=k, s=-0.25 * k * k, w=w, zeta=-0.25 * k * b,
+                          shift=-0.25 * g * g, b=b, cum_chi1=cum_chi1, cum_chi2=cum_chi2)
 
 
 def invariant_coefficients(profile: TimeProfile, t: float, region: int) -> InvariantCoefficients:
@@ -451,23 +429,5 @@ def invariant_coefficients(profile: TimeProfile, t: float, region: int) -> Invar
     linear_p = complex(c.g, c.k)
     const = complex(c.s, c.w)
     if region == 1:
-        return InvariantCoefficients(region=1, p2=1.0 + 0.0j, x=1.0 + 0.0j, p=linear_p, const=const)
-    return InvariantCoefficients(region=2, p2=1.0 + 0.0j, x=-1.0 + 0.0j, p=-linear_p, const=const)
-
-
-def phase(profile: TimeProfile, n: int, region: int, t: float) -> float:
-    """Accumulated phase eps of level n in one region up to time t."""
-    if region not in (1, 2):
-        raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
-    if n < 0:
-        raise ValueError("the level index n starts at 0")
-    c = coefficients_at(profile, t)
-    return (c.cum_chi1 if region == 1 else c.cum_chi2) + level(n).eigenvalue * c.g / 2.0
-
-
-def shift_reorder_phase(profile: TimeProfile, t: float) -> float:
-    """int_0^t (k^2 + g^2 + 4s)/(8m) = int_0^t (chi2 - chi1): the scalar
-    phase produced when the combined shift-and-tilt transform is split
-    into its displayed factors."""
-    c = coefficients_at(profile, t)
-    return c.cum_chi2 - c.cum_chi1
+        return InvariantCoefficients(x=1.0 + 0.0j, p=linear_p, const=const)
+    return InvariantCoefficients(x=-1.0 + 0.0j, p=-linear_p, const=const)

@@ -52,7 +52,7 @@ class SimpsonGrid:
         object.__setattr__(self, "nodes", np.concatenate((self.edges[:1], nodes[:, 1:].ravel())))
 
     @staticmethod
-    def build(span: float, knots=None, panels_per_segment: int = 16) -> "SimpsonGrid":
+    def build(span: float, knots=None, *, panels_per_segment: int) -> "SimpsonGrid":
         if span <= 0:
             raise ValueError("integration window must have positive length")
         k = np.asarray([] if knots is None else knots, dtype=float)

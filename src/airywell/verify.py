@@ -129,10 +129,10 @@ def build_invariant(profile: TimeProfile, region: int, t: float, grid: Grid1D,
     x = grid.nodes
     dx = grid.dx
     c_p = 0.0 + 0.0j if freeze_tilt else co.p
-    diag = (2.0 / dx**2) * co.p2 + co.x * x + co.const
+    diag = 2.0 / dx**2 + co.x * x + co.const
     # p = -i d/dx: upper -i/(2dx), lower +i/(2dx)
-    upper = np.full(grid.n_points - 1, -co.p2 / dx**2 + c_p * (-1j) / (2 * dx))
-    lower = np.full(grid.n_points - 1, -co.p2 / dx**2 + c_p * (+1j) / (2 * dx))
+    upper = np.full(grid.n_points - 1, -1.0 / dx**2 + c_p * (-1j) / (2 * dx))
+    lower = np.full(grid.n_points - 1, -1.0 / dx**2 + c_p * (+1j) / (2 * dx))
     return DiscretizedOperator(grid=grid, diag=diag.astype(complex), upper=upper, lower=lower)
 
 
@@ -233,6 +233,10 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
                              boundary_probe=probe)
 
 
+# time step of the residuals' d/dt stencils
+TIME_DELTA = 1e-5
+
+
 def _time_derivative(fn, t: float, delta: float, window: float):
     """d/dt of fn at t, second order in delta.
 
@@ -249,7 +253,7 @@ def _time_derivative(fn, t: float, delta: float, window: float):
 
 
 def tdse_residual(profile: TimeProfile, n: int, t: float, grid: Grid1D,
-                  delta: float = 1e-5, flip_coupling_sign: bool = False) -> float:
+                  delta: float = TIME_DELTA, flip_coupling_sign: bool = False) -> float:
     """Relative L2 residual of i d(psi)/dt = H psi for the closed form.
 
     Stencils are branch-consistent: rows at x > 0 use region-1 branch
@@ -335,7 +339,7 @@ def _tri_product_bands(a: DiscretizedOperator, b: DiscretizedOperator):
 
 
 def von_neumann_residual(profile: TimeProfile, region: int, t: float, grid: Grid1D,
-                         delta: float = 1e-5, freeze_tilt: bool = False) -> float:
+                         freeze_tilt: bool = False) -> float:
     """Conservation-law residual |dI/dt - i[I, H]| / |H| (max row sums).
 
     Region-wise so the potential is smooth on the grid.  The time
@@ -349,7 +353,7 @@ def von_neumann_residual(profile: TimeProfile, region: int, t: float, grid: Grid
 
     n = grid.n_points
     dupper, ddiag, dlower = np.split(
-        _time_derivative(bands, t, delta, profile.window), (n - 1, 2 * n - 1))
+        _time_derivative(bands, t, TIME_DELTA, profile.window), (n - 1, 2 * n - 1))
 
     inv = build_invariant(profile, region, t, grid, freeze_tilt=freeze_tilt)
     ham = build_hamiltonian(profile, t, grid)
@@ -389,6 +393,6 @@ def pseudo_hermiticity_check(profile: TimeProfile, t: float, region: int,
     sgn = 1.0 if region == 1 else -1.0
     alpha = sgn * c.k + alpha_offset
     beta = sgn * 2.0 * c.b
-    p_new = co.p - 2j * alpha * co.p2
-    const_new = co.const - co.p2 * alpha**2 + 1j * co.x * beta - 1j * alpha * co.p
+    p_new = co.p - 2j * alpha
+    const_new = co.const - alpha**2 + 1j * co.x * beta - 1j * alpha * co.p
     return float(max(abs(p_new - np.conj(co.p)), abs(const_new - np.conj(co.const))))

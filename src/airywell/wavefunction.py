@@ -1,4 +1,4 @@
-"""Time-dependent states assembled from the static Airy eigenfunctions.
+"""Time-dependent states built from the static Airy eigenfunctions, and their phases.
 
 The state is written once, for region 1 (x >= 0), from two maps built
 out of the frozen time integrals g, k, s, w (module `profiles`):
@@ -18,9 +18,9 @@ out of the frozen time integrals g, k, s, w (module `profiles`):
     translation by -ib, and the scalar phase zeta = -k b/4 from the same
     Weyl split.
 
-S and b are the `shift` and `b` fields of `CoefficientSet`.  The
-accumulated phase eps^1 = int chi1 + lambda_n g/2 plus the reorder
-integral in bch is eps^2 = int chi2 + lambda_n g/2, so the branch reads
+S and b are the `shift` and `b` fields of `CoefficientSet`.  The phase
+of level n in region j (`phase`) is eps^j = int chi_j + lambda_n g/2,
+and eps^1 plus the reorder integral in bch is eps^2, so the branch reads
 
   Psi_n,1(x,t) = e^{i(eps^2 + zeta - g S/4)} e^{-g b/2}
                  e^{(k - ig)x/2} N_n Ai(x + S - ib - lambda_n),
@@ -52,11 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# phase and shift_reorder_phase are not called here, but the benchmark
-# tracer in bench/tracing.py rebinds them in this namespace; the branch
-# reads both phases from its CoefficientSet
-from .profiles import (CoefficientSet, TimeProfile, coefficients_at, phase,  # noqa: F401
-                       shift_reorder_phase)
+from .profiles import CoefficientSet, TimeProfile, coefficients_at
 from .spectrum import eigenfunction_continued, level
 
 __all__ = [
@@ -64,6 +60,8 @@ __all__ = [
     "wavefunction_branch",
     "assemble_wavefunction",
     "reconstructed_density",
+    "phase",
+    "shift_reorder_phase",
 ]
 
 
@@ -77,9 +75,36 @@ class WavefunctionSample:
     values: np.ndarray
 
 
+def _epsilon(n: int, cum_chi: float, g: float) -> float:
+    """eps^j = int_0^t chi_j - lambda_n int_0^t dtau/(2m) = int_0^t chi_j + lambda_n g/2."""
+    return cum_chi + level(n).eigenvalue * g / 2.0
+
+
+def _reorder(c: CoefficientSet) -> float:
+    """The reorder integral int_0^t (chi2 - chi1) = eps^2 - eps^1."""
+    return c.cum_chi2 - c.cum_chi1
+
+
+def phase(profile: TimeProfile, n: int, region: int, t: float) -> float:
+    """Accumulated phase eps of level n in one region up to time t."""
+    if region not in (1, 2):
+        raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
+    if n < 0:
+        raise ValueError("the level index n starts at 0")
+    c = coefficients_at(profile, t)
+    return _epsilon(n, c.cum_chi1 if region == 1 else c.cum_chi2, c.g)
+
+
+def shift_reorder_phase(profile: TimeProfile, t: float) -> float:
+    """int_0^t (k^2 + g^2 + 4s)/(8m) = int_0^t (chi2 - chi1): the scalar
+    phase produced when the combined shift-and-tilt transform is split
+    into its displayed factors."""
+    return _reorder(coefficients_at(profile, t))
+
+
 def _branch1(n: int, c: CoefficientSet, x: np.ndarray) -> np.ndarray:
-    """Psi_n,1 at the complex points x, from the coefficients c at c.t."""
-    eps2 = c.cum_chi2 + level(n).eigenvalue * c.g / 2.0
+    """Psi_n,1 at the complex points x, from the coefficients c at one instant."""
+    eps2 = _epsilon(n, c.cum_chi2, c.g)
     amp = np.exp(1j * (eps2 + c.zeta - c.g * c.shift / 4.0)) * np.exp(-c.g * c.b / 2.0)
     slope = c.k / 2.0 + 1j * (-c.g / 2.0)
     return amp * np.exp(slope * x) * eigenfunction_continued(n, x + (c.shift - 1j * c.b))
@@ -137,7 +162,7 @@ def _undo_maps(profile: TimeProfile, n: int, x: np.ndarray, t: float) -> np.ndar
     chi = (np.exp(1j * c.zeta)
            * np.exp((-c.k / 2.0) * inner)
            * _branch1(n, c, inner + 1j * c.b))
-    bch = -c.g * c.shift / 4.0 + (c.cum_chi2 - c.cum_chi1)
+    bch = -c.g * c.shift / 4.0 + _reorder(c)
     return (np.exp(-1j * bch)
             * np.exp(-1j * (-c.g / 2.0) * inner)
             * chi)

@@ -19,7 +19,7 @@ from scipy.integrate import quad
 
 from airywell.airy import airy_eval, airy_eval_many
 from airywell.cli import main as cli_main
-from airywell.profiles import TimeProfile, coefficients_at, phase
+from airywell.profiles import TimeProfile, coefficients_at
 from airywell.spectrum import density, eigenfunction, level, tail_integral
 from airywell.verify import (
     Grid1D,
@@ -31,6 +31,7 @@ from airywell.verify import (
 )
 from airywell.wavefunction import (
     assemble_wavefunction,
+    phase,
     reconstructed_density,
     wavefunction_branch,
 )

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airywell import cli
@@ -359,6 +359,35 @@ def test_config_bad_profile_family(tmp_path, capsys):
     assert "quadratic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, words", [
+    ("solve", "out: cannot create directory"),
+    ("verify", "out: cannot create directory"),
+    ("zeros", "out: cannot create directory"),
+    ("spectrum", "out: cannot create directory"),
+    ("density", "out: cannot create directory"),
+    ("out-key", "out: cannot create directory"),
+    ("config-directory", "cannot read config file"),
+    ("config-not-utf8", "cannot read config file"),
+])
+def test_unusable_paths_are_one_line_config_errors(tmp_path, capsys, case, words):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    body = _write_fuzz_body(_FUZZ_DEFAULTS)
+    if case == "out-key":
+        args = ["solve", "--config", _write_config(tmp_path, body + f"out: {taken}\n")]
+    elif case == "config-directory":
+        args = ["solve", "--config", str(tmp_path)]
+    elif case == "config-not-utf8":
+        latin1 = tmp_path / "latin1.yaml"
+        latin1.write_bytes((body + "# r\xe9sum\xe9\n").encode("latin-1"))
+        args = ["solve", "--config", str(latin1)]
+    else:
+        args = [case, "--config", _write_config(tmp_path, body), "--out", str(taken)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and words in err
+
+
 def test_config_sampled_table_from_csv_file(tmp_path):
     table = tmp_path / "mass.csv"
     table.write_text("0.0,1.0\n1.0,1.5\n2.0,2.0\n3.0,2.5\n")
@@ -494,8 +523,9 @@ def test_tolerance_and_level_values_never_end_in_a_traceback(command, key, value
     ("mass: {family: exponential, m0: 1.0, gamma: -700.0}",
      "profile: the time integrals overflow"),
     ("coupling: {family: constant, f0: 700.0}", "double precision range"),
+    ("window: true", "error: profile: window: True is not a number"),
 ], ids=["infinite-f0", "boolean-m0", "huge-m0", "tiny-omega", "tiny-m0",
-        "fast-shrinking-mass", "strong-coupling"])
+        "fast-shrinking-mass", "strong-coupling", "boolean-window"])
 def test_odd_family_parameters_end_cleanly(tmp_path, capsys, recwarn, command, block, words):
     """A run ends in 0 or 1 without stderr, or in one line that says why."""
     cfg = _write_config(tmp_path, _body_with_block(block))
@@ -520,18 +550,30 @@ _PARAMETER_VALUES = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan, True, False, 0.0, -0.0,
                      1e300, -1e300, 1e-300, 5e-324, 700.0, -700.0]),
     st.text(max_size=4))
+# values of the wrong YAML type for a window, a family name or a table
+_ODD_SHAPES = st.one_of(
+    st.lists(st.one_of(st.floats(-3.0, 3.0), st.lists(st.floats(-3.0, 3.0), max_size=3)),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["a", "t"]), st.floats(-3.0, 3.0), max_size=2),
+    st.none(),
+    st.booleans())
 
 
 @st.composite
 def _profile_blocks(draw):
-    """One mass or coupling block: a family, its parameters with odd values,
-    some keys dropped and perhaps one unknown key added."""
-    part = draw(st.sampled_from(sorted(_FAMILY_PARAMETERS)))
+    """A window value, or one mass or coupling block: a family, its
+    parameters with odd values, some keys dropped and perhaps one unknown
+    key added."""
+    part = draw(st.sampled_from(sorted(_FAMILY_PARAMETERS) + ["window"]))
+    if part == "window":
+        return part, draw(st.one_of(_PARAMETER_VALUES, _ODD_SHAPES))
     family = draw(st.sampled_from(sorted(_FAMILY_PARAMETERS[part])))
-    block = {"family": family}
+    block = {"family": draw(_ODD_SHAPES) if draw(st.integers(0, 5)) == 0 else family}
     for name in _FAMILY_PARAMETERS[part][family]:
         if draw(st.booleans()) or draw(st.booleans()):
-            block[name] = draw(_PARAMETER_VALUES)
+            table = name == "table"
+            block[name] = draw(st.one_of(_PARAMETER_VALUES, _ODD_SHAPES) if table
+                               else _PARAMETER_VALUES)
     if draw(st.integers(0, 5)) == 0:
         block[draw(st.sampled_from(["m0", "f0", "omega", "zz"]))] = draw(_PARAMETER_VALUES)
     if draw(st.integers(0, 7)) == 0:
@@ -541,12 +583,21 @@ def _profile_blocks(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(command=st.sampled_from(["solve", "verify"]), drawn=_profile_blocks())
+@example(command="solve", drawn=("window", [1.0]))
+@example(command="solve", drawn=("window", None))
+@example(command="solve", drawn=("mass", {"family": [1.0], "m0": 1.0}))
+@example(command="solve", drawn=("coupling", {"family": "sampled", "table": {"a": 1.0}}))
 def test_profile_blocks_never_end_in_a_traceback(command, drawn):
-    """One odd mass or coupling block on a 9-node grid, one level, one time."""
+    """One odd window or mass or coupling block on a 9-node grid, one level,
+    one time."""
     part, block = drawn
-    flow = ", ".join(f"{k}: {_yaml_value(v)}" for k, v in block.items())
+    if part == "window":
+        line = f"window: {_yaml_value(block)}"
+    else:
+        flow = ", ".join(f"{k}: {_yaml_value(v)}" for k, v in block.items())
+        line = f"{part}: {{{flow}}}"
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = _write_config(Path(tmp), _body_with_block(f"{part}: {{{flow}}}"))
+        cfg = _write_config(Path(tmp), _body_with_block(line))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
                 warnings.catch_warnings(record=True) as caught:

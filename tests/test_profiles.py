@@ -28,9 +28,9 @@ from airywell.profiles import (
     ZeroCoupling,
     coefficients_at,
     invariant_coefficients,
-    phase,
-    shift_reorder_phase,
 )
+from airywell.quadrature import CumulativeTable
+from airywell.wavefunction import phase, shift_reorder_phase
 
 
 def _rk_oracle(profile, t_eval):
@@ -63,13 +63,13 @@ RAMP = TimeProfile(mass=PowerMass(1.2, 0.4, 1.6), coupling=LinearCoupling(0.9), 
 def test_everything_vanishes_at_zero():
     for prof in (UNIT, FREE, WAVY, RAMP):
         c = coefficients_at(prof, 0.0)
-        for name in ("g", "k", "s", "w", "theta", "chi1", "chi2", "zeta", "shift", "b"):
+        for name in ("g", "k", "s", "w", "zeta", "shift", "b", "cum_chi1", "cum_chi2"):
             assert getattr(c, name) == pytest.approx(0.0, abs=1e-13), name
 
 
 def test_unit_profile_closed_coefficients():
     # m = 1, f = 1: g = -t, k = 2t, s = -t^2, w = -t^2/2,
-    # theta = -t^2/4, zeta = t^3/4, chi1 = -7t^2/16, chi2 = -5t^2/16,
+    # zeta = t^3/4, int chi1 = -7t^3/48, int chi2 = -5t^3/48,
     # and the map magnitudes S = (k^2 - g^2 + 4s)/4 = -t^2/4, b = gk/2 - w = -t^2/2
     for t in (0.3, 1.0, 2.0):
         c = coefficients_at(UNIT, t)
@@ -77,18 +77,17 @@ def test_unit_profile_closed_coefficients():
         assert c.k == pytest.approx(2 * t, rel=1e-13)
         assert c.s == pytest.approx(-t * t, rel=1e-13)
         assert c.w == pytest.approx(-t * t / 2, rel=1e-13)
-        assert c.theta == pytest.approx(-t * t / 4, rel=1e-13)
         assert c.zeta == pytest.approx(t**3 / 4, rel=1e-13)
-        assert c.chi1 == pytest.approx(-7 * t * t / 16, rel=1e-13)
-        assert c.chi2 == pytest.approx(-5 * t * t / 16, rel=1e-13)
+        assert c.cum_chi1 == pytest.approx(-7 * t**3 / 48, rel=1e-13)
+        assert c.cum_chi2 == pytest.approx(-5 * t**3 / 48, rel=1e-13)
         assert c.shift == pytest.approx(-t * t / 4, rel=1e-13)
         assert c.b == pytest.approx(-t * t / 2, rel=1e-13)
 
 
 def test_zero_coupling_phase_integrands():
     c = coefficients_at(FREE, 2.0)
-    assert c.chi1 == pytest.approx(-0.75, rel=1e-13)
-    assert c.chi2 == pytest.approx(-0.25, rel=1e-13)
+    assert c.cum_chi1 == pytest.approx(-0.5, rel=1e-13)
+    assert c.cum_chi2 == pytest.approx(-1 / 6, rel=1e-13)
     assert c.k == 0.0 and c.s == 0.0 and c.w == 0.0 and c.zeta == 0.0
 
 
@@ -167,19 +166,40 @@ def test_quadratic_tilt_identity_from_tables():
             assert c.s + 0.25 * c.k * c.k == pytest.approx(0.0, abs=1e-9)
 
 
-def test_phase_integrand_difference_identity():
-    # chi1 - chi2 = -(k^2 + g^2 + 4s)/(8m) by construction of both
-    for prof in (UNIT, WAVY, RAMP):
-        for t in (0.3, 1.0, 1.9):
-            c = coefficients_at(prof, t)
-            m = prof.mass.value(t)
-            want = -(c.k**2 + c.g**2 + 4 * c.s) / (8 * m)
-            assert c.chi1 - c.chi2 == pytest.approx(want, abs=1e-12)
+_KNOTS = np.linspace(0.0, 2.0, 41)
+SAMPLED = TimeProfile(mass=SampledMass(times=_KNOTS, samples=1.5 + np.sin(3.0 * _KNOTS)),
+                      coupling=SampledCoupling(times=_KNOTS, samples=np.cos(2.0 * _KNOTS)),
+                      window=2.0)
+
+
+@pytest.mark.parametrize("prof", [WAVY, SAMPLED], ids=["built-in", "sampled"])
+def test_each_stacked_row_is_its_own_one_row_build(prof):
+    table = prof.tables.table
+    assert table.values.shape[0] == 5
+    for integrand, values in zip(table.integrand, table.values):
+        assert np.array_equal(table.grid.cumulative(integrand).values, values)
+
+
+def test_coefficients_at_is_one_table_read(monkeypatch):
+    WAVY.tables                       # built before counting
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(CumulativeTable, "value", counted("table", CumulativeTable.value))
+    monkeypatch.setattr(ExponentialMass, "value", counted("mass", ExponentialMass.value))
+    monkeypatch.setattr(SinusoidalCoupling, "value",
+                        counted("coupling", SinusoidalCoupling.value))
+    coefficients_at(WAVY, 1.1)
+    assert calls == ["table"]
 
 
 def test_invariant_coefficients_frozen_point():
     r1 = invariant_coefficients(UNIT, 1.0, 1)
-    assert r1.p2 == 1.0 + 0.0j
     assert r1.x == 1.0 + 0.0j
     assert r1.p == pytest.approx(-1.0 + 2.0j, rel=1e-13)
     assert r1.const == pytest.approx(-1.0 - 0.5j, rel=1e-13)
@@ -273,8 +293,7 @@ def test_window_enforcement():
     with pytest.raises(ValueError):
         coefficients_at(UNIT, -0.1)
     # end point plus float fuzz is clipped, not rejected
-    c = coefficients_at(UNIT, 3.0 + 1e-13)
-    assert c.t == pytest.approx(3.0)
+    assert coefficients_at(UNIT, 3.0 + 1e-13) == coefficients_at(UNIT, 3.0)
 
 
 @pytest.mark.parametrize("prof", [UNIT, RAMP], ids=["closed", "table"])

@@ -21,12 +21,12 @@ from airywell.profiles import (
     TimeProfile,
     ZeroCoupling,
     coefficients_at,
-    phase,
 )
 from airywell.airy import airy_ai_many
 from airywell.spectrum import density, eigenfunction, level
 from airywell.wavefunction import (
     assemble_wavefunction,
+    phase,
     reconstructed_density,
     wavefunction_branch,
 )
