@@ -157,7 +157,9 @@ def load_config(path) -> RunConfig:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}") from exc
+        # PyYAML spreads one error over several lines, the position last
+        detail = "; ".join(line.strip() for line in str(exc).splitlines() if line.strip())
+        raise ConfigError(f"config is not valid YAML: {detail}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if raw is None:
@@ -302,24 +304,35 @@ def _round12(x: float) -> float:
     return float(_sci(x))
 
 
-def _write_rows(path: Path, header, rows, fmt: str):
-    """rows: iterables mixing strings/ints (kept) and floats (formatted)."""
+# rows per formatted block: bounds the text held at once on a grid of
+# up to MAX_GRID_NODES rows
+_WRITE_BLOCK_ROWS = 4096
 
-    def cell(v):
-        if isinstance(v, bool) or isinstance(v, (int, np.integer)):
-            return v
-        if isinstance(v, (float, np.floating)):
-            return _sci(v) if fmt == "csv" else _round12(v)
-        return v
 
+def _write_rows(path: Path, header, columns, fmt: str):
+    """Write a table given as one sequence per header name.
+
+    Float columns are written as `_sci` writes them in CSV and rounded by
+    `_round12` in JSON; int, bool and string columns as they are.  The
+    strings are the package's own labels, which csv would not quote.
+    """
+    columns = [np.asarray(c) for c in columns]
+    floats = [c.dtype.kind == "f" for c in columns]
     if fmt == "csv":
+        row = ",".join("%.11e" if f else "%s" for f in floats) + "\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([cell(v) for v in row])
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            size = len(columns[0])
+            for start in range(0, size, _WRITE_BLOCK_ROWS):
+                stop = min(start + _WRITE_BLOCK_ROWS, size)
+                block = np.empty((stop - start, len(columns)), dtype=object)
+                for j, c in enumerate(columns):
+                    block[:, j] = c[start:stop]
+                fh.write((row * (stop - start)) % tuple(block.ravel().tolist()))
     else:
-        payload = [dict(zip(header, (cell(v) for v in row))) for row in rows]
+        values = [[_round12(v) for v in c.tolist()] if f else c.tolist()
+                  for c, f in zip(columns, floats)]
+        payload = [dict(zip(header, row)) for row in zip(*values)]
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -353,7 +366,7 @@ def run_zeros(cfg: RunConfig, stdout=None) -> int:
                      float(airy_eval(z.location).ai.real)))
     path = _out_path(cfg, "zeros")
     _write_rows(path, ("family", "index", "location", "companion_value"),
-                rows, cfg.fmt)
+                list(zip(*rows)), cfg.fmt)
     if stdout:
         for row in rows:
             print(f"{row[0]:>10} {row[1]:>3}  {_sci(row[2])}", file=stdout)
@@ -367,7 +380,8 @@ def run_spectrum(cfg: RunConfig, stdout=None) -> int:
         lev = level(n)
         rows.append((n, lev.parity, lev.eigenvalue, lev.norm_const))
     path = _out_path(cfg, "spectrum")
-    _write_rows(path, ("n", "parity", "eigenvalue", "norm_const"), rows, cfg.fmt)
+    _write_rows(path, ("n", "parity", "eigenvalue", "norm_const"),
+                list(zip(*rows)), cfg.fmt)
     if stdout:
         for n, par, lam, nc in rows:
             print(f"n={n} {par:>4}  lambda={_sci(lam)}  norm={_sci(nc)}", file=stdout)
@@ -382,7 +396,7 @@ def run_density(cfg: RunConfig, stdout=None) -> int:
     for n in cfg.levels:
         rho = density(n, x)
         path = _out_path(cfg, f"density_n{n}")
-        _write_rows(path, ("x", "density"), zip(x, rho), cfg.fmt)
+        _write_rows(path, ("x", "density"), (x, rho), cfg.fmt)
         written.append(path)
     if stdout:
         for path in written:
@@ -396,6 +410,9 @@ def run_solve(cfg: RunConfig, stdout=None) -> int:
     _require_tables(cfg)
     grid = Grid1D.centered(cfg.half_width, cfg.dx)
     _require_kernel_disc(cfg, 0.0, grid.x_max, with_static=True)
+    # after the config checks, which leave no directory behind, and
+    # before any state is computed
+    _out_dir(cfg)
     xs = grid.nodes
     written = []
     for n in cfg.levels:
@@ -408,7 +425,7 @@ def run_solve(cfg: RunConfig, stdout=None) -> int:
             path = _out_path(cfg, f"solve_n{n}_t{t:g}")
             _write_rows(path,
                         ("x", "re", "im", "reconstructed_density"),
-                        zip(xs, sample.values.real, sample.values.imag, rho),
+                        (xs, sample.values.real, sample.values.imag, rho),
                         cfg.fmt)
             written.append(path)
     if stdout:
@@ -474,6 +491,7 @@ def run_verify(cfg: RunConfig, stdout=None, wrong_sign_k: bool = False) -> int:
     """Full residual suite; exit 0 only when every check passes."""
     _require_tables(cfg)
     jobs = _verify_jobs(cfg, wrong_sign_k)
+    path = _out_dir(cfg) / "verify_report.json"
     with ThreadPoolExecutor(max_workers=4) as pool:
         values = list(pool.map(_run_job, jobs))
 
@@ -491,7 +509,6 @@ def run_verify(cfg: RunConfig, stdout=None, wrong_sign_k: bool = False) -> int:
         })
     report.sort(key=lambda r: (r["check"], json.dumps(r["params"], sort_keys=True)))
 
-    path = _out_dir(cfg) / "verify_report.json"
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

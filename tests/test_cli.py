@@ -39,6 +39,57 @@ def _read_csv(path):
     return rows[0], rows[1:]
 
 
+# --------------------------------------------------------------- writer
+
+
+def _reference_table(header, columns, fmt):
+    """The bytes of a per-cell writer: csv.writer, f"{v:.11e}" on each float."""
+    rows = list(zip(*columns))
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.11e}" if isinstance(v, float) else v for v in row])
+        return out.getvalue().encode()
+    payload = [dict(zip(header, (float(f"{v:.11e}") if isinstance(v, float) else v
+                                 for v in row)))
+               for row in rows]
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+_RNG = np.random.default_rng(7)
+_LONG = 2 * cli._WRITE_BLOCK_ROWS + 3
+_TABLES = {
+    "edge-floats": (("x", "re", "im", "rho"), [
+        np.array([-0.0, 5e-324, 1e300, 1e-300, -1e-300, 0.1, 1.0]),
+        np.array([1e300, -0.0, 5e-324, 2.5, -1e-300, 1e-300, -7.0]),
+        np.array([1e-300, 1e300, -0.0, 5e-324, 0.0, -1e300, 1e-5]),
+        np.array([5e-324, 1e-300, 1e300, -0.0, 123456.789, 2.0, 0.5])]),
+    "more-rows-than-a-block": (("x", "re", "im", "rho"), [
+        _RNG.standard_normal(_LONG) * 10.0 ** _RNG.uniform(-300, 300, _LONG)
+        for _ in range(4)]),
+    "zeros": (("family", "index", "location", "companion_value"), [
+        ("function", "derivative", "function", "derivative"), (1, 1, 2, 2),
+        (-2.338107410459767, -1.0187929716474709, -4.087949444130971, -3.248197582179837),
+        (0.7012108227206906, 0.5355608832923521, -0.8031113696548532, -0.4190154780325634)]),
+    "spectrum": (("n", "parity", "eigenvalue", "norm_const"), [
+        (0, 1, 2), ("even", "odd", "even"),
+        (1.0187929716474709, 2.338107410459767, 3.248197582179837),
+        (1.4261, -0.0, 5e-324)]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_writer_matches_a_per_cell_reference(tmp_path, name, fmt):
+    header, columns = _TABLES[name]
+    path = tmp_path / f"table.{fmt}"
+    cli._write_rows(path, header, columns, fmt)
+    plain = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    assert path.read_bytes() == _reference_table(header, plain, fmt)
+
+
 # ------------------------------------------------------------- spectrum
 
 
@@ -345,6 +396,14 @@ def test_config_missing_file(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+def test_config_yaml_syntax_error_is_one_line(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "profile: [\n", name="bad.yaml")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not valid YAML:") and err.count("\n") == 1
+    assert "line 2, column 1" in err
+
+
 def test_config_time_outside_window(tmp_path, capsys):
     cfg = _write_config(tmp_path, SMALL_PROFILE.replace(
         "times: [0.3]", "times: [9.5]"))
@@ -386,6 +445,21 @@ def test_unusable_paths_are_one_line_config_errors(tmp_path, capsys, case, words
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and words in err
+
+
+@pytest.mark.parametrize("command, work", [("solve", "assemble_wavefunction"),
+                                           ("verify", "tdse_residual")])
+def test_unusable_out_is_reported_before_any_work(tmp_path, capsys, monkeypatch,
+                                                  command, work):
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *args, **kwargs: calls.append(args))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = _write_config(tmp_path, SMALL_PROFILE)
+    assert main([command, "--config", cfg, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out:") and err.count("\n") == 1
+    assert calls == []
 
 
 def test_config_sampled_table_from_csv_file(tmp_path):
