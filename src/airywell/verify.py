@@ -21,7 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+# solve_banded is not called here, but the benchmark tracer in
+# bench/tracing.py rebinds it in this namespace
+from scipy.linalg import solve_banded  # noqa: F401
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .profiles import TimeProfile, coefficients_at, invariant_coefficients
 from .spectrum import level
@@ -104,17 +107,29 @@ class DiscretizedOperator:
         return float(np.max(rows))
 
 
+def _hamiltonian_bands(m: float, f: float, abs_x: np.ndarray, dx: float,
+                       diag: np.ndarray, off: np.ndarray) -> float:
+    """Write H's bands for mass m and coupling f into diag and off; return kin.
+
+    diag = 2 kin + i f|x| and off = -kin, with kin = 1/(2 m dx^2).  Both
+    `build_hamiltonian` and the Crank-Nicolson step fill H here.
+    """
+    kin = 1.0 / (2.0 * m * dx * dx)
+    diag.real = 2.0 * kin
+    np.multiply(f, abs_x, out=diag.imag)
+    off.fill(-kin)
+    return kin
+
+
 def build_hamiltonian(profile: TimeProfile, t: float, grid: Grid1D) -> DiscretizedOperator:
     """H = -(1/2m) d^2/dx^2 + i f |x| on the grid (Dirichlet ends)."""
     m = float(profile.mass.value(t))
     if m <= 0.0:
         raise ValueError("mass must stay positive")
     f = float(profile.coupling.value(t))
-    x = grid.nodes
-    dx = grid.dx
-    kin = 1.0 / (2.0 * m * dx * dx)
-    diag = (2.0 * kin + 1j * (f * np.abs(x))).astype(complex)
-    off = np.full(grid.n_points - 1, -kin, dtype=complex)
+    diag = np.empty(grid.n_points, dtype=complex)
+    off = np.empty(grid.n_points - 1, dtype=complex)
+    _hamiltonian_bands(m, f, np.abs(grid.nodes), grid.dx, diag, off)
     return DiscretizedOperator(grid=grid, diag=diag, upper=off, lower=off.copy())
 
 
@@ -154,13 +169,17 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     """March the glued state with midpoint-coefficient Crank-Nicolson.
 
     Each step solves (1 + i dt/2 H(t_mid)) psi_new = (1 - i dt/2 H(t_mid)) psi
-    by banded elimination.  Ends are Dirichlet: zero by default, or values
-    from `boundary(t_new) -> (left, right)` when the run is fed analytic
-    edge data (the half-line cross-checks).
+    with LAPACK's tridiagonal LU (`zgttrs` on `zgttrf` factors).  Ends are
+    Dirichlet: zero by default, or values from `boundary(t_new) -> (left,
+    right)` when the run is fed analytic edge data (the half-line
+    cross-checks).
 
-    H(t_mid) is the operator `build_hamiltonian` gives; its bands are
-    filled in place each step from m(t_mid) and f(t_mid), with the same
-    arithmetic, into arrays allocated once per run.
+    H(t_mid) is the operator `build_hamiltonian` gives, filled by the same
+    band helper into arrays allocated once per run.  Its bands are refilled
+    and the left-hand matrix refactored only on steps where the pair
+    (m(t_mid), f(t_mid)) differs from the previous step's, so a
+    constant-coefficient profile factors once per run and a time-dependent
+    one on every step.
     """
     if not (np.isfinite(dt) and 0.0 < dt <= 1e-3):
         raise ValueError("dt must be finite and in (0, 1e-3]")
@@ -188,9 +207,14 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     dx = grid.dx
     abs_x = np.abs(grid.nodes)
     half_step = 0.5j * dt
-    diag = np.empty(grid.n_points, dtype=complex)   # H's main band; its side bands are -kin
-    h_psi = np.empty(grid.n_points, dtype=complex)
-    band = np.empty((3, grid.n_points), dtype=complex)
+    n = grid.n_points
+    diag = np.empty(n, dtype=complex)        # H(t_mid)'s bands
+    off = np.empty(n - 1, dtype=complex)
+    h_psi = np.empty(n, dtype=complex)
+    lower = np.empty(n - 1, dtype=complex)   # 1 + i dt/2 H, then its LU factors
+    main = np.empty(n, dtype=complex)
+    upper = np.empty(n - 1, dtype=complex)
+    factored_for = None                      # the (m, f) the factors belong to
     probe = 0.0
     t = t0
     for step in range(n_steps):
@@ -199,30 +223,32 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
         if m <= 0.0:
             raise ValueError("mass must stay positive")
         f = float(profile.coupling.value(tm))
-        kin = 1.0 / (2.0 * m * dx * dx)
-        diag.real = 2.0 * kin
-        np.multiply(f, abs_x, out=diag.imag)
+        if (m, f) != factored_for:
+            kin = _hamiltonian_bands(m, f, abs_x, dx, diag, off)
+            np.multiply(half_step, off, out=upper)
+            np.multiply(half_step, off, out=lower)
+            np.multiply(half_step, diag, out=main)
+            main += 1.0
+            # Dirichlet rows: the edge values are set, not solved for
+            upper[0] = 0.0
+            main[0] = 1.0
+            lower[-1] = 0.0
+            main[-1] = 1.0
+            lower, main, upper, upper2, pivots, info = zgttrf(
+                lower, main, upper, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+            if info > 0:
+                raise RuntimeError(f"tridiagonal solve broke down at step {step}")
+            factored_for = (m, f)
 
         # right-hand side (1 - i dt/2 H) psi, built over psi itself
         np.multiply(diag, psi, out=h_psi)
         h_psi[:-1] -= kin * psi[1:]
         h_psi[1:] -= kin * psi[:-1]
         psi -= half_step * h_psi
-        band[0, 1:] = band[2, :-1] = half_step * -kin
-        np.multiply(half_step, diag, out=band[1])
-        band[1] += 1.0
         left, right = (0.0, 0.0) if boundary is None else boundary(t + dt)
-        band[0, 1] = 0.0
-        band[1, 0] = 1.0
-        band[2, -2] = 0.0
-        band[1, -1] = 1.0
         psi[0] = left
         psi[-1] = right
-        try:
-            psi = solve_banded((1, 1), band, psi, overwrite_ab=True, overwrite_b=True,
-                               check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"tridiagonal solve broke down at step {step}") from exc
+        psi, _ = zgttrs(lower, main, upper, upper2, pivots, psi, overwrite_b=True)
         if not np.all(np.isfinite(psi)):
             raise RuntimeError(f"propagation diverged at step {step}")
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from airywell import verify
 from airywell.profiles import TimeProfile, coefficients_at
 from airywell.verify import (
     Grid1D,
@@ -197,18 +198,32 @@ def _reference_cn(profile, xs, values, t0, t1, dt, boundary=None):
 
 
 def test_cn_matches_reference_stepping():
-    # pins the in-place step loop to the scheme written out plainly, on a
-    # free full-line run and a fed half-line run of a time-dependent profile
+    # pins the factor-reusing step loop to the scheme written out plainly:
+    # a free full-line run, a fed half-line run of a time-dependent
+    # profile, and two runs where only one coefficient moves, which a
+    # factorization reused on a match of m alone (or f alone) gets wrong
     full = Grid1D.centered(10.0, 0.1).nodes
     gauss = np.exp(-(full - 0.5)**2).astype(complex)
     half = Grid1D.half_line(20.0, 0.1, 1).nodes
     branch = wavefunction_branch(WAVY, 1, 1, half.astype(complex), 0.0)
+    coupling_only = TimeProfile.from_config({
+        "mass": {"family": "constant", "m0": 1.0},
+        "coupling": {"family": "sinusoidal", "f0": 1.0, "omega": 1.0},
+        "window": 2.0,
+    })
+    mass_only = TimeProfile.from_config({
+        "mass": {"family": "exponential", "m0": 1.0, "gamma": 1.0},
+        "coupling": {"family": "constant", "f0": 1.0},
+        "window": 2.0,
+    })
 
     def feed(t):
         return complex(wavefunction_branch(WAVY, 1, 1, np.array([0j]), t)[0]), 0.0
 
     for profile, xs, psi, boundary in ((FREE, full, gauss, None),
-                                       (WAVY, half, branch, feed)):
+                                       (WAVY, half, branch, feed),
+                                       (coupling_only, full, gauss, None),
+                                       (mass_only, full, gauss, None)):
         assert xs.size == 201
         res = crank_nicolson_propagate(profile, _State(xs, psi), 0.0, 0.1, 1e-3,
                                        boundary=boundary)
@@ -217,6 +232,38 @@ def test_cn_matches_reference_stepping():
         assert np.max(np.abs(res.values - want)) <= 1e-13
         assert abs(res.boundary_probe - probe) <= 1e-13
         assert np.max(np.abs(res.values - psi)) > 1e-3     # the state did move
+
+
+@pytest.mark.parametrize("profile, factorizations", [(FREE, 1), (UNIT, 1), (WAVY, 100)],
+                         ids=["free", "unit", "wavy"])
+def test_cn_factors_once_per_distinct_hamiltonian(monkeypatch, profile, factorizations):
+    calls = []
+    real = verify.zgttrf
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "zgttrf", counting)
+    xs = Grid1D.centered(10.0, 0.1).nodes
+    psi = np.exp(-(xs - 0.5)**2).astype(complex)
+    res = crank_nicolson_propagate(profile, _State(xs, psi), 0.0, 0.1, 1e-3)
+    assert res.steps == 100
+    assert len(calls) == factorizations
+
+
+def test_cn_reports_a_singular_pivot_with_step_index(monkeypatch):
+    real = verify.zgttrf
+
+    def singular(*args, **kwargs):
+        *factors, _ = real(*args, **kwargs)
+        return (*factors, 1)
+
+    monkeypatch.setattr(verify, "zgttrf", singular)
+    xs = Grid1D.centered(8.0, 0.01).nodes
+    psi = np.exp(-xs**2).astype(complex)
+    with pytest.raises(RuntimeError, match="tridiagonal solve broke down at step 0"):
+        crank_nicolson_propagate(FREE, _State(xs, psi), 0.0, 0.01, 1e-3)
 
 
 def test_cn_step_size_guard():
