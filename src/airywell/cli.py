@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .airy import MAX_ABS_Z, airy_derivative_zero, airy_eval, airy_function_zero
-from .profiles import TimeProfile, coefficients_at
+from .profiles import TimeProfile, _finite_number, coefficients_at
 from .spectrum import MAX_LEVEL, density, level
 from .verify import (
     Grid1D,
@@ -79,7 +79,7 @@ def _validate_levels(levels) -> tuple:
     for n in levels:
         if not _is_integer(n):
             raise ConfigError(f"levels: {n!r} is not an integer")
-        n = int(n)
+        n = int(float(n))
         if n < 0:
             raise ConfigError(f"levels: index {n} is negative")
         if n > MAX_LEVEL:
@@ -89,22 +89,20 @@ def _validate_levels(levels) -> tuple:
 
 
 def _is_integer(n) -> bool:
-    # YAML reads true/false as bools, which int() would take as 1/0
+    # YAML reads true/false as bools, which float() would take as 1/0
     if isinstance(n, bool):
         return False
     try:
-        return float(n) == int(n)
+        return float(n).is_integer()
     except (TypeError, ValueError, OverflowError):
         return False
 
 
 def _number(value, label: str) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{label}: {value!r} is not a number")
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{label}: {value!r} is not a number") from exc
+        return _finite_number(value, label)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _validate_times(times, window: float) -> tuple:
@@ -194,7 +192,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError("grid: takes exactly the keys half_width and dx")
         hw = _number(grid.get("half_width", cfg.half_width), "grid: half_width")
         dx = _number(grid.get("dx", cfg.dx), "grid: dx")
-        if not (0.0 < hw < math.inf and 0.0 < dx < math.inf):
+        if hw <= 0.0 or dx <= 0.0:
             raise ConfigError("grid: half_width and dx must be positive and finite")
         # checked before any grid is built: Grid1D.centered lays out
         # 2 round(half_width/dx) + 1 nodes
@@ -220,7 +218,7 @@ def load_config(path) -> RunConfig:
         merged = dict(_DEFAULT_TOLERANCES)
         for key, value in tol.items():
             bound = _number(value, f"tolerances: {key}")
-            if not 0.0 < bound < math.inf:
+            if bound <= 0.0:
                 raise ConfigError(f"tolerances: {key} must be positive and finite, "
                                   f"not {bound!r}")
             merged[key] = bound
@@ -228,19 +226,16 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
+def _flag_list(text: str) -> list:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
 def _apply_cli_overrides(cfg: RunConfig, args) -> RunConfig:
+    # the flags' entries are checked by the same rules as the config's lists
     if args.n is not None:
-        try:
-            levels = [int(part) for part in args.n.split(",") if part.strip() != ""]
-        except ValueError as exc:
-            raise ConfigError(f"--n: {exc}") from exc
-        cfg = replace(cfg, levels=_validate_levels(levels))
+        cfg = replace(cfg, levels=_validate_levels(_flag_list(args.n)))
     if args.t is not None:
-        try:
-            times = [float(part) for part in args.t.split(",") if part.strip() != ""]
-        except ValueError as exc:
-            raise ConfigError(f"--t: {exc}") from exc
-        cfg = replace(cfg, times=_validate_times(times, cfg.profile.window))
+        cfg = replace(cfg, times=_validate_times(_flag_list(args.t), cfg.profile.window))
     if args.out is not None:
         cfg = replace(cfg, out_dir=Path(args.out))
     if args.format is not None:

@@ -33,7 +33,8 @@ about 7e3 in size the relative term never binds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,6 +67,30 @@ _MAX_TOTAL_PANELS = 2**17
 MAX_WINDOW = 1e6
 
 
+@dataclass(frozen=True, eq=False)
+class _Sampled:
+    """A law read off a table: linear interpolation through (times, samples)."""
+
+    times: np.ndarray
+    samples: np.ndarray
+    noun: ClassVar[str]
+
+    def __post_init__(self):
+        t = np.asarray(self.times, dtype=float)
+        v = np.asarray(self.samples, dtype=float)
+        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
+            raise ValueError(f"sampled {self.noun} needs matching 1-d time/value arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError(f"sampled {self.noun} times and values must be finite")
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("sample times must be strictly increasing")
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "samples", v)
+
+    def value(self, t):
+        return np.interp(np.asarray(t, dtype=float), self.times, self.samples)
+
+
 # ------------------------------------------------------------ mass laws
 
 
@@ -96,27 +121,13 @@ class PowerMass:
         return self.m0 * (1.0 + self.gamma * np.asarray(t, dtype=float)) ** self.alpha
 
 
-@dataclass(frozen=True, eq=False)
-class SampledMass:
-    times: np.ndarray
-    samples: np.ndarray
+class SampledMass(_Sampled):
+    noun = "mass"
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.samples, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise ValueError("sampled mass needs matching 1-d time/value arrays")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValueError("sampled mass times and values must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        if np.any(v <= 0):
+        super().__post_init__()
+        if np.any(self.samples <= 0):
             raise ValueError("mass samples must be strictly positive")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "samples", v)
-
-    def value(self, t):
-        return np.interp(np.asarray(t, dtype=float), self.times, self.samples)
 
 
 # -------------------------------------------------------- coupling laws
@@ -157,38 +168,16 @@ class SinusoidalCoupling:
         return self.f0 * np.cos(self.omega * np.asarray(t, dtype=float))
 
 
-@dataclass(frozen=True, eq=False)
-class SampledCoupling:
-    times: np.ndarray
-    samples: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.samples, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise ValueError("sampled coupling needs matching 1-d time/value arrays")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValueError("sampled coupling times and values must be finite")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "samples", v)
-
-    def value(self, t):
-        return np.interp(np.asarray(t, dtype=float), self.times, self.samples)
+class SampledCoupling(_Sampled):
+    noun = "coupling"
 
 
-_MASS_FAMILIES = {
-    "constant": (ConstantMass, ("m0",)),
-    "exponential": (ExponentialMass, ("m0", "gamma")),
-    "power": (PowerMass, ("m0", "gamma", "alpha")),
-}
-_COUPLING_FAMILIES = {
-    "zero": (ZeroCoupling, ()),
-    "constant": (ConstantCoupling, ("f0",)),
-    "linear": (LinearCoupling, ("f0",)),
-    "sinusoidal": (SinusoidalCoupling, ("f0", "omega")),
-}
+# a family's parameters are its dataclass fields; a sampled one reads a `table`
+_MASS_FAMILIES = {"constant": ConstantMass, "exponential": ExponentialMass,
+                  "power": PowerMass, "sampled": SampledMass}
+_COUPLING_FAMILIES = {"zero": ZeroCoupling, "constant": ConstantCoupling,
+                      "linear": LinearCoupling, "sinusoidal": SinusoidalCoupling,
+                      "sampled": SampledCoupling}
 
 
 # ------------------------------------------------------------- results
@@ -244,26 +233,22 @@ class TimeProfile:
     def __post_init__(self):
         if not 0.0 < self.window <= MAX_WINDOW:
             raise ValueError(f"window length must be positive and at most {MAX_WINDOW:g}")
-        for fam, need in ((self.mass, ("value",)), (self.coupling, ("value",))):
-            for meth in need:
-                if not callable(getattr(fam, meth, None)):
-                    raise TypeError(f"{type(fam).__name__} lacks {meth}()")
-        self._check_mass_positive()
-        self._check_sampled_coverage()
-
-    def _check_mass_positive(self):
+        for fam in (self.mass, self.coupling):
+            if not callable(getattr(fam, "value", None)):
+                raise TypeError(f"{type(fam).__name__} lacks value()")
         probes = np.linspace(0.0, self.window, 65)
         with np.errstate(invalid="ignore"):
             m = np.asarray(self.mass.value(probes), dtype=float)
         if np.any(~np.isfinite(m)) or np.any(m <= 0.0):
             raise ValueError("mass history must stay strictly positive on the window")
+        for times in self._sampled_times():
+            if times[0] > 1e-12 or times[-1] < self.window - 1e-12:
+                raise ValueError("sampled table must cover the whole window")
 
-    def _check_sampled_coverage(self):
-        for fam in (self.mass, self.coupling):
-            times = getattr(fam, "times", None)
-            if times is not None:
-                if times[0] > 1e-12 or times[-1] < self.window - 1e-12:
-                    raise ValueError("sampled table must cover the whole window")
+    def _sampled_times(self) -> list:
+        """The sample times of each tabulated family: the profile's knots."""
+        return [t for fam in (self.mass, self.coupling)
+                if (t := getattr(fam, "times", None)) is not None]
 
     @staticmethod
     def from_config(cfg: dict) -> "TimeProfile":
@@ -282,10 +267,8 @@ class TimeProfile:
         for key in ("window", "mass", "coupling"):
             if key not in cfg:
                 raise ValueError(f"profile block is missing '{key}'")
-        mass = _family_from_config(cfg["mass"], _MASS_FAMILIES, SampledMass, "mass")
-        coupling = _family_from_config(
-            cfg["coupling"], _COUPLING_FAMILIES, SampledCoupling, "coupling"
-        )
+        mass = _family_from_config(cfg["mass"], _MASS_FAMILIES, "mass")
+        coupling = _family_from_config(cfg["coupling"], _COUPLING_FAMILIES, "coupling")
         window = _finite_number(cfg["window"], "window")
         return TimeProfile(mass=mass, coupling=coupling, window=window)
 
@@ -299,16 +282,8 @@ class TimeProfile:
             self._cache["tables"] = tab
         return tab
 
-    def _knots(self):
-        out = []
-        for fam in (self.mass, self.coupling):
-            times = getattr(fam, "times", None)
-            if times is not None:
-                out.append(times)
-        return np.concatenate(out) if out else None
 
-
-def _family_from_config(block, registry, sampled_cls, label):
+def _family_from_config(block, registry, label):
     if not isinstance(block, dict):
         raise ValueError(f"{label} block must be a mapping")
     if "family" not in block:
@@ -316,8 +291,11 @@ def _family_from_config(block, registry, sampled_cls, label):
     family = block["family"]
     if not isinstance(family, str):
         raise ValueError(f"{label} family: {family!r} is not a name")
+    if family not in registry:
+        raise ValueError(f"unknown {label} family '{family}'")
+    cls = registry[family]
     params = {k: v for k, v in block.items() if k != "family"}
-    if family == "sampled":
+    if issubclass(cls, _Sampled):
         if set(params) != {"table"}:
             raise ValueError(f"sampled {label} takes exactly the 'table' key")
         try:
@@ -326,10 +304,8 @@ def _family_from_config(block, registry, sampled_cls, label):
             table = np.empty(0)
         if table.ndim != 2 or table.shape[1] != 2:
             raise ValueError(f"sampled {label} table must be rows of (t, value)")
-        return sampled_cls(times=table[:, 0], samples=table[:, 1])
-    if family not in registry:
-        raise ValueError(f"unknown {label} family '{family}'")
-    cls, names = registry[family]
+        return cls(times=table[:, 0], samples=table[:, 1])
+    names = [f.name for f in fields(cls)]
     extra = set(params) - set(names)
     if extra:
         raise ValueError(f"unknown {label} parameters: {sorted(extra)}")
@@ -340,11 +316,13 @@ def _family_from_config(block, registry, sampled_cls, label):
 
 
 def _finite_number(value, label: str) -> float:
-    """A window or family parameter: a finite number (YAML's true/false are not)."""
+    """Every number of a config: finite, and not YAML's true/false."""
     if isinstance(value, bool):
         raise ValueError(f"{label}: {value!r} is not a number")
     try:
         number = float(value)
+    except OverflowError:               # an integer beyond the double range
+        number = np.inf
     except (TypeError, ValueError):
         raise ValueError(f"{label}: {value!r} is not a number") from None
     if not np.isfinite(number):
@@ -367,7 +345,8 @@ class _ProfileTables:
 
     @staticmethod
     def build(profile: TimeProfile) -> "_ProfileTables":
-        grid = SimpsonGrid.build(profile.window, knots=profile._knots(), panels_per_segment=2)
+        knots = np.concatenate([[], *profile._sampled_times()])
+        grid = SimpsonGrid.build(profile.window, knots=knots, panels_per_segment=2)
         # start as fine as 16 panels per segment allows while the first
         # refinement still fits the budget
         panels = 16

@@ -89,7 +89,6 @@ class Grid1D:
 class DiscretizedOperator:
     """Tridiagonal operator: diag[i], upper[i] = A[i,i+1], lower[i] = A[i+1,i]."""
 
-    grid: Grid1D
     diag: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
@@ -130,7 +129,7 @@ def build_hamiltonian(profile: TimeProfile, t: float, grid: Grid1D) -> Discretiz
     diag = np.empty(grid.n_points, dtype=complex)
     off = np.empty(grid.n_points - 1, dtype=complex)
     _hamiltonian_bands(m, f, np.abs(grid.nodes), grid.dx, diag, off)
-    return DiscretizedOperator(grid=grid, diag=diag, upper=off, lower=off.copy())
+    return DiscretizedOperator(diag=diag, upper=off, lower=off.copy())
 
 
 def build_invariant(profile: TimeProfile, region: int, t: float, grid: Grid1D,
@@ -148,7 +147,7 @@ def build_invariant(profile: TimeProfile, region: int, t: float, grid: Grid1D,
     # p = -i d/dx: upper -i/(2dx), lower +i/(2dx)
     upper = np.full(grid.n_points - 1, -1.0 / dx**2 + c_p * (-1j) / (2 * dx))
     lower = np.full(grid.n_points - 1, -1.0 / dx**2 + c_p * (+1j) / (2 * dx))
-    return DiscretizedOperator(grid=grid, diag=diag.astype(complex), upper=upper, lower=lower)
+    return DiscretizedOperator(diag=diag.astype(complex), upper=upper, lower=lower)
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,6 @@ __all__ = [
 class WavefunctionSample:
     """One assembled state on a real grid."""
 
-    n: int
-    t: float
     grid: np.ndarray
     values: np.ndarray
 
@@ -143,7 +141,7 @@ def assemble_wavefunction(profile: TimeProfile, n: int, t: float, grid) -> Wavef
     pos = xs >= 0.0
     values[pos] = wavefunction_branch(profile, n, 1, xs[pos].astype(complex), t)
     values[~pos] = wavefunction_branch(profile, n, 2, xs[~pos].astype(complex), t)
-    return WavefunctionSample(n=n, t=float(t), grid=xs, values=values)
+    return WavefunctionSample(grid=xs, values=values)
 
 
 def _undo_maps(profile: TimeProfile, n: int, x: np.ndarray, t: float) -> np.ndarray:

@@ -131,6 +131,44 @@ def test_spectrum_rejects_oversized_level(tmp_path, capsys):
     assert "40" in capsys.readouterr().err
 
 
+def test_level_and_time_flags_follow_the_config_rules(tmp_path, capsys):
+    """--n and --t entries pass the same checks as the config's levels and times."""
+    assert main(["spectrum", "--n", "1.0", "--out", str(tmp_path / "flag")]) == 0
+    for entry in ("1.0", '"1.0"'):
+        cfg = _write_config(tmp_path, SMALL_PROFILE.replace("levels: [0, 1]",
+                                                            f"levels: [{entry}]"))
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "config")]) == 0
+        assert ((tmp_path / "flag" / "spectrum.csv").read_bytes()
+                == (tmp_path / "config" / "spectrum.csv").read_bytes())
+    capsys.readouterr()
+    for flag, value, line in (("--n", "abc", "error: levels: 'abc' is not an integer\n"),
+                              ("--t", "x", "error: times: 'x' is not a number\n")):
+        assert main(["spectrum", flag, value, "--out", str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err == line
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("body, flags, line", [
+    (SMALL_PROFILE + "grid: {half_width: .nan}\n", [],
+     "error: grid: half_width must be finite, not nan\n"),
+    (SMALL_PROFILE + "grid: {dx: .inf}\n", [], "error: grid: dx must be finite, not inf\n"),
+    (SMALL_PROFILE + "tolerances: {tdse: .nan}\n", [],
+     "error: tolerances: tdse must be finite, not nan\n"),
+    (SMALL_PROFILE.replace("times: [0.3]", "times: [.nan]"), [],
+     "error: times must be finite, not nan\n"),
+    (SMALL_PROFILE, ["--t", "0.3,nan"], "error: times must be finite, not 'nan'\n"),
+    (SMALL_PROFILE.replace("window: 3.0", f"window: 1{'0' * 400}"), [],
+     f"error: profile: window must be finite, not 1{'0' * 400}\n"),
+], ids=["grid-half-width", "grid-dx", "tolerance", "config-time", "flag-time",
+        "integer-beyond-double-window"])
+def test_non_finite_numbers_are_named_with_their_key(tmp_path, capsys, body, flags, line):
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, body)
+    assert main(["verify", "--config", cfg, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- zeros
 
 

@@ -371,11 +371,36 @@ def test_sampled_table_must_cover_window():
                     coupling=ZeroCoupling(), window=2.0)
 
 
-def test_sampled_validation():
-    with pytest.raises(ValueError):
-        SampledMass(times=np.array([0.0, 1.0, 0.5]), samples=np.ones(3))
-    with pytest.raises(ValueError):
-        SampledMass(times=np.array([0.0, 1.0]), samples=np.array([1.0, -1.0]))
+@pytest.mark.parametrize("cls, noun", [(SampledMass, "mass"), (SampledCoupling, "coupling")],
+                         ids=["mass", "coupling"])
+def test_sampled_validation(cls, noun):
+    """Both sampled laws share the table rules, which name the law; only a
+    mass must be positive, and a table that breaks two rules reports the
+    time order first."""
+    two = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match=f"^sampled {noun} needs matching 1-d"):
+        cls(times=two, samples=np.ones(3))
+    with pytest.raises(ValueError, match=f"^sampled {noun} times and values must be finite$"):
+        cls(times=two, samples=np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="^sample times must be strictly increasing$"):
+        cls(times=np.array([0.0, 1.0, 0.5]), samples=np.array([1.0, -1.0, 1.0]))
+    negative = np.array([1.0, -1.0])
+    if cls is SampledMass:
+        with pytest.raises(ValueError, match="^mass samples must be strictly positive$"):
+            cls(times=two, samples=negative)
+    else:
+        assert cls(times=two, samples=negative).value(0.5) == 0.0
+
+
+def test_family_parameters_are_checked_in_field_order():
+    base = {"window": 1.0, "coupling": {"family": "zero"}}
+    bad = dict(base, mass={"family": "power", "alpha": "c", "gamma": "b", "m0": "a"})
+    with pytest.raises(ValueError, match="^mass m0: 'a' is not a number$"):
+        TimeProfile.from_config(bad)
+    bad = {"window": 1.0, "mass": {"family": "constant", "m0": 1.0},
+           "coupling": {"family": "sinusoidal", "omega": ".", "f0": float("nan")}}
+    with pytest.raises(ValueError, match="^coupling f0 must be finite, not nan$"):
+        TimeProfile.from_config(bad)
 
 
 def test_config_round_trip():

@@ -81,11 +81,10 @@ def test_grid_constructors():
 def test_operator_apply_matches_dense():
     rng = np.random.default_rng(3)
     n = 17
-    g = Grid1D(-0.8, 0.8, n)
     d = rng.normal(size=n) + 1j * rng.normal(size=n)
     u = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
     lo = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
-    op = DiscretizedOperator(grid=g, diag=d, upper=u, lower=lo)
+    op = DiscretizedOperator(diag=d, upper=u, lower=lo)
     dense = np.diag(d) + np.diag(u, 1) + np.diag(lo, -1)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     assert np.allclose(op.apply(v), dense @ v, rtol=1e-13, atol=1e-13)
