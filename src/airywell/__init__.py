@@ -51,6 +51,7 @@ from .verify import (
     crank_nicolson_propagate,
     tdse_residual,
     invariant_eigen_residual,
+    level_residuals,
     von_neumann_residual,
     pseudo_hermiticity_check,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "crank_nicolson_propagate",
     "tdse_residual",
     "invariant_eigen_residual",
+    "level_residuals",
     "von_neumann_residual",
     "pseudo_hermiticity_check",
 ]

@@ -298,6 +298,12 @@ def _family_from_config(block, registry, label):
     if issubclass(cls, _Sampled):
         if set(params) != {"table"}:
             raise ValueError(f"sampled {label} takes exactly the 'table' key")
+        rows = params["table"] if isinstance(params["table"], (list, tuple)) else ()
+        # YAML's true/false, which np.asarray would take as 1/0
+        flags = [c for row in rows if isinstance(row, (list, tuple))
+                 for c in row if isinstance(c, bool)]
+        if flags:
+            raise ValueError(f"sampled {label} table: {flags[0]!r} is not a number")
         try:
             table = np.asarray(params["table"], dtype=float)
         except (TypeError, ValueError):     # a mapping, or ragged rows

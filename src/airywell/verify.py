@@ -39,6 +39,7 @@ __all__ = [
     "crank_nicolson_propagate",
     "tdse_residual",
     "invariant_eigen_residual",
+    "level_residuals",
     "von_neumann_residual",
     "pseudo_hermiticity_check",
 ]
@@ -46,7 +47,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid that always contains x = 0 as a node."""
+    """Uniform grid that always contains x = 0 as a node.
+
+    The nodes are the integer multiples k dx for k = first_index ...
+    first_index + n_points - 1.  So x = 0 is exactly a node, mirrored
+    nodes are exact negatives of each other, and the grids `half_line`
+    builds are bitwise the halves of the `centered` grid with the same
+    extent and dx (all three compute the same dx).
+    """
 
     x_min: float
     x_max: float
@@ -58,7 +66,7 @@ class Grid1D:
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         dx = self.dx
-        off = abs(round(-self.x_min / dx) * dx + self.x_min)
+        off = abs(self.first_index * dx - self.x_min)
         if self.x_min > 0.0 or self.x_max < 0.0 or off > 1e-9 * dx:
             raise ValueError("x = 0 must be a grid node")
 
@@ -67,8 +75,13 @@ class Grid1D:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
     @property
+    def first_index(self) -> int:
+        """k of the first node, x_min = k dx."""
+        return round(self.x_min / self.dx)
+
+    @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        return (self.first_index + np.arange(self.n_points)) * self.dx
 
     @staticmethod
     def centered(half_width: float, dx: float) -> "Grid1D":
@@ -277,6 +290,56 @@ def _time_derivative(fn, t: float, delta: float, window: float):
     return sum(weight * fn(t + step) for step, weight in stencil) / (2.0 * delta)
 
 
+def _branch_samples(profile: TimeProfile, n: int, t: float, grid: Grid1D, delta: float):
+    """The region-1 branch at the nodes k dx that every residual of (n, t) reads.
+
+    With K the largest |k| of grid, returns Psi_n,1 at t for k = -1 ...
+    K + 1 and its d/dt (the `_time_derivative` stencil) for k = 0 ... K.
+    Region 2 is read from these by parity: its value at k dx, k < 0, is
+    sigma_n times the region-1 value at |k| dx, which on the exact grid is
+    bitwise what `wavefunction_branch(..., 2, ...)` gives there.
+    """
+    k_max = max(-grid.first_index, grid.first_index + grid.n_points - 1)
+    ks = np.arange(-1, k_max + 2) * grid.dx
+    centre = wavefunction_branch(profile, n, 1, ks.astype(complex), t)
+    nodes = ks[1:-1].astype(complex)
+    dpsi = _time_derivative(lambda s: wavefunction_branch(profile, n, 1, nodes, s),
+                            t, delta, profile.window)
+    return centre, dpsi
+
+
+def _tdse(profile: TimeProfile, n: int, t: float, grid: Grid1D, centre: np.ndarray,
+          dpsi: np.ndarray, flip_coupling_sign: bool) -> float:
+    """The evolution residual on grid from `_branch_samples` (see `tdse_residual`)."""
+    xs = grid.nodes
+    dx = grid.dx
+    m = float(profile.mass.value(t))
+    f = float(profile.coupling.value(t))
+    if flip_coupling_sign:
+        f = -f
+    sigma = -1.0 if n % 2 else 1.0
+    n_neg = -grid.first_index                 # region-2 nodes, k = -n_neg ... -1
+    # per region: the branch at its nodes plus one beyond each end (the
+    # branch is entire, crossing x = 0 is fine), its d/dt at its nodes
+    regions = ((sigma * centre[n_neg + 2:0:-1], sigma * dpsi[n_neg:0:-1], xs[:n_neg]),
+               (centre[:grid.n_points - n_neg + 2], dpsi[:grid.n_points - n_neg], xs[n_neg:]))
+    res = []
+    psi_mid = []
+    for ext, d, x in regions:
+        mid = ext[1:-1]
+        lap = (ext[2:] - 2.0 * mid + ext[:-2]) / dx**2
+        res.append(1j * d - (-lap / (2.0 * m) + 1j * f * np.abs(x) * mid))
+        psi_mid.append(mid)
+    res = np.concatenate(res)
+    psi_mid = np.concatenate(psi_mid)
+
+    keep = np.zeros(grid.n_points, dtype=bool)
+    keep[3:grid.n_points - 3] = True
+    if n % 2 == 1:
+        keep &= np.abs(xs) > 1e-12
+    return float(np.linalg.norm(res[keep]) / np.linalg.norm(psi_mid[keep]))
+
+
 def tdse_residual(profile: TimeProfile, n: int, t: float, grid: Grid1D,
                   delta: float = TIME_DELTA, flip_coupling_sign: bool = False) -> float:
     """Relative L2 residual of i d(psi)/dt = H psi for the closed form.
@@ -287,41 +350,23 @@ def tdse_residual(profile: TimeProfile, n: int, t: float, grid: Grid1D,
     x = 0 row comes from region 1 and is dropped for odd n, where the two
     branches genuinely disagree there; three rows at each edge are dropped
     because the Dirichlet stencil is wrong for a non-vanishing tail.
+    Region 2's values are read by parity from region 1's, so the branch is
+    evaluated once per stencil instant.
 
     flip_coupling_sign builds H with -f while the state keeps +f: a
     negative control that must fail loudly.
     """
-    xs = grid.nodes
-    dx = grid.dx
-    m = float(profile.mass.value(t))
-    f = float(profile.coupling.value(t))
-    if flip_coupling_sign:
-        f = -f
+    centre, dpsi = _branch_samples(profile, n, t, grid, delta)
+    return _tdse(profile, n, t, grid, centre, dpsi, flip_coupling_sign)
 
-    res = np.zeros(grid.n_points, dtype=complex)
-    psi_mid = np.zeros(grid.n_points, dtype=complex)
-    for region, mask in ((1, xs >= 0.0), (2, xs < 0.0)):
-        idx = np.where(mask)[0]
-        if idx.size == 0:
-            continue
-        lo, hi = idx[0], idx[-1]
-        # evaluate the branch one node beyond each end so every row owns a
-        # complete stencil (the branch is entire, crossing x = 0 is fine)
-        ext = np.concatenate(([xs[lo] - dx], xs[lo:hi + 1], [xs[hi] + dx])).astype(complex)
-        mid = wavefunction_branch(profile, n, region, ext, t)
-        lap = (mid[2:] - 2.0 * mid[1:-1] + mid[:-2]) / dx**2
-        mid = mid[1:-1]
-        nodes = xs[idx].astype(complex)
-        dpsi = _time_derivative(lambda s: wavefunction_branch(profile, n, region, nodes, s),
-                                t, delta, profile.window)
-        res[idx] = 1j * dpsi - (-lap / (2.0 * m) + 1j * f * np.abs(xs[idx]) * mid)
-        psi_mid[idx] = mid
 
-    keep = np.zeros(grid.n_points, dtype=bool)
-    keep[3:grid.n_points - 3] = True
-    if n % 2 == 1:
-        keep &= np.abs(xs) > 1e-12
-    return float(np.linalg.norm(res[keep]) / np.linalg.norm(psi_mid[keep]))
+def _invariant_eigen(profile: TimeProfile, n: int, region: int, t: float, grid: Grid1D,
+                     psi: np.ndarray) -> float:
+    """The invariant residual of the state psi on grid (see `invariant_eigen_residual`)."""
+    lam = level(n).eigenvalue
+    op = build_invariant(profile, region, t, grid)
+    res = op.apply(psi) - lam * psi
+    return float(np.linalg.norm(res[1:-1]) / np.linalg.norm(psi[1:-1]))
 
 
 def invariant_eigen_residual(profile: TimeProfile, n: int, region: int, t: float,
@@ -336,11 +381,29 @@ def invariant_eigen_residual(profile: TimeProfile, n: int, region: int, t: float
         raise ValueError("region 1 residual needs a grid on x >= 0")
     if region == 2 and xs[-1] > 1e-12:
         raise ValueError("region 2 residual needs a grid on x <= 0")
-    lam = level(n).eigenvalue
-    op = build_invariant(profile, region, t, grid)
     psi = wavefunction_branch(profile, n, region, xs.astype(complex), t)
-    res = op.apply(psi) - lam * psi
-    return float(np.linalg.norm(res[1:-1]) / np.linalg.norm(psi[1:-1]))
+    return _invariant_eigen(profile, n, region, t, grid, psi)
+
+
+def level_residuals(profile: TimeProfile, n: int, t: float, grid: Grid1D,
+                    flip_coupling_sign: bool = False) -> tuple:
+    """The evolution residual and both invariant residuals of level n at t.
+
+    Returns (`tdse_residual` on grid, `invariant_eigen_residual` of region
+    1 on grid's x >= 0 half, that of region 2 on its x <= 0 half), all
+    read from one `_branch_samples`: the region-2 state is sigma_n times
+    the mirrored region-1 samples.  On a `centered` grid each value
+    equals its standalone call (on the `half_line` grids for the
+    invariant rows) bitwise.
+    """
+    centre, dpsi = _branch_samples(profile, n, t, grid, TIME_DELTA)
+    n_neg = -grid.first_index
+    sigma = -1.0 if n % 2 else 1.0
+    half1 = Grid1D(0.0, grid.x_max, grid.n_points - n_neg)
+    half2 = Grid1D(grid.x_min, 0.0, n_neg + 1)
+    return (_tdse(profile, n, t, grid, centre, dpsi, flip_coupling_sign),
+            _invariant_eigen(profile, n, 1, t, half1, centre[1:half1.n_points + 1]),
+            _invariant_eigen(profile, n, 2, t, half2, sigma * centre[n_neg + 1:0:-1]))
 
 
 def _tri_product_bands(a: DiscretizedOperator, b: DiscretizedOperator):

@@ -543,6 +543,30 @@ def test_config_sampled_coupling_table_with_nan_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("part, block, line", [
+    ("mass", "{family: sampled, table: [[0, true], [3, true]]}",
+     "error: profile: sampled mass table: True is not a number\n"),
+    ("coupling", "{family: sampled, table: [[0, 1.0], [false, 1.0]]}",
+     "error: profile: sampled coupling table: False is not a number\n"),
+], ids=["mass-value", "coupling-time"])
+def test_config_sampled_table_with_yaml_boolean_rejected(tmp_path, capsys, part, block, line):
+    default = {"mass": "{family: constant, m0: 1.0}",
+               "coupling": "{family: constant, f0: 1.0}"}[part]
+    body = SMALL_PROFILE.replace(f"{part}: {default}", f"{part}: {block}")
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+
+
+def test_config_sampled_table_numeric_strings_still_read(tmp_path):
+    body = SMALL_PROFILE.replace("mass: {family: constant, m0: 1.0}",
+                                 "mass: {family: sampled, table: [['0', '1.0'], ['3', '1.0']]}")
+    cfg = _write_config(tmp_path, body)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 class _NoGrid:
     """Stands in for Grid1D where a run must stop before building a grid."""
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from airywell import verify
+from airywell import cli, spectrum, verify
 from airywell.profiles import TimeProfile, coefficients_at
 from airywell.verify import (
     Grid1D,
@@ -14,6 +14,7 @@ from airywell.verify import (
     crank_nicolson_propagate,
     tdse_residual,
     invariant_eigen_residual,
+    level_residuals,
     von_neumann_residual,
     pseudo_hermiticity_check,
 )
@@ -76,6 +77,22 @@ def test_grid_constructors():
     assert h1.x_min == 0.0 and h1.n_points == 41
     h2 = Grid1D.half_line(4.0, 0.1, 2)
     assert h2.x_max == 0.0 and h2.x_min == pytest.approx(-4.0)
+
+
+@pytest.mark.parametrize("half_width, dx", [(16.0, 0.005), (4.0, 0.1)])
+def test_grid_nodes_are_exact_multiples_of_dx(half_width, dx):
+    # the parity reads of the residuals need mirrored nodes that are exact
+    # negatives, and half-line grids that are the centered grid's halves
+    g = Grid1D.centered(half_width, dx)
+    x = g.nodes
+    assert np.array_equal(x, -x[::-1])
+    k = g.n_points // 2
+    assert x[k] == 0.0
+    assert np.array_equal(Grid1D.half_line(half_width, dx, 1).nodes, x[k:])
+    assert np.array_equal(Grid1D.half_line(half_width, dx, 2).nodes, x[:k + 1])
+    # linspace rounds each node on the scale of the grid's extent
+    ref = np.linspace(g.x_min, g.x_max, g.n_points)
+    assert np.max(np.abs(x - ref)) <= 4 * np.spacing(g.x_max)
 
 
 def test_operator_apply_matches_dense():
@@ -325,6 +342,80 @@ def test_tdse_residual_examples():
     # the Hermitian special case is cleaner
     for n in (0, 1, 2):
         assert tdse_residual(FREE, n, 0.4, GRID) < 1e-5
+
+
+def _two_region_tdse(profile, n, t, grid, flip_coupling_sign):
+    """The evolution residual with each region's branch evaluated on its own
+    nodes: region 2 through wavefunction_branch(..., 2, ...)."""
+    xs = grid.nodes
+    dx = grid.dx
+    m = float(profile.mass.value(t))
+    f = float(profile.coupling.value(t))
+    if flip_coupling_sign:
+        f = -f
+    res = np.zeros(grid.n_points, dtype=complex)
+    psi_mid = np.zeros(grid.n_points, dtype=complex)
+    for region, mask in ((1, xs >= 0.0), (2, xs < 0.0)):
+        idx = np.where(mask)[0]
+        lo, hi = idx[0], idx[-1]
+        ext = np.concatenate(([xs[lo] - dx], xs[lo:hi + 1], [xs[hi] + dx])).astype(complex)
+        mid = wavefunction_branch(profile, n, region, ext, t)
+        lap = (mid[2:] - 2.0 * mid[1:-1] + mid[:-2]) / dx**2
+        mid = mid[1:-1]
+        nodes = xs[idx].astype(complex)
+        dpsi = verify._time_derivative(
+            lambda s: wavefunction_branch(profile, n, region, nodes, s),
+            t, verify.TIME_DELTA, profile.window)
+        res[idx] = 1j * dpsi - (-lap / (2.0 * m) + 1j * f * np.abs(xs[idx]) * mid)
+        psi_mid[idx] = mid
+    keep = np.zeros(grid.n_points, dtype=bool)
+    keep[3:grid.n_points - 3] = True
+    if n % 2 == 1:
+        keep &= np.abs(xs) > 1e-12
+    return float(np.linalg.norm(res[keep]) / np.linalg.norm(psi_mid[keep]))
+
+
+@pytest.mark.parametrize("grid", [GRID, Grid1D(-4.0, 6.0, 1001)],
+                         ids=["centered", "asymmetric"])
+@pytest.mark.parametrize("profile", [UNIT, WAVY], ids=["unit", "wavy"])
+def test_tdse_residual_reads_region_two_by_parity_exactly(profile, grid):
+    for n in (0, 1, 2):
+        for t in (0.0, 0.3, profile.window):
+            for flip in (False, True):
+                want = _two_region_tdse(profile, n, t, grid, flip)
+                got = tdse_residual(profile, n, t, grid, flip_coupling_sign=flip)
+                assert got == want, (n, t, flip)
+
+
+@pytest.mark.parametrize("profile", [UNIT, WAVY], ids=["unit", "wavy"])
+def test_level_residuals_equal_the_standalone_checks(profile):
+    halves = (Grid1D.half_line(16.0, 0.005, 1), Grid1D.half_line(16.0, 0.005, 2))
+    for n in (0, 1, 2):
+        for t in (0.0, 0.3, profile.window):
+            for flip in (False, True):
+                want = (tdse_residual(profile, n, t, GRID, flip_coupling_sign=flip),
+                        invariant_eigen_residual(profile, n, 1, t, halves[0]),
+                        invariant_eigen_residual(profile, n, 2, t, halves[1]))
+                got = level_residuals(profile, n, t, GRID, flip_coupling_sign=flip)
+                assert got == want, (n, t, flip)
+
+
+def test_default_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp_path):
+    # 6 levels x 3 times, each read at t on 3203 nodes and at t +- delta on
+    # 3201: 54 kernel calls on 172,890 points
+    calls = []
+    real = spectrum.airy_ai_many
+
+    def counting(z):
+        calls.append(np.size(z))
+        return real(z)
+
+    monkeypatch.setattr(spectrum, "airy_ai_many", counting)
+    cfg = cli.RunConfig(profile=TimeProfile.from_config(cli._DEFAULT_PROFILE),
+                        out_dir=tmp_path)
+    assert cli.run_verify(cfg) == 0
+    assert len(calls) <= 54
+    assert sum(calls) <= 172_890
 
 
 def test_tdse_residual_wrong_coupling_sign_fails():
