@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -114,38 +114,26 @@ def _validate_times(times, window: float) -> tuple:
     return tuple(out)
 
 
-def _resolve_table_paths(block, base: Path, label: str):
-    """A sampled family may name a two-column CSV file instead of rows."""
+def _read_table_file(block, base: Path, label: str):
+    """A sampled family may name a two-column CSV file instead of rows: its
+    UTF-8 rows of strings, blank and '#' rows skipped, replace the name."""
     if not isinstance(block, dict) or not isinstance(block.get("table"), str):
         return block
-    path = Path(block["table"])
-    if not path.is_absolute():
-        path = base / path
+    path = base / block["table"]
     if not path.exists():
         raise ConfigError(f"{label}: table file {path} does not exist")
     try:
-        with open(path, newline="") as fh:
-            table = list(csv.reader(fh))
+        # utf-8-sig drops a leading byte order mark, as PyYAML does for the config
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            rows = [row for row in csv.reader(fh)
+                    if row and not row[0].lstrip().startswith("#")]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"{label}: cannot read table file {path}: {exc}") from exc
-    rows = []
-    for row in table:
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        if len(row) != 2:
-            raise ConfigError(f"{label}: table rows need exactly (t, value)")
-        try:
-            rows.append([float(row[0]), float(row[1])])
-        except ValueError as exc:
-            raise ConfigError(f"{label}: non-numeric table entry {row!r}") from exc
-    out = dict(block)
-    out["table"] = rows
-    return out
+    return dict(block, table=rows)
 
 
-def load_config(path) -> RunConfig:
-    """Parse the YAML run file.  Unknown keys anywhere are hard errors."""
-    path = Path(path)
+def _read_config(path: Path) -> dict:
+    """The YAML mapping of a run file."""
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
@@ -158,9 +146,15 @@ def load_config(path) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if raw is None:
-        raw = {}
+        return {}
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
+    return raw
+
+
+def _run_config(raw: dict, base: Path) -> RunConfig:
+    """The one check of a config mapping, flags written in: unknown keys
+    anywhere are hard errors, and table files are relative to base."""
     known = {"profile", "levels", "times", "grid", "out", "format", "tolerances"}
     extra = set(raw) - known
     if extra:
@@ -171,24 +165,23 @@ def load_config(path) -> RunConfig:
         prof_block = dict(prof_block)
         for part in ("mass", "coupling"):
             if part in prof_block:
-                prof_block[part] = _resolve_table_paths(
-                    prof_block[part], path.parent, part)
+                prof_block[part] = _read_table_file(prof_block[part], base, part)
     try:
         profile = TimeProfile.from_config(prof_block)
     except ValueError as exc:
         raise ConfigError(f"profile: {exc}") from exc
 
-    cfg = RunConfig(profile=profile)
+    cfg = {"profile": profile}
     if "levels" in raw:
-        cfg = replace(cfg, levels=_validate_levels(raw["levels"]))
+        cfg["levels"] = _validate_levels(raw["levels"])
     if "times" in raw:
-        cfg = replace(cfg, times=_validate_times(raw["times"], profile.window))
+        cfg["times"] = _validate_times(raw["times"], profile.window)
     if "grid" in raw:
         grid = raw["grid"]
         if not isinstance(grid, dict) or set(grid) - {"half_width", "dx"}:
             raise ConfigError("grid: takes exactly the keys half_width and dx")
-        hw = _number(grid.get("half_width", cfg.half_width), "grid: half_width")
-        dx = _number(grid.get("dx", cfg.dx), "grid: dx")
+        hw = _number(grid.get("half_width", RunConfig.half_width), "grid: half_width")
+        dx = _number(grid.get("dx", RunConfig.dx), "grid: dx")
         if hw <= 0.0 or dx <= 0.0:
             raise ConfigError("grid: half_width and dx must be positive and finite")
         # checked before any grid is built: Grid1D.centered lays out
@@ -200,11 +193,7 @@ def load_config(path) -> RunConfig:
         # the residual stencils drop up to three rows at each end
         if round(ratio) < 4:
             raise ConfigError("grid: half_width/dx must be at least 4 (9 nodes)")
-        cfg = replace(cfg, half_width=hw, dx=dx)
-    if "out" in raw:
-        cfg = replace(cfg, out_dir=Path(str(raw["out"])))
-    if "format" in raw:
-        cfg = replace(cfg, fmt=str(raw["format"]))
+        cfg["half_width"], cfg["dx"] = hw, dx
     if "tolerances" in raw:
         tol = raw["tolerances"]
         if not isinstance(tol, dict):
@@ -212,34 +201,32 @@ def load_config(path) -> RunConfig:
         extra = set(tol) - set(_DEFAULT_TOLERANCES)
         if extra:
             raise ConfigError(f"tolerances: unknown keys {sorted(extra)}")
-        merged = dict(_DEFAULT_TOLERANCES)
+        cfg["tolerances"] = dict(_DEFAULT_TOLERANCES)
         for key, value in tol.items():
             bound = _number(value, f"tolerances: {key}")
             if bound <= 0.0:
                 raise ConfigError(f"tolerances: {key} must be positive and finite, "
                                   f"not {bound!r}")
-            merged[key] = bound
-        cfg = replace(cfg, tolerances=merged)
-    return cfg
+            cfg["tolerances"][key] = bound
+    if "out" in raw:
+        if not isinstance(raw["out"], str):
+            raise ConfigError(f"out: {raw['out']!r} is not a string")
+        cfg["out_dir"] = Path(raw["out"])
+    if "format" in raw:
+        if raw["format"] not in ("csv", "json"):
+            raise ConfigError(f"format: {raw['format']!r} is not csv or json")
+        cfg["fmt"] = raw["format"]
+    return RunConfig(**cfg)
+
+
+def load_config(path) -> RunConfig:
+    """Parse and check the YAML run file (see `_run_config`)."""
+    path = Path(path)
+    return _run_config(_read_config(path), path.parent)
 
 
 def _flag_list(text: str) -> list:
     return [part.strip() for part in text.split(",") if part.strip()]
-
-
-def _apply_cli_overrides(cfg: RunConfig, args) -> RunConfig:
-    # the flags' entries are checked by the same rules as the config's lists
-    if args.n is not None:
-        cfg = replace(cfg, levels=_validate_levels(_flag_list(args.n)))
-    if args.t is not None:
-        cfg = replace(cfg, times=_validate_times(_flag_list(args.t), cfg.profile.window))
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=Path(args.out))
-    if args.format is not None:
-        cfg = replace(cfg, fmt=args.format)
-    if cfg.fmt not in ("csv", "json"):
-        raise ConfigError(f"format: {cfg.fmt!r} is not csv or json")
-    return cfg
 
 
 def _require_grid_reach(cfg: RunConfig):
@@ -333,8 +320,9 @@ def _write_rows(path: Path, header, columns, fmt: str):
 def _out_dir(cfg: RunConfig) -> Path:
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"out: cannot create directory {cfg.out_dir}: {exc.strerror}") from exc
+    except (OSError, ValueError) as exc:     # ValueError: a NUL or lone surrogate
+        raise ConfigError(f"out: cannot create directory {cfg.out_dir}: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from exc
     return cfg.out_dir
 
 
@@ -522,9 +510,11 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="YAML run configuration")
     common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--format", choices=("csv", "json"), help="table format")
-    common.add_argument("--n", metavar="LIST", help="comma-separated level list")
-    common.add_argument("--t", metavar="LIST", help="comma-separated time list")
+    common.add_argument("--format", help="table format: csv or json")
+    common.add_argument("--n", dest="levels", type=_flag_list, metavar="LIST",
+                        help="comma-separated level list")
+    common.add_argument("--t", dest="times", type=_flag_list, metavar="LIST",
+                        help="comma-separated time list")
 
     parser = argparse.ArgumentParser(
         prog="airywell",
@@ -556,11 +546,12 @@ def main(argv=None) -> int:
     # finiteness checks, in one line, not by numpy warnings
     with np.errstate(all="ignore"):
         try:
-            if args.config is not None:
-                cfg = load_config(args.config)
-            else:
-                cfg = RunConfig(profile=TimeProfile.from_config(_DEFAULT_PROFILE))
-            cfg = _apply_cli_overrides(cfg, args)
+            # the flags replace their config keys and pass the same checks
+            raw = {} if args.config is None else _read_config(Path(args.config))
+            for key in ("levels", "times", "out", "format"):
+                if getattr(args, key) is not None:
+                    raw[key] = getattr(args, key)
+            cfg = _run_config(raw, Path(args.config or ".").parent)
             if args.command == "verify":
                 return run_verify(cfg, stdout=sys.stdout,
                                   wrong_sign_k=args.wrong_sign_k)

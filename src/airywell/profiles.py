@@ -33,6 +33,7 @@ about 7e3 in size the relative term never binds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
 
@@ -298,19 +299,13 @@ def _family_from_config(block, registry, label):
     if issubclass(cls, _Sampled):
         if set(params) != {"table"}:
             raise ValueError(f"sampled {label} takes exactly the 'table' key")
-        rows = params["table"] if isinstance(params["table"], (list, tuple)) else ()
-        # YAML's true/false, which np.asarray would take as 1/0
-        flags = [c for row in rows if isinstance(row, (list, tuple))
-                 for c in row if isinstance(c, bool)]
-        if flags:
-            raise ValueError(f"sampled {label} table: {flags[0]!r} is not a number")
-        try:
-            table = np.asarray(params["table"], dtype=float)
-        except (TypeError, ValueError):     # a mapping, or ragged rows
-            table = np.empty(0)
-        if table.ndim != 2 or table.shape[1] != 2:
+        rows = params["table"]
+        if not (isinstance(rows, (list, tuple)) and rows and all(
+                isinstance(row, (list, tuple)) and len(row) == 2 for row in rows)):
             raise ValueError(f"sampled {label} table must be rows of (t, value)")
-        return cls(times=table[:, 0], samples=table[:, 1])
+        noun = f"sampled {label} table"
+        cells = [_finite_number(c, noun) for row in rows for c in row]
+        return cls(times=cells[0::2], samples=cells[1::2])
     names = [f.name for f in fields(cls)]
     extra = set(params) - set(names)
     if extra:
@@ -328,10 +323,10 @@ def _finite_number(value, label: str) -> float:
     try:
         number = float(value)
     except OverflowError:               # an integer beyond the double range
-        number = np.inf
+        number = math.inf
     except (TypeError, ValueError):
         raise ValueError(f"{label}: {value!r} is not a number") from None
-    if not np.isfinite(number):
+    if not math.isfinite(number):
         raise ValueError(f"{label} must be finite, not {value!r}")
     return number
 

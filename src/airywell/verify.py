@@ -290,7 +290,7 @@ def _time_derivative(fn, t: float, delta: float, window: float):
     return sum(weight * fn(t + step) for step, weight in stencil) / (2.0 * delta)
 
 
-def _branch_samples(profile: TimeProfile, n: int, t: float, grid: Grid1D, delta: float):
+def _branch_samples(profile: TimeProfile, n: int, t: float, grid: Grid1D):
     """The region-1 branch at the nodes k dx that every residual of (n, t) reads.
 
     With K the largest |k| of grid, returns Psi_n,1 at t for k = -1 ...
@@ -304,7 +304,7 @@ def _branch_samples(profile: TimeProfile, n: int, t: float, grid: Grid1D, delta:
     centre = wavefunction_branch(profile, n, 1, ks.astype(complex), t)
     nodes = ks[1:-1].astype(complex)
     dpsi = _time_derivative(lambda s: wavefunction_branch(profile, n, 1, nodes, s),
-                            t, delta, profile.window)
+                            t, TIME_DELTA, profile.window)
     return centre, dpsi
 
 
@@ -341,7 +341,7 @@ def _tdse(profile: TimeProfile, n: int, t: float, grid: Grid1D, centre: np.ndarr
 
 
 def tdse_residual(profile: TimeProfile, n: int, t: float, grid: Grid1D,
-                  delta: float = TIME_DELTA, flip_coupling_sign: bool = False) -> float:
+                  flip_coupling_sign: bool = False) -> float:
     """Relative L2 residual of i d(psi)/dt = H psi for the closed form.
 
     Stencils are branch-consistent: rows at x > 0 use region-1 branch
@@ -356,7 +356,7 @@ def tdse_residual(profile: TimeProfile, n: int, t: float, grid: Grid1D,
     flip_coupling_sign builds H with -f while the state keeps +f: a
     negative control that must fail loudly.
     """
-    centre, dpsi = _branch_samples(profile, n, t, grid, delta)
+    centre, dpsi = _branch_samples(profile, n, t, grid)
     return _tdse(profile, n, t, grid, centre, dpsi, flip_coupling_sign)
 
 
@@ -396,7 +396,7 @@ def level_residuals(profile: TimeProfile, n: int, t: float, grid: Grid1D,
     equals its standalone call (on the `half_line` grids for the
     invariant rows) bitwise.
     """
-    centre, dpsi = _branch_samples(profile, n, t, grid, TIME_DELTA)
+    centre, dpsi = _branch_samples(profile, n, t, grid)
     n_neg = -grid.first_index
     sigma = -1.0 if n % 2 else 1.0
     half1 = Grid1D(0.0, grid.x_max, grid.n_points - n_neg)

@@ -223,11 +223,9 @@ def test_criterion_4_kernel_wronskian_and_tail():
 # ---------------------------------------------------------- criterion 5
 
 
-CRITERION5_GRID = None  # built lazily; [-20, 20] with dx = 0.01
-
-
-def _criterion5_run(profile, n):
-    grid = Grid1D.centered(20.0, 0.01)
+def _criterion5_run(profile, n, dx=0.01):
+    """Max deviation of CN on [-20, 20] from the glued closed form at t = 0.5."""
+    grid = Grid1D.centered(20.0, dx)
     init = assemble_wavefunction(profile, n, 0.0, grid.nodes)
     res = crank_nicolson_propagate(profile, init, 0.0, 0.5, 1e-4)
     target = assemble_wavefunction(profile, n, 0.5, grid.nodes)
@@ -261,34 +259,54 @@ def test_criterion_5_propagation_matches_closed_form():
     assert worst <= 1e-3
 
 
+def _half_line_run(profile, n, dx=0.01):
+    """Max deviation of CN on [0, 20], fed the region-1 branch at x = 0,
+    from that branch at t = 0.5."""
+    xs = Grid1D.half_line(20.0, dx, 1).nodes
+
+    class _S:
+        grid = xs
+        values = wavefunction_branch(profile, n, 1, xs.astype(complex), 0.0)
+
+    def feed(t):
+        return complex(wavefunction_branch(profile, n, 1, np.array([0j]), t)[0]), 0.0
+
+    res = crank_nicolson_propagate(profile, _S(), 0.0, 0.5, 2e-4, boundary=feed)
+    target = wavefunction_branch(profile, n, 1, xs.astype(complex), 0.5)
+    return float(np.max(np.abs(res.values - target)))
+
+
 def test_criterion_5_supplement_half_line_control():
     # same propagator, same profiles, but on one region with the analytic
     # branch value fed in at x = 0: the branch formulas do solve the
     # equation, pinning the criterion-5 failure on the origin gluing
-    worst = 0.0
-    for label, prof in PROFILES:
-        grid = Grid1D.half_line(20.0, 0.01, 1)
-        xs = grid.nodes
-        for n in (0, 1, 2):
-            init_vals = wavefunction_branch(prof, n, 1, xs.astype(complex), 0.0)
-
-            class _S:
-                grid = xs
-                values = init_vals
-
-            def feed(t, prof=prof, n=n):
-                val = wavefunction_branch(prof, n, 1, np.array([0j]), t)[0]
-                return complex(val), 0.0
-
-            res = crank_nicolson_propagate(prof, _S(), 0.0, 0.5, 2e-4,
-                                           boundary=feed)
-            target = wavefunction_branch(prof, n, 1, xs.astype(complex), 0.5)
-            worst = max(worst, float(np.max(np.abs(res.values - target))))
+    worst = max(_half_line_run(prof, n) for _, prof in PROFILES for n in (0, 1, 2))
     ok = worst <= 1e-3
     _verdict(5, ok, f"(supplement) half-line control worst deviation "
                     f"{worst:.3e} vs 1e-3: branch formulas solve the "
                     f"equation; the full-line gluing is the defect")
     assert worst <= 1e-3
+
+
+def test_criterion_5_deviation_order_under_grid_refinement():
+    # halving dx must cut the half-line deviation by 4, as second-order
+    # discretization error does, and leave the full-line one as it was:
+    # the gluing at x = 0 is not a grid effect
+    half, full = {}, {}
+    for n in (0, 1):
+        coarse, fine = (_half_line_run(WAVY, n, dx) for dx in (0.04, 0.02))
+        half[n] = coarse / fine
+        coarse, fine = (_criterion5_run(WAVY, n, dx) for dx in (0.04, 0.02))
+        full[n] = coarse / fine
+    ok = (all(abs(r - 4.0) <= 0.05 for r in half.values())
+          and all(abs(r - 1.0) <= 0.01 for r in full.values()))
+    _verdict(5, ok, "(order) m=exp(t),f=cos(t), dx 0.04 -> 0.02: half-line ratios "
+                    + ", ".join(f"n={n}: {r:.3f}" for n, r in half.items())
+                    + " vs 4 +- 0.05; full-line ratios "
+                    + ", ".join(f"n={n}: {r:.3f}" for n, r in full.items())
+                    + " vs 1 +- 0.01: the x = 0 deviation does not shrink with the grid")
+    assert all(abs(r - 4.0) <= 0.05 for r in half.values())
+    assert all(abs(r - 1.0) <= 0.01 for r in full.values())
 
 
 # ---------------------------------------------------------- criterion 6

@@ -5,15 +5,20 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import airywell
 from airywell import cli
 from airywell.cli import main
 
@@ -567,6 +572,54 @@ def test_config_sampled_table_numeric_strings_still_read(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("row, line", [
+    (["1.0", "true"], "error: profile: sampled mass table: 'true' is not a number\n"),
+    (["1.0", "abc"], "error: profile: sampled mass table: 'abc' is not a number\n"),
+    (["1.0", "nan"], "error: profile: sampled mass table must be finite, not 'nan'\n"),
+    (["1.0", "1.5", "2.0"], "error: profile: sampled mass table must be rows of (t, value)\n"),
+], ids=["true", "abc", "nan", "three-cells"])
+@pytest.mark.parametrize("source", ["inline", "csv-file"])
+def test_table_cells_follow_one_rule_from_either_source(tmp_path, capsys, source, row, line):
+    """The same cells, inline as quoted YAML strings or as CSV text, fail alike."""
+    rows = [["0.0", "1.0"], row, ["3.0", "1.0"]]
+    if source == "csv-file":
+        (tmp_path / "mass.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+        table = "mass.csv"
+    else:
+        table = json.dumps(rows)
+    body = SMALL_PROFILE.replace("mass: {family: constant, m0: 1.0}",
+                                 f"mass: {{family: sampled, table: {table}}}")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", _write_config(tmp_path, body), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+
+
+def test_table_file_is_read_as_utf8_under_any_locale(tmp_path):
+    (tmp_path / "mass.csv").write_text("# \u00b5 = 1\n0.0,1.0\n3.0,1.0\n", encoding="utf-8")
+    body = SMALL_PROFILE.replace("mass: {family: constant, m0: 1.0}",
+                                 "mass: {family: sampled, table: mass.csv}")
+    cfg = _write_config(tmp_path, body)
+    # an ASCII locale that Python neither coerces nor overrides with UTF-8 mode
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(airywell.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "airywell.cli", "spectrum", "--config", cfg,
+                          "--out", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "out" / "spectrum.csv").is_file()
+
+
+def test_table_file_may_start_with_a_byte_order_mark(tmp_path):
+    # as the config may: PyYAML drops a leading BOM too
+    (tmp_path / "mass.csv").write_text("\ufeff0.0,1.0\n3.0,1.0\n", encoding="utf-8")
+    body = SMALL_PROFILE.replace("mass: {family: constant, m0: 1.0}",
+                                 "mass: {family: sampled, table: mass.csv}")
+    (tmp_path / "run.yaml").write_text("\ufeff" + body, encoding="utf-8")
+    assert main(["spectrum", "--config", str(tmp_path / "run.yaml"),
+                 "--out", str(tmp_path / "out")]) == 0
+
+
 class _NoGrid:
     """Stands in for Grid1D where a run must stop before building a grid."""
 
@@ -769,7 +822,58 @@ def _write_fuzz_body(entries):
               f"dx: {_yaml_value(entries['dx'])}}}\n")
 
 
-def test_bad_format_flag_rejected(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--format", "xml", "--out", str(tmp_path)])
-    assert exc.value.code == 2
+def test_bad_format_flag_rejected(tmp_path, capsys):
+    assert main(["spectrum", "--format", "xml", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: format: 'xml' is not csv or json\n"
+    assert not (tmp_path / "out").exists()
+
+
+@contextlib.contextmanager
+def _working_directory(path):
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=st.sampled_from(["out", "format"]),
+       # relative names only: each run writes into a scratch working
+       # directory, two levels down so that a drawn '..' stays inside it
+       value=st.one_of(_PARAMETER_VALUES, _ODD_SHAPES, st.text(max_size=4),
+                       st.sampled_from(["csv", "json", "tables", "out/tables", "..", ""]))
+       .filter(lambda v: not (isinstance(v, str) and v.startswith("/"))))
+@example(key="out", value=None)
+@example(key="out", value=["a", "b"])
+@example(key="out", value=True)
+@example(key="out", value="a\x00")
+@example(key="format", value="xml")
+def test_out_and_format_values_end_in_a_table_or_one_line(key, value):
+    """spectrum writes its table under the drawn out, in the drawn format,
+    or ends in exit 2 with one line that names the key and writes nothing."""
+    body = SMALL_PROFILE + f"{key}: {_yaml_value(value)}\n"
+    # as YAML reads it back: PyYAML takes 1e+300, with no dot, as a string
+    value = yaml.safe_load(body)[key]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(_write_config(Path(tmp), body))
+        work = Path(tmp) / "a" / "b"
+        work.mkdir(parents=True)
+        err = io.StringIO()
+        with _working_directory(work), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["spectrum", "--config", str(cfg)])
+        # every file and directory the run made
+        made = ({p.resolve() for p in Path(tmp).rglob("*")}
+                - {cfg.resolve(), work.parent.resolve(), work.resolve()})
+        if code == 0:
+            out, fmt = (value, "csv") if key == "out" else (".", value)
+            assert isinstance(out, str) and fmt in ("csv", "json")
+            table = (work / out / f"spectrum.{fmt}").resolve()
+            assert made == {table} | (made & set(table.parents))
+        else:
+            assert code == 2
+            assert err.getvalue().startswith(f"error: {key}:")
+            assert err.getvalue().count("\n") == 1
+            assert made == set()

@@ -423,8 +423,8 @@ def test_tdse_residual_wrong_coupling_sign_fails():
 
 
 def test_tdse_residual_monotone_under_refinement():
-    coarse = tdse_residual(WAVY, 1, 0.4, Grid1D.centered(16.0, 0.01), delta=2e-5)
-    fine = tdse_residual(WAVY, 1, 0.4, Grid1D.centered(16.0, 0.005), delta=1e-5)
+    coarse = tdse_residual(WAVY, 1, 0.4, Grid1D.centered(16.0, 0.01))
+    fine = tdse_residual(WAVY, 1, 0.4, Grid1D.centered(16.0, 0.005))
     assert fine <= coarse
 
 
