@@ -109,19 +109,35 @@ class CumulativeTable:
     def value(self, t):
         """Cubic Hermite read of F at scalar or array t inside the window.
 
-        A stacked table returns its rows along the leading axes.
+        A stacked table returns its rows along the leading axes.  A float
+        t is located in Python floats: the 0-d numpy operations of the
+        array path cost more than the Hermite formula on one query, and
+        the result is bitwise the same.
         """
         nodes = self.grid.nodes
+        if isinstance(t, float):
+            lo, hi = float(nodes[0]), float(nodes[-1])
+            # written so that a NaN query fails the test
+            if not (lo - 1e-12 <= t <= hi + 1e-12):
+                raise ValueError("query time outside the configured window")
+            t = min(max(t, lo), hi)
+            i = min(int(nodes.searchsorted(t, side="right")) - 1, nodes.size - 2)
+            x0 = float(nodes[i])
+            h = float(nodes[i + 1]) - x0
+            return self._hermite(i, (t - x0) / h, h)
         tq = np.asarray(t, dtype=float)
         # written so that a NaN query fails the test
         if tq.size and not (tq.min() >= nodes[0] - 1e-12 and tq.max() <= nodes[-1] + 1e-12):
             raise ValueError("query time outside the configured window")
         # minimum/maximum rather than np.clip, which costs more than the
-        # whole Hermite formula on a scalar query
+        # whole Hermite formula on a small query
         tq = np.minimum(np.maximum(tq, nodes[0]), nodes[-1])
         i = np.minimum(nodes.searchsorted(tq, side="right") - 1, nodes.size - 2)
         h = nodes[i + 1] - nodes[i]
-        u = (tq - nodes[i]) / h
+        return self._hermite(i, (tq - nodes[i]) / h, h)
+
+    def _hermite(self, i, u, h):
+        """The Hermite formula on panel i at offset u (in panel widths h)."""
         u2 = u * u
         u3 = u2 * u
         h00 = 2 * u3 - 3 * u2 + 1

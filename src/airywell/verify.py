@@ -120,8 +120,8 @@ class DiscretizedOperator:
 
 
 def _hamiltonian_bands(m: float, f: float, abs_x: np.ndarray, dx: float,
-                       diag: np.ndarray, off: np.ndarray) -> float:
-    """Write H's bands for mass m and coupling f into diag and off; return kin.
+                       diag: np.ndarray, off: np.ndarray) -> None:
+    """Write H's bands for mass m and coupling f into diag and off.
 
     diag = 2 kin + i f|x| and off = -kin, with kin = 1/(2 m dx^2).  Both
     `build_hamiltonian` and the Crank-Nicolson step fill H here.
@@ -130,7 +130,6 @@ def _hamiltonian_bands(m: float, f: float, abs_x: np.ndarray, dx: float,
     diag.real = 2.0 * kin
     np.multiply(f, abs_x, out=diag.imag)
     off.fill(-kin)
-    return kin
 
 
 def build_hamiltonian(profile: TimeProfile, t: float, grid: Grid1D) -> DiscretizedOperator:
@@ -180,23 +179,35 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
                              ) -> PropagationResult:
     """March the glued state with midpoint-coefficient Crank-Nicolson.
 
-    Each step solves (1 + i dt/2 H(t_mid)) psi_new = (1 - i dt/2 H(t_mid)) psi
-    with LAPACK's tridiagonal LU (`zgttrs` on `zgttrf` factors).  Ends are
-    Dirichlet: zero by default, or values from `boundary(t_new) -> (left,
-    right)` when the run is fed analytic edge data (the half-line
-    cross-checks).
+    Each step applies (1 + i tau H)^-1 (1 - i tau H), with tau = dt/2 and
+    H = H(t_mid), in its Cayley form 2 (1 + i tau H)^-1 - 1: it solves
+    A y = 2 psi with A = 1 + i tau H and sets psi_new = y - psi, so no
+    product with H is formed.  A is factored by LAPACK's tridiagonal LU
+    (`zgttrf`) and each step is one `zgttrs` solve.  Ends are Dirichlet:
+    zero by default, or values from `boundary(t_new) -> (left, right)`
+    when the run is fed analytic edge data (the half-line cross-checks).
+    A's end rows are identity rows, so the right-hand side holds
+    left + psi[0] and right + psi[-1] there (row 1 still sees A[1,0] left,
+    as in the plain form), and psi_new's end nodes are set to left and
+    right exactly.
 
-    H(t_mid) is the operator `build_hamiltonian` gives, filled by the same
-    band helper into arrays allocated once per run.  Its bands are refilled
-    and the left-hand matrix refactored only on steps where the pair
-    (m(t_mid), f(t_mid)) differs from the previous step's, so a
-    constant-coefficient profile factors once per run and a time-dependent
-    one on every step.
+    H(t_mid) is the operator `build_hamiltonian` gives, its bands filled by
+    the same helper straight into A's band arrays, allocated once per run.
+    m and f are read at every step midpoint in one call each before the
+    first step, and the mass is checked positive there.  A is refilled
+    and refactored only on steps where the pair (m(t_mid), f(t_mid))
+    differs from the previous step's, so a constant-coefficient profile
+    factors once per run and a time-dependent one on every step.
+
+    The run must lie inside the profile window: t0 >= 0 and t1 <= window,
+    with the 1e-12 slack of the profile's table reads.
     """
     if not (np.isfinite(dt) and 0.0 < dt <= 1e-3):
         raise ValueError("dt must be finite and in (0, 1e-3]")
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 <= t1):
         raise ValueError("t0 and t1 must be finite with t0 <= t1")
+    if t0 < -1e-12 or t1 > profile.window + 1e-12:
+        raise ValueError(f"t0 and t1 must lie inside the profile window [0, {profile.window}]")
     if not (hasattr(initial, "values") and hasattr(initial, "grid")):
         raise ValueError("initial state must carry .grid and .values")
     psi = np.asarray(initial.values, dtype=complex).copy()
@@ -216,31 +227,30 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     if abs(t0 + n_steps * dt - t1) > 1e-9:
         raise ValueError("(t1 - t0) must be an integer number of steps")
 
+    t_mid = (t0 + np.arange(n_steps) * dt) + 0.5 * dt
+    m_mid = profile.mass.value(t_mid)
+    if not np.all(m_mid > 0.0):
+        raise ValueError("mass must stay positive")
+    coefficients = zip(m_mid.tolist(), profile.coupling.value(t_mid).tolist())
+
     dx = grid.dx
     abs_x = np.abs(grid.nodes)
     half_step = 0.5j * dt
     n = grid.n_points
-    diag = np.empty(n, dtype=complex)        # H(t_mid)'s bands
-    off = np.empty(n - 1, dtype=complex)
-    h_psi = np.empty(n, dtype=complex)
-    lower = np.empty(n - 1, dtype=complex)   # 1 + i dt/2 H, then its LU factors
+    lower = np.empty(n - 1, dtype=complex)   # A = 1 + i dt/2 H, then its LU factors
     main = np.empty(n, dtype=complex)
     upper = np.empty(n - 1, dtype=complex)
+    b = np.empty(n, dtype=complex)
     factored_for = None                      # the (m, f) the factors belong to
     probe = 0.0
     t = t0
-    for step in range(n_steps):
-        tm = t + 0.5 * dt
-        m = float(profile.mass.value(tm))
-        if m <= 0.0:
-            raise ValueError("mass must stay positive")
-        f = float(profile.coupling.value(tm))
+    for step, (m, f) in enumerate(coefficients):
         if (m, f) != factored_for:
-            kin = _hamiltonian_bands(m, f, abs_x, dx, diag, off)
-            np.multiply(half_step, off, out=upper)
-            np.multiply(half_step, off, out=lower)
-            np.multiply(half_step, diag, out=main)
+            _hamiltonian_bands(m, f, abs_x, dx, main, upper)
+            main *= half_step
             main += 1.0
+            upper *= half_step
+            lower[:] = upper
             # Dirichlet rows: the edge values are set, not solved for
             upper[0] = 0.0
             main[0] = 1.0
@@ -252,16 +262,17 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
                 raise RuntimeError(f"tridiagonal solve broke down at step {step}")
             factored_for = (m, f)
 
-        # right-hand side (1 - i dt/2 H) psi, built over psi itself
-        np.multiply(diag, psi, out=h_psi)
-        h_psi[:-1] -= kin * psi[1:]
-        h_psi[1:] -= kin * psi[:-1]
-        psi -= half_step * h_psi
         left, right = (0.0, 0.0) if boundary is None else boundary(t + dt)
+        np.add(psi, psi, out=b)
+        b[0] = left + psi[0]
+        b[-1] = right + psi[-1]
+        b, _ = zgttrs(lower, main, upper, upper2, pivots, b, overwrite_b=True)
+        np.subtract(b, psi, out=psi)
         psi[0] = left
         psi[-1] = right
-        psi, _ = zgttrs(lower, main, upper, upper2, pivots, psi, overwrite_b=True)
-        if not np.all(np.isfinite(psi)):
+        # a NaN or infinity anywhere (or an overflowing state) makes the
+        # squared norm non-finite
+        if not np.isfinite(np.vdot(psi, psi).real):
             raise RuntimeError(f"propagation diverged at step {step}")
 
         probe = max(probe, float(abs(psi[2])), float(abs(psi[-3])))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from airywell.profiles import TimeProfile
 from airywell.quadrature import CumulativeTable, SimpsonGrid
 
 
@@ -127,7 +128,7 @@ def test_nan_query_rejected():
 
 
 def test_scalar_and_array_reads_agree():
-    # one code path: a 0-d query gives the float the array query holds
+    # a float query gives the float the array query holds
     grid = SimpsonGrid.build(2.0, knots=[0.7], panels_per_segment=8)
     tab = grid.cumulative(np.cos(grid.nodes))
     ts = np.array([0.0, 0.33, 0.7, 1.9, 2.0])
@@ -136,6 +137,30 @@ def test_scalar_and_array_reads_agree():
         one = tab.value(t)
         assert type(one) is float and one == want
     assert tab.value(np.array([])).shape == (0,)
+
+
+def test_float_read_is_bitwise_the_array_read_on_a_profile_table():
+    # the float path redoes the array path's arithmetic in Python floats;
+    # on the stacked table of a sampled profile every row must match to
+    # the bit at nodes, knots, mid-panel points, both ends and the slack
+    profile = TimeProfile.from_config({
+        "mass": {"family": "sampled", "table": [[0, 1], [0.7, 1.3], [1.3, 0.9], [2, 1.1]]},
+        "coupling": {"family": "sinusoidal", "f0": 1.0, "omega": 1.0},
+        "window": 2.0,
+    })
+    tab = profile.tables.table
+    nodes = tab.grid.nodes
+    ts = np.concatenate((nodes[::5], [0.7, 1.3], 0.5 * (nodes[:-1] + nodes[1:])[::5],
+                         [0.0, -0.0, 2.0, -1e-12, 2.0 + 1e-12, 1e-12, 2.0 - 1e-12]))
+    many = tab.value(ts)
+    for j, t in enumerate(ts.tolist()):
+        one = tab.value(t)
+        assert one.shape == (5,) and one.tobytes() == many[:, j].tobytes(), t
+    for t in (-2e-12, 2.0 + 2e-12, float("nan")):
+        with pytest.raises(ValueError, match="query time outside the configured window"):
+            tab.value(t)
+        with pytest.raises(ValueError, match="query time outside the configured window"):
+            tab.value(np.array([t]))
 
 
 def test_cumulative_length_mismatch_rejected():

@@ -291,13 +291,67 @@ def test_cn_step_size_guard():
         crank_nicolson_propagate(FREE, _State(x, psi), 0.0, 0.1, 1e-3)
 
 
-def test_cn_flags_nonfinite_state_with_step_index():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)],
+                         ids=["nan", "inf", "-inf", "imag-inf"])
+def test_cn_flags_nonfinite_state_with_step_index(bad):
     g = Grid1D.centered(8.0, 0.01)
     x = g.nodes
     psi = np.exp(-x**2).astype(complex)
-    psi[40] = np.nan
-    with pytest.raises(RuntimeError, match="step 0"):
+    psi[40] = bad
+    with pytest.raises(RuntimeError, match="diverged at step 0"):
         crank_nicolson_propagate(FREE, _State(x, psi), 0.0, 0.01, 1e-3)
+
+
+def test_cn_fed_run_ends_on_the_feed_exactly():
+    # the Cayley update writes the Dirichlet values into the end nodes
+    # after the solve, so they hold the feed to the bit
+    xs = Grid1D.half_line(10.0, 0.05, 1).nodes
+    init = _State(xs, wavefunction_branch(WAVY, 1, 1, xs.astype(complex), 0.0))
+
+    def feed(t):
+        return complex(wavefunction_branch(WAVY, 1, 1, np.array([0j]), t)[0]), 0.0
+
+    res = crank_nicolson_propagate(WAVY, init, 0.0, 0.05, 1e-3, boundary=feed)
+    assert res.steps == 50
+    assert res.values[0] == feed(res.t_final)[0] != 0.0
+    assert res.values[-1] == 0.0
+
+
+def test_cn_empty_interval_returns_the_initial_state():
+    xs = Grid1D.centered(8.0, 0.01).nodes
+    psi = np.exp(-xs**2).astype(complex)
+    for profile in (FREE, WAVY):
+        res = crank_nicolson_propagate(profile, _State(xs, psi), 0.3, 0.3, 1e-3)
+        assert res.steps == 0 and res.t_final == 0.3 and res.boundary_probe == 0.0
+        assert np.array_equal(res.values, psi) and res.values is not psi
+
+
+@pytest.mark.parametrize("profile, t0, t1", [
+    (TimeProfile.from_config({
+        "mass": {"family": "exponential", "m0": 1.0, "gamma": 1.0},
+        "coupling": {"family": "sinusoidal", "f0": 1.0, "omega": 1.0},
+        "window": 1.0}), 0.0, 5.0),
+    # the power mass reaches m = 0 at t = 5/3, past its window
+    (TimeProfile.from_config({
+        "mass": {"family": "power", "m0": 1.0, "gamma": -0.6, "alpha": 1.0},
+        "coupling": {"family": "zero"},
+        "window": 1.5}), 1.4, 1.7),
+    (WAVY, -1e-3, 0.1),
+], ids=["past-window", "mass-zero-past-window", "before-zero"])
+def test_cn_refuses_a_run_outside_the_profile_window(profile, t0, t1):
+    xs = Grid1D.centered(8.0, 0.01).nodes
+    psi = np.exp(-xs**2).astype(complex)
+    with pytest.raises(ValueError, match=r"inside the profile window \[0, "):
+        crank_nicolson_propagate(profile, _State(xs, psi), t0, t1, 1e-3)
+
+
+def test_cn_window_has_the_table_reads_slack():
+    xs = Grid1D.centered(8.0, 0.05).nodes
+    psi = np.exp(-xs**2).astype(complex)
+    res = crank_nicolson_propagate(WAVY, _State(xs, psi), -1e-13, 0.01 - 1e-13, 1e-3)
+    assert res.steps == 10
+    res = crank_nicolson_propagate(WAVY, _State(xs, psi), 1.99, 2.0 + 1e-13, 1e-3)
+    assert res.steps == 10
 
 
 def test_cn_region_fed_run_tracks_branch_solution():
