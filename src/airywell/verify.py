@@ -12,7 +12,9 @@ near the origin, so residual stencils are fed branch-consistently: every
 stencil value for a node in one region comes from that region's branch
 (the branches are entire, so evaluating them slightly across x = 0 is
 legitimate).  Only the Crank-Nicolson propagator works with the glued
-full-line state, because that is the point of the cross-check.
+state on both half-lines, because that is the point of the cross-check;
+an unfed run of a mirror-symmetric state steps x >= 0 alone and unfolds
+by parity, which the full-line scheme commutes with.
 """
 
 from __future__ import annotations
@@ -173,6 +175,24 @@ class PropagationResult:
     boundary_probe: float         # max |psi| two nodes in from either edge
 
 
+def _mirror_parity(psi: np.ndarray, grid: Grid1D) -> Optional[int]:
+    """sigma = +1 or -1 if psi is a bitwise sigma-mirrored state on a centered grid.
+
+    Node x = 0 is not compared; for sigma = -1 it must be rounding-level,
+    |psi(0)| <= 1e-12 max|psi|.  None for any other state or grid.
+    """
+    origin = -grid.first_index
+    if 2 * origin + 1 != grid.n_points:
+        return None
+    right, left = psi[origin + 1:], psi[origin - 1::-1]
+    if np.array_equal(right, left):
+        return 1
+    if (np.array_equal(right, -left)
+            and abs(psi[origin]) <= 1e-12 * np.max(np.abs(psi))):
+        return -1
+    return None
+
+
 def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float,
                              dt: float,
                              boundary: Optional[Callable[[float], tuple]] = None,
@@ -190,6 +210,18 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     left + psi[0] and right + psi[-1] there (row 1 still sees A[1,0] left,
     as in the plain form), and psi_new's end nodes are set to left and
     right exactly.
+
+    H commutes with parity, and so does the scheme on a centered grid
+    with zero ends.  An unfed run (boundary None) whose state is bitwise
+    sigma-mirrored about x = 0 (see `_mirror_parity`) is therefore
+    stepped on the nodes x >= 0 alone and unfolded at the end: for
+    sigma = +1 row 0 keeps its diagonal and doubles its upper entry (the
+    ghost node psi(-dx) is psi(dx)), for sigma = -1 row 0 is the Dirichlet
+    identity row with psi(0) = 0.  The far end stays Dirichlet, the
+    result holds the full grid, and `boundary_probe` reads the mirrored
+    node, so it equals the full-line probe.  Any other run, a fed one or
+    an odd state with psi(0) above rounding level among them, is stepped
+    on the full line.
 
     H(t_mid) is the operator `build_hamiltonian` gives, its bands filled by
     the same helper straight into A's band arrays, allocated once per run.
@@ -210,9 +242,9 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
         raise ValueError(f"t0 and t1 must lie inside the profile window [0, {profile.window}]")
     if not (hasattr(initial, "values") and hasattr(initial, "grid")):
         raise ValueError("initial state must carry .grid and .values")
-    psi = np.asarray(initial.values, dtype=complex).copy()
+    full = np.asarray(initial.values, dtype=complex).copy()
     xs = np.asarray(initial.grid, dtype=float)
-    if xs.ndim != 1 or xs.size != psi.size:
+    if xs.ndim != 1 or xs.size != full.size:
         raise ValueError("initial state grid/values shape mismatch")
     dxs = np.diff(xs)
     if not np.allclose(dxs, dxs[0], rtol=1e-9, atol=0):
@@ -233,10 +265,15 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
         raise ValueError("mass must stay positive")
     coefficients = zip(m_mid.tolist(), profile.coupling.value(t_mid).tolist())
 
+    sigma = None if boundary is not None else _mirror_parity(full, grid)
+    origin = 0 if sigma is None else -grid.first_index
+    psi = full[origin:]                      # a view: the stepped nodes change in place
+    abs_x = np.abs(grid.nodes[origin:])
+    near_left = 2 if sigma is None else -3   # the left probe node, or its mirror
+    reflect = sigma == 1                     # row 0 sees the ghost psi(-dx) = psi(dx)
     dx = grid.dx
-    abs_x = np.abs(grid.nodes)
     half_step = 0.5j * dt
-    n = grid.n_points
+    n = psi.size
     lower = np.empty(n - 1, dtype=complex)   # A = 1 + i dt/2 H, then its LU factors
     main = np.empty(n, dtype=complex)
     upper = np.empty(n - 1, dtype=complex)
@@ -251,9 +288,13 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
             main += 1.0
             upper *= half_step
             lower[:] = upper
-            # Dirichlet rows: the edge values are set, not solved for
-            upper[0] = 0.0
-            main[0] = 1.0
+            # Dirichlet rows (the edge values are set, not solved for),
+            # or the mirror row at x = 0 of an even folded run
+            if reflect:
+                upper[0] *= 2.0
+            else:
+                upper[0] = 0.0
+                main[0] = 1.0
             lower[-1] = 0.0
             main[-1] = 1.0
             lower, main, upper, upper2, pivots, info = zgttrf(
@@ -264,21 +305,25 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
 
         left, right = (0.0, 0.0) if boundary is None else boundary(t + dt)
         np.add(psi, psi, out=b)
-        b[0] = left + psi[0]
+        if not reflect:
+            b[0] = left + psi[0]
         b[-1] = right + psi[-1]
         b, _ = zgttrs(lower, main, upper, upper2, pivots, b, overwrite_b=True)
         np.subtract(b, psi, out=psi)
-        psi[0] = left
+        if not reflect:
+            psi[0] = left
         psi[-1] = right
         # a NaN or infinity anywhere (or an overflowing state) makes the
         # squared norm non-finite
         if not np.isfinite(np.vdot(psi, psi).real):
             raise RuntimeError(f"propagation diverged at step {step}")
 
-        probe = max(probe, float(abs(psi[2])), float(abs(psi[-3])))
+        probe = max(probe, float(abs(psi[near_left])), float(abs(psi[-3])))
         t = t0 + (step + 1) * dt
 
-    return PropagationResult(grid=grid, t_final=t, values=psi, steps=n_steps,
+    if sigma is not None and n_steps:      # a run of no steps returns its input as given
+        full[:origin] = sigma * full[:origin:-1]
+    return PropagationResult(grid=grid, t_final=t, values=full, steps=n_steps,
                              boundary_probe=probe)
 
 

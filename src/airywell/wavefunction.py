@@ -171,7 +171,10 @@ def reconstructed_density(profile: TimeProfile, n: int, t: float, grid):
 
     Undoing the metric root and the shift-tilt unitary returns the branch
     to e^{i eps} phi_n, so the reconstruction reproduces the static density
-    at every time; this exercises every factor of the assembly.  By parity
+    at every time.  The modulus hides every unit-modulus phase factor of
+    the assembly (eps, zeta, g S/4, the plane wave), so it pins only the
+    real factors; the evolution residual and the phase checks (acceptance
+    criteria 6 and 8) pin the phases.  By parity
     the density at x equals the one at |x|, which region 1 reconstructs.
     """
     xs = np.asarray(grid, dtype=float)

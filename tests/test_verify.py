@@ -250,22 +250,76 @@ def test_cn_matches_reference_stepping():
         assert np.max(np.abs(res.values - psi)) > 1e-3     # the state did move
 
 
+def _factored_rows(monkeypatch):
+    """Record the number of rows of every matrix `zgttrf` factors."""
+    rows = []
+    real = verify.zgttrf
+
+    def counting(lower, main, upper, **kwargs):
+        rows.append(main.size)
+        return real(lower, main, upper, **kwargs)
+
+    monkeypatch.setattr(verify, "zgttrf", counting)
+    return rows
+
+
 @pytest.mark.parametrize("profile, factorizations", [(FREE, 1), (UNIT, 1), (WAVY, 100)],
                          ids=["free", "unit", "wavy"])
 def test_cn_factors_once_per_distinct_hamiltonian(monkeypatch, profile, factorizations):
-    calls = []
-    real = verify.zgttrf
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "zgttrf", counting)
+    rows = _factored_rows(monkeypatch)
     xs = Grid1D.centered(10.0, 0.1).nodes
     psi = np.exp(-(xs - 0.5)**2).astype(complex)
     res = crank_nicolson_propagate(profile, _State(xs, psi), 0.0, 0.1, 1e-3)
     assert res.steps == 100
-    assert len(calls) == factorizations
+    assert len(rows) == factorizations
+
+
+@pytest.mark.parametrize("profile", [FREE, UNIT, WAVY], ids=["free", "unit", "wavy"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_cn_folds_a_mirror_symmetric_run_onto_the_half_line(monkeypatch, profile, n):
+    # an unfed glued state from t0 = 0 is bitwise mirror (anti)symmetric on
+    # a centered grid, so the run steps x >= 0 alone and must still give
+    # the full-line scheme's state and probe
+    rows = _factored_rows(monkeypatch)
+    xs = Grid1D.centered(10.0, 0.1).nodes
+    init = assemble_wavefunction(profile, n, 0.0, xs)
+    res = crank_nicolson_propagate(profile, init, 0.0, 0.1, 1e-3)
+    want, probe = _reference_cn(profile, xs, init.values, 0.0, 0.1, 1e-3)
+    assert xs.size == 201 and rows and set(rows) == {(xs.size + 1) // 2}
+    assert res.values.shape == xs.shape and res.grid.n_points == xs.size
+    assert np.max(np.abs(res.values - want)) <= 1e-13
+    assert abs(res.boundary_probe - probe) <= 1e-13
+    assert np.max(np.abs(res.values - init.values)) > 1e-4      # the state did move
+    sigma = -1.0 if n % 2 else 1.0
+    assert np.array_equal(res.values[:100], sigma * res.values[:100:-1])
+
+
+@pytest.mark.parametrize("case", ["fed", "half-line", "one-ulp-off", "odd-at-t0.3"])
+def test_cn_steps_the_full_line_unless_the_fold_is_exact(monkeypatch, case):
+    rows = _factored_rows(monkeypatch)
+    xs = Grid1D.centered(10.0, 0.1).nodes
+    t0, boundary = 0.0, None
+    psi = assemble_wavefunction(WAVY, 0, 0.0, xs).values
+    if case == "fed":
+        def boundary(t):
+            return 0.0, 0.0
+    elif case == "half-line":
+        xs = Grid1D.half_line(20.0, 0.1, 1).nodes
+        psi = wavefunction_branch(WAVY, 0, 1, xs.astype(complex), 0.0)
+    elif case == "one-ulp-off":
+        psi[30] = complex(np.nextafter(psi.real[30], np.inf), psi.imag[30])
+    else:
+        # the branches of an odd state meet at +-psi(0) != 0 for t > 0
+        t0 = 0.3
+        psi = assemble_wavefunction(WAVY, 1, t0, xs).values
+        assert np.array_equal(psi[:100], -psi[:100:-1])
+        assert abs(psi[100]) > 1e-3 * np.max(np.abs(psi))
+    res = crank_nicolson_propagate(WAVY, _State(xs, psi), t0, t0 + 0.1, 1e-3,
+                                   boundary=boundary)
+    want, probe = _reference_cn(WAVY, xs, psi, t0, t0 + 0.1, 1e-3, boundary)
+    assert xs.size == 201 and set(rows) == {xs.size}
+    assert np.max(np.abs(res.values - want)) <= 1e-13
+    assert abs(res.boundary_probe - probe) <= 1e-13
 
 
 def test_cn_reports_a_singular_pivot_with_step_index(monkeypatch):
@@ -319,11 +373,17 @@ def test_cn_fed_run_ends_on_the_feed_exactly():
 
 def test_cn_empty_interval_returns_the_initial_state():
     xs = Grid1D.centered(8.0, 0.01).nodes
-    psi = np.exp(-xs**2).astype(complex)
-    for profile in (FREE, WAVY):
-        res = crank_nicolson_propagate(profile, _State(xs, psi), 0.3, 0.3, 1e-3)
-        assert res.steps == 0 and res.t_final == 0.3 and res.boundary_probe == 0.0
-        assert np.array_equal(res.values, psi) and res.values is not psi
+    even = np.exp(-xs**2).astype(complex)
+    # the odd glued state holds a rounding-level psi(0), which a stepped
+    # folded run sets to zero and a zero-step run must keep
+    odd = assemble_wavefunction(FREE, 1, 0.0, xs).values
+    assert odd[xs.size // 2] != 0.0
+    assert np.array_equal(odd[:xs.size // 2], -odd[:xs.size // 2:-1])
+    for psi in (even, odd):
+        for profile in (FREE, WAVY):
+            res = crank_nicolson_propagate(profile, _State(xs, psi), 0.3, 0.3, 1e-3)
+            assert res.steps == 0 and res.t_final == 0.3 and res.boundary_probe == 0.0
+            assert res.values.tobytes() == psi.tobytes() and res.values is not psi
 
 
 @pytest.mark.parametrize("profile, t0, t1", [
