@@ -81,6 +81,8 @@ def _validate_levels(levels) -> tuple:
             raise ConfigError(f"levels: index {n} is negative")
         if n > MAX_LEVEL:
             raise ConfigError(f"levels: index {n} exceeds the supported {MAX_LEVEL}")
+        if n in out:
+            raise ConfigError(f"levels: {n} is listed twice")
         out.append(n)
     return tuple(out)
 
@@ -102,16 +104,25 @@ def _number(value, label: str) -> float:
         raise ConfigError(str(exc)) from exc
 
 
+def _time_label(t: float) -> str:
+    """The part of a solve file name that names the time."""
+    return f"t{t:g}"
+
+
 def _validate_times(times, window: float) -> tuple:
+    """Times inside the window, no two of which share a file name label."""
     if not isinstance(times, (list, tuple)) or len(times) == 0:
         raise ConfigError("times: list must be non-empty")
-    out = []
+    labelled = {}
     for t in times:
         t = _number(t, "times")
         if not 0.0 <= t <= window:
             raise ConfigError(f"times: {t} outside the profile window [0, {window}]")
-        out.append(t)
-    return tuple(out)
+        label = _time_label(t)
+        if label in labelled:
+            raise ConfigError(f"times: {labelled[label]} and {t} both write {label}")
+        labelled[label] = t
+    return tuple(labelled.values())
 
 
 def _read_table_file(block, base: Path, label: str):
@@ -335,7 +346,7 @@ def _out_path(cfg: RunConfig, stem: str) -> Path:
 
 def run_zeros(cfg: RunConfig, stdout=None) -> int:
     """Both families of kernel zeros, one row per (family, index)."""
-    indices = sorted({n for n in cfg.levels if n >= 1}) or list(range(1, 11))
+    indices = sorted(n for n in cfg.levels if n >= 1) or list(range(1, 11))
     rows = []
     for k in indices:
         z = airy_function_zero(k)
@@ -402,7 +413,7 @@ def run_solve(cfg: RunConfig, stdout=None) -> int:
             if not (np.all(np.isfinite(sample.values)) and np.all(np.isfinite(rho))):
                 raise ConfigError(f"level {n} at t = {t:g}: the state leaves double "
                                   f"precision range on the grid")
-            path = _out_path(cfg, f"solve_n{n}_t{t:g}")
+            path = _out_path(cfg, f"solve_n{n}_{_time_label(t)}")
             _write_rows(path,
                         ("x", "re", "im", "reconstructed_density"),
                         (xs, sample.values.real, sample.values.imag, rho),

@@ -30,7 +30,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .profiles import TimeProfile, coefficients_at, invariant_coefficients
 from .spectrum import level
-from .wavefunction import assemble_wavefunction, wavefunction_branch
+from .wavefunction import wavefunction_branch
 
 __all__ = [
     "Grid1D",
@@ -146,21 +146,16 @@ def build_hamiltonian(profile: TimeProfile, t: float, grid: Grid1D) -> Discretiz
     return DiscretizedOperator(diag=diag, upper=off, lower=off.copy())
 
 
-def build_invariant(profile: TimeProfile, region: int, t: float, grid: Grid1D,
-                    freeze_tilt: bool = False) -> DiscretizedOperator:
-    """The region invariant p^2 +- x + c_p p + c_0 as a tridiagonal operator.
-
-    freeze_tilt zeroes the p coefficient (a deliberate mutilation used as
-    a negative control; the conservation residual must then blow up).
-    """
+def build_invariant(profile: TimeProfile, region: int, t: float,
+                    grid: Grid1D) -> DiscretizedOperator:
+    """The region invariant p^2 +- x + c_p p + c_0 as a tridiagonal operator."""
     co = invariant_coefficients(profile, t, region)
     x = grid.nodes
     dx = grid.dx
-    c_p = 0.0 + 0.0j if freeze_tilt else co.p
     diag = 2.0 / dx**2 + co.x * x + co.const
     # p = -i d/dx: upper -i/(2dx), lower +i/(2dx)
-    upper = np.full(grid.n_points - 1, -1.0 / dx**2 + c_p * (-1j) / (2 * dx))
-    lower = np.full(grid.n_points - 1, -1.0 / dx**2 + c_p * (+1j) / (2 * dx))
+    upper = np.full(grid.n_points - 1, -1.0 / dx**2 + co.p * (-1j) / (2 * dx))
+    lower = np.full(grid.n_points - 1, -1.0 / dx**2 + co.p * (+1j) / (2 * dx))
     return DiscretizedOperator(diag=diag.astype(complex), upper=upper, lower=lower)
 
 
@@ -482,8 +477,8 @@ def _tri_product_bands(a: DiscretizedOperator, b: DiscretizedOperator):
     return d2u, d1u, d0, d1l, d2l
 
 
-def von_neumann_residual(profile: TimeProfile, region: int, t: float, grid: Grid1D,
-                         freeze_tilt: bool = False) -> float:
+def von_neumann_residual(profile: TimeProfile, region: int, t: float,
+                         grid: Grid1D) -> float:
     """Conservation-law residual |dI/dt - i[I, H]| / |H| (max row sums).
 
     Region-wise so the potential is smooth on the grid.  The time
@@ -492,14 +487,14 @@ def von_neumann_residual(profile: TimeProfile, region: int, t: float, grid: Grid
     products truncate there.
     """
     def bands(s):
-        op = build_invariant(profile, region, s, grid, freeze_tilt=freeze_tilt)
+        op = build_invariant(profile, region, s, grid)
         return np.concatenate((op.upper, op.diag, op.lower))
 
     n = grid.n_points
     dupper, ddiag, dlower = np.split(
         _time_derivative(bands, t, TIME_DELTA, profile.window), (n - 1, 2 * n - 1))
 
-    inv = build_invariant(profile, region, t, grid, freeze_tilt=freeze_tilt)
+    inv = build_invariant(profile, region, t, grid)
     ham = build_hamiltonian(profile, t, grid)
     ih = _tri_product_bands(inv, ham)
     hi = _tri_product_bands(ham, inv)
@@ -521,8 +516,7 @@ def von_neumann_residual(profile: TimeProfile, region: int, t: float, grid: Grid
     return float(np.max(interior) / ham.max_row_sum())
 
 
-def pseudo_hermiticity_check(profile: TimeProfile, t: float, region: int,
-                             alpha_offset: float = 0.0) -> float:
+def pseudo_hermiticity_check(profile: TimeProfile, t: float, region: int) -> float:
     """Coefficient-level mismatch of the metric similarity relation.
 
     The metric exponent is linear in x and p, so conjugating the invariant
@@ -530,12 +524,12 @@ def pseudo_hermiticity_check(profile: TimeProfile, t: float, region: int,
     beta built from the frozen integrals (signs flip with the region).
     If the relation holds, the transformed coefficients are the complex
     conjugates of the originals; the return value is the largest absolute
-    coefficient mismatch.  alpha_offset shifts alpha (negative control).
+    coefficient mismatch.
     """
     co = invariant_coefficients(profile, t, region)
     c = coefficients_at(profile, t)
     sgn = 1.0 if region == 1 else -1.0
-    alpha = sgn * c.k + alpha_offset
+    alpha = sgn * c.k
     beta = sgn * 2.0 * c.b
     p_new = co.p - 2j * alpha
     const_new = co.const - alpha**2 + 1j * co.x * beta - 1j * alpha * co.p

@@ -28,8 +28,11 @@ and eps^1 plus the reorder integral in bch is eps^2, so the branch reads
 with every scalar taken from the one `CoefficientSet` at t.  The sign of
 the imaginary translation is the one the time-dependent equation itself
 selects; the opposite choice fails the residual checks.  Undoing both
-maps recovers e^{i eps} phi_n exactly, which is what the density
-reconstruction below does.
+maps returns the branch to e^{i eps} phi_n.  The density reconstruction
+below undoes only their real parts: the tilt e^{-k(x-S)/2}, the shift S
+and the translation ib.  What is left of the round trip is a product of
+unit-modulus factors (e^{i eps}, e^{i zeta}, e^{-i bch} and the plane
+wave), which |.|^2 cannot see, so they are not computed there.
 
 Region 2 (x <= 0) needs no formula of its own.  H(t) = -d^2/dx^2 / (2m)
 + i f |x| commutes with parity P, the region-2 invariant is P I_1 P, and
@@ -78,11 +81,6 @@ def _epsilon(n: int, cum_chi: float, g: float) -> float:
     return cum_chi + level(n).eigenvalue * g / 2.0
 
 
-def _reorder(c: CoefficientSet) -> float:
-    """The reorder integral int_0^t (chi2 - chi1) = eps^2 - eps^1."""
-    return c.cum_chi2 - c.cum_chi1
-
-
 def phase(profile: TimeProfile, n: int, region: int, t: float) -> float:
     """Accumulated phase eps of level n in one region up to time t."""
     if region not in (1, 2):
@@ -96,8 +94,9 @@ def phase(profile: TimeProfile, n: int, region: int, t: float) -> float:
 def shift_reorder_phase(profile: TimeProfile, t: float) -> float:
     """int_0^t (k^2 + g^2 + 4s)/(8m) = int_0^t (chi2 - chi1): the scalar
     phase produced when the combined shift-and-tilt transform is split
-    into its displayed factors."""
-    return _reorder(coefficients_at(profile, t))
+    into its displayed factors; it equals eps^2 - eps^1."""
+    c = coefficients_at(profile, t)
+    return c.cum_chi2 - c.cum_chi1
 
 
 def _branch1(n: int, c: CoefficientSet, x: np.ndarray) -> np.ndarray:
@@ -144,40 +143,24 @@ def assemble_wavefunction(profile: TimeProfile, n: int, t: float, grid) -> Wavef
     return WavefunctionSample(grid=xs, values=values)
 
 
-def _undo_maps(profile: TimeProfile, n: int, x: np.ndarray, t: float) -> np.ndarray:
-    """Apply U^dagger rho to the region-1 branch: recovers e^{i eps} phi_n.
-
-    rho psi(x)      = e^{i zeta} e^{-k x/2} psi(x + i b)
-    U^dagger chi(x) = e^{-i bch} e^{i g (x - S)/2} chi(x - S),
-    bch             = -g S/4 + int (chi2 - chi1)
-
-    Note rho alone does not reduce the branch to phi_n pointwise: it
-    leaves the real shift S and the plane wave in place, so the full
-    return trip needs U^dagger as well.
-    """
-    c = coefficients_at(profile, t)
-    inner = x - c.shift
-    chi = (np.exp(1j * c.zeta)
-           * np.exp((-c.k / 2.0) * inner)
-           * _branch1(n, c, inner + 1j * c.b))
-    bch = -c.g * c.shift / 4.0 + _reorder(c)
-    return (np.exp(-1j * bch)
-            * np.exp(-1j * (-c.g / 2.0) * inner)
-            * chi)
-
-
 def reconstructed_density(profile: TimeProfile, n: int, t: float, grid):
-    """|Psi|^2 pulled back through both maps.
+    """|Psi|^2 pulled back through both maps: the static density |phi_n|^2.
 
     Undoing the metric root and the shift-tilt unitary returns the branch
-    to e^{i eps} phi_n, so the reconstruction reproduces the static density
-    at every time.  The modulus hides every unit-modulus phase factor of
-    the assembly (eps, zeta, g S/4, the plane wave), so it pins only the
-    real factors; the evolution residual and the phase checks (acceptance
-    criteria 6 and 8) pin the phases.  By parity
-    the density at x equals the one at |x|, which region 1 reconstructs.
+    to e^{i eps} phi_n.  Only the real parts of that round trip are
+    applied, at u = |x| (by parity the density at x is the one at |x|,
+    which region 1 reconstructs):
+
+      |e^{-k(u - S)/2} Psi_n,1(u - S + ib)|^2 = |phi_n(u)|^2.
+
+    The unit-modulus factors of the round trip and of the assembly (eps,
+    zeta, g S/4, the plane wave) drop out of the modulus, so this pins only
+    the real factors; the evolution residual and the phase checks
+    (acceptance criteria 6 and 8) pin the phases.
     """
     xs = np.asarray(grid, dtype=float)
-    rec = _undo_maps(profile, n, np.abs(np.atleast_1d(xs)).astype(complex), t)
+    c = coefficients_at(profile, t)
+    inner = np.abs(np.atleast_1d(xs)).astype(complex) - c.shift
+    rec = np.exp((-c.k / 2.0) * inner) * _branch1(n, c, inner + 1j * c.b)
     out = np.abs(rec) ** 2
     return float(out[0]) if xs.ndim == 0 else out

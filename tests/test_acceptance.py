@@ -9,6 +9,7 @@ the origin.  The measured departure and the half-line control run that
 isolates the defect live in test_criterion_5_supplement.
 """
 
+import dataclasses
 import math
 import time
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from airywell import verify
 from airywell.airy import airy_eval, airy_eval_many
 from airywell.cli import main as cli_main
 from airywell.profiles import TimeProfile, coefficients_at
@@ -328,7 +330,7 @@ def test_criterion_6_tdse_residual():
 # ---------------------------------------------------------- criterion 7
 
 
-def test_criterion_7_invariant_suite():
+def test_criterion_7_invariant_suite(monkeypatch):
     rng = np.random.default_rng(516)
     half = {1: Grid1D.half_line(16.0, 0.005, 1),
             2: Grid1D.half_line(16.0, 0.005, 2)}
@@ -345,8 +347,17 @@ def test_criterion_7_invariant_suite():
                     worst_eig = max(worst_eig, invariant_eigen_residual(
                         prof, n, region, t, half[region]))
 
-    # negative controls must fail their thresholds
-    ctrl_alpha = pseudo_hermiticity_check(UNIT, 0.7, 1, alpha_offset=1e-3)
+    # negative controls must fail their thresholds: the metric exponent's
+    # alpha = k read off by 1e-3, and H built with the coupling's sign flipped
+    real = verify.coefficients_at
+
+    def k_off(*args):
+        c = real(*args)
+        return dataclasses.replace(c, k=c.k + 1e-3)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "coefficients_at", k_off)
+        ctrl_alpha = pseudo_hermiticity_check(UNIT, 0.7, 1)
     ctrl_k = tdse_residual(UNIT, 0, 0.3, Grid1D.centered(16.0, 0.005),
                            flip_coupling_sign=True)
 

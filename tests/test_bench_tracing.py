@@ -1,5 +1,8 @@
-"""The benchmark's tracer finds every package name it rebinds, and puts it back."""
+"""The benchmark's tracer finds every package name it rebinds and puts it back, and
+no package module keeps an import that nothing reads, exports or rebinds."""
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -28,3 +31,37 @@ def test_tracer_install_and_restore_round_trip():
     assert not tracer._patched
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"
+
+
+def _unused_imports(path: Path) -> set:
+    """Names a module imports but never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add((alias.asname or alias.name).split(".")[0])
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_every_import_is_used_exported_or_traced():
+    """An import a module neither reads nor exports is dead, unless the tracer
+    rebinds that name in the module's namespace."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        traced = {(owner.__name__, attr) for owner, attr, _ in tracer._patched}
+    finally:
+        tracer.restore()
+    package = TRACING.parents[1] / "src" / "airywell"
+    dead = []
+    for path in sorted(package.glob("*.py")):
+        name = "airywell" if path.stem == "__init__" else f"airywell.{path.stem}"
+        exported = set(getattr(importlib.import_module(name), "__all__", ()))
+        dead += [f"{name}.{attr}" for attr in sorted(_unused_imports(path))
+                 if attr not in exported and (name, attr) not in traced]
+    assert not dead

@@ -153,6 +153,31 @@ def test_level_and_time_flags_follow_the_config_rules(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("source", ["config", "flags"])
+@pytest.mark.parametrize("key, entries, line", [
+    ("times", ["0.1", "0.1000001"], "error: times: 0.1 and 0.1000001 both write t0.1\n"),
+    ("times", ["0.1", "0.1"], "error: times: 0.1 and 0.1 both write t0.1\n"),
+    ("levels", ["0", "1", "0"], "error: levels: 0 is listed twice\n"),
+    ("levels", ["1", "1.0"], "error: levels: 1 is listed twice\n"),
+], ids=["times-one-label", "times-repeated", "levels-repeated", "levels-same-integer"])
+def test_entries_that_would_share_an_output_are_rejected(tmp_path, capsys, command,
+                                                         source, key, entries, line):
+    """Two times with one {t:g} file label, or a level twice, would write one
+    solve file twice (the later state wins) and double verify's report rows."""
+    out = tmp_path / "out"
+    flag, line_of_key = {"times": ("--t", "times: [0.3]"),
+                         "levels": ("--n", "levels: [0, 1]")}[key]
+    if source == "flags":
+        args = [flag, ",".join(entries)]
+    else:
+        body = SMALL_PROFILE.replace(line_of_key, f"{key}: [{', '.join(entries)}]")
+        args = ["--config", _write_config(tmp_path, body)]
+    assert main([command, *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body, flags, line", [
     (SMALL_PROFILE + "grid: {half_width: .nan}\n", [],
      "error: grid: half_width must be finite, not nan\n"),

@@ -1,5 +1,7 @@
 """Grid-operator and propagation checks for the verifier module."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -606,8 +608,12 @@ def test_von_neumann_residual_start_uses_one_sided_difference():
     assert von_neumann_residual(UNIT, 1, 0.0, HALF1) < 1e-4
 
 
-def test_von_neumann_residual_frozen_tilt_fails():
-    assert von_neumann_residual(UNIT, 1, 0.4, HALF1, freeze_tilt=True) > 1e-3
+def test_von_neumann_residual_frozen_tilt_fails(monkeypatch):
+    # the invariant with its p coefficient zeroed is not conserved
+    real = verify.invariant_coefficients
+    monkeypatch.setattr(verify, "invariant_coefficients",
+                        lambda *args: dataclasses.replace(real(*args), p=0j))
+    assert von_neumann_residual(UNIT, 1, 0.4, HALF1) > 1e-3
 
 
 # --------------------------------------------------- metric similarity
@@ -627,9 +633,18 @@ def test_pseudo_hermiticity_exact_at_start():
     assert pseudo_hermiticity_check(UNIT, 0.0, 2) == 0.0
 
 
-def test_pseudo_hermiticity_perturbed_exponent_fails():
-    assert pseudo_hermiticity_check(UNIT, 0.7, 1, alpha_offset=1e-3) > 1e-4
-    assert pseudo_hermiticity_check(WAVY, 0.7, 2, alpha_offset=1e-3) > 1e-4
+def test_pseudo_hermiticity_perturbed_exponent_fails(monkeypatch):
+    # k read off by 1e-3 moves the metric exponent's alpha = +-k, while the
+    # invariant keeps the true coefficients
+    real = verify.coefficients_at
+
+    def k_off(*args):
+        c = real(*args)
+        return dataclasses.replace(c, k=c.k + 1e-3)
+
+    monkeypatch.setattr(verify, "coefficients_at", k_off)
+    assert pseudo_hermiticity_check(UNIT, 0.7, 1) > 1e-4
+    assert pseudo_hermiticity_check(WAVY, 0.7, 2) > 1e-4
 
 
 def test_invariant_operator_against_direct_formula():
