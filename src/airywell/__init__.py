@@ -13,7 +13,6 @@ Modules:
 
 from .airy import (
     AiryPair,
-    AiryZero,
     airy_eval,
     airy_eval_many,
     airy_ai_many,
@@ -58,7 +57,6 @@ from .verify import (
 
 __all__ = [
     "AiryPair",
-    "AiryZero",
     "airy_eval",
     "airy_eval_many",
     "airy_ai_many",

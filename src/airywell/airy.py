@@ -45,7 +45,6 @@ from scipy.special import ai_zeros, airy, kv
 
 __all__ = [
     "AiryPair",
-    "AiryZero",
     "airy_eval",
     "airy_eval_many",
     "airy_ai_many",
@@ -77,15 +76,6 @@ class AiryPair:
     def wronskian(self) -> complex:
         """ai bi' - ai' bi; exactly 1/pi for the true functions."""
         return self.ai * self.bi_prime - self.ai_prime * self.bi
-
-
-@dataclass(frozen=True)
-class AiryZero:
-    """A negative real zero of Ai (kind "function") or Ai' (kind "derivative")."""
-
-    kind: str
-    index: int
-    location: float
 
 
 def _in_disc(z):
@@ -172,13 +162,13 @@ def _check_index(k: int):
         raise ValueError(f"zero index must lie in 1..{MAX_ZERO_INDEX}")
 
 
-def airy_function_zero(k: int) -> AiryZero:
+def airy_function_zero(k: int) -> float:
     """k-th negative zero a_k of Ai, counted from the origin (k >= 1)."""
     _check_index(k)
-    return AiryZero(kind="function", index=k, location=float(_zero_tables()[0][k - 1]))
+    return float(_zero_tables()[0][k - 1])
 
 
-def airy_derivative_zero(k: int) -> AiryZero:
+def airy_derivative_zero(k: int) -> float:
     """k-th negative zero a'_k of Ai', counted from the origin (k >= 1)."""
     _check_index(k)
-    return AiryZero(kind="derivative", index=k, location=float(_zero_tables()[1][k - 1]))
+    return float(_zero_tables()[1][k - 1])

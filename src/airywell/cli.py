@@ -115,7 +115,7 @@ def _validate_times(times, window: float) -> tuple:
         raise ConfigError("times: list must be non-empty")
     labelled = {}
     for t in times:
-        t = _number(t, "times")
+        t = _number(t, "times") + 0.0          # -0.0 is time 0 and writes t0
         if not 0.0 <= t <= window:
             raise ConfigError(f"times: {t} outside the profile window [0, {window}]")
         label = _time_label(t)
@@ -350,11 +350,9 @@ def run_zeros(cfg: RunConfig, stdout=None) -> int:
     rows = []
     for k in indices:
         z = airy_function_zero(k)
-        rows.append(("function", k, z.location,
-                     float(airy_eval(z.location).ai_prime.real)))
+        rows.append(("function", k, z, float(airy_eval(z).ai_prime.real)))
         z = airy_derivative_zero(k)
-        rows.append(("derivative", k, z.location,
-                     float(airy_eval(z.location).ai.real)))
+        rows.append(("derivative", k, z, float(airy_eval(z).ai.real)))
     path = _out_path(cfg, "zeros")
     _write_rows(path, ("family", "index", "location", "companion_value"),
                 list(zip(*rows)), cfg.fmt)

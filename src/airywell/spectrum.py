@@ -63,11 +63,11 @@ def level(n: int) -> SpectralLevel:
     if not 0 <= n <= MAX_LEVEL:
         raise ValueError(f"level index must lie in 0..{MAX_LEVEL}")
     if n % 2 == 0:
-        a = airy_derivative_zero(n // 2 + 1).location
+        a = airy_derivative_zero(n // 2 + 1)
         lam = -a
         norm = 1.0 / (np.sqrt(-2.0 * a) * airy_eval(a).ai.real)
         return SpectralLevel(n=n, parity="even", eigenvalue=lam, norm_const=float(norm))
-    a = airy_function_zero((n + 1) // 2).location
+    a = airy_function_zero((n + 1) // 2)
     lam = -a
     norm = 1.0 / (np.sqrt(2.0) * airy_eval(a).ai_prime.real)
     return SpectralLevel(n=n, parity="odd", eigenvalue=lam, norm_const=float(norm))

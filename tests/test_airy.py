@@ -180,28 +180,27 @@ def test_pair_is_finite_everywhere_sampled():
 
 
 def test_first_zeros_against_frozen_oracle():
-    assert airy_function_zero(1).location == pytest.approx(-2.33810741045976704, abs=1e-11)
-    assert airy_function_zero(2).location == pytest.approx(-4.08794944413097062, abs=1e-11)
-    assert airy_derivative_zero(1).location == pytest.approx(-1.01879297164747109, abs=1e-11)
-    assert airy_derivative_zero(2).location == pytest.approx(-3.24819758217983654, abs=1e-11)
-    assert airy_function_zero(50).location == pytest.approx(-38.0210086772552544, abs=1e-10)
-    assert airy_derivative_zero(50).location == pytest.approx(-37.7656591005388711, abs=1e-10)
+    assert airy_function_zero(1) == pytest.approx(-2.33810741045976704, abs=1e-11)
+    assert airy_function_zero(2) == pytest.approx(-4.08794944413097062, abs=1e-11)
+    assert airy_derivative_zero(1) == pytest.approx(-1.01879297164747109, abs=1e-11)
+    assert airy_derivative_zero(2) == pytest.approx(-3.24819758217983654, abs=1e-11)
+    assert airy_function_zero(50) == pytest.approx(-38.0210086772552544, abs=1e-10)
+    assert airy_derivative_zero(50) == pytest.approx(-37.7656591005388711, abs=1e-10)
 
 
 def test_zero_fields_and_residuals():
     for k in (1, 2, 3, 7, 20, 50):
         za = airy_function_zero(k)
         zp = airy_derivative_zero(k)
-        assert za.kind == "function" and za.index == k
-        assert zp.kind == "derivative" and zp.index == k
-        assert za.location < 0 and zp.location < 0
-        assert abs(airy_eval(za.location).ai.real) < 1e-12
-        assert abs(airy_eval(zp.location).ai_prime.real) < 1e-12
+        assert type(za) is float and type(zp) is float
+        assert za < 0 and zp < 0
+        assert abs(airy_eval(za).ai.real) < 1e-12
+        assert abs(airy_eval(zp).ai_prime.real) < 1e-12
 
 
 def test_zeros_strictly_decreasing():
-    fa = [airy_function_zero(k).location for k in range(1, 31)]
-    fd = [airy_derivative_zero(k).location for k in range(1, 31)]
+    fa = [airy_function_zero(k) for k in range(1, 31)]
+    fd = [airy_derivative_zero(k) for k in range(1, 31)]
     assert all(b < a for a, b in zip(fa, fa[1:]))
     assert all(b < a for a, b in zip(fd, fd[1:]))
 
@@ -209,9 +208,9 @@ def test_zeros_strictly_decreasing():
 def test_zero_interlacing():
     # a'_k > a_k > a'_{k+1} in the standard negative ordering
     for k in range(1, 21):
-        ap_k = airy_derivative_zero(k).location
-        a_k = airy_function_zero(k).location
-        ap_k1 = airy_derivative_zero(k + 1).location
+        ap_k = airy_derivative_zero(k)
+        a_k = airy_function_zero(k)
+        ap_k1 = airy_derivative_zero(k + 1)
         assert ap_k > a_k > ap_k1
 
 
@@ -225,10 +224,10 @@ def test_zero_index_validation():
 
 def test_zeros_against_mpmath():
     for k in (1, 2, 3, 5, 10, 25, 50):
-        assert airy_function_zero(k).location == pytest.approx(
+        assert airy_function_zero(k) == pytest.approx(
             float(mp.airyaizero(k)), abs=5e-13
         )
-        assert airy_derivative_zero(k).location == pytest.approx(
+        assert airy_derivative_zero(k) == pytest.approx(
             float(mp.airyaizero(k, derivative=1)), abs=5e-13
         )
 
@@ -245,8 +244,8 @@ def test_tail_integral_identity():
         return airy_eval(x).ai.real ** 2
 
     for a in (
-        airy_derivative_zero(1).location,
-        airy_function_zero(1).location,
+        airy_derivative_zero(1),
+        airy_function_zero(1),
         -1.0,
         0.0,
         1.0,

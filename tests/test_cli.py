@@ -158,9 +158,11 @@ def test_level_and_time_flags_follow_the_config_rules(tmp_path, capsys):
 @pytest.mark.parametrize("key, entries, line", [
     ("times", ["0.1", "0.1000001"], "error: times: 0.1 and 0.1000001 both write t0.1\n"),
     ("times", ["0.1", "0.1"], "error: times: 0.1 and 0.1 both write t0.1\n"),
+    ("times", ["0", "-0.0"], "error: times: 0.0 and 0.0 both write t0\n"),
     ("levels", ["0", "1", "0"], "error: levels: 0 is listed twice\n"),
     ("levels", ["1", "1.0"], "error: levels: 1 is listed twice\n"),
-], ids=["times-one-label", "times-repeated", "levels-repeated", "levels-same-integer"])
+], ids=["times-one-label", "times-repeated", "times-negative-zero", "levels-repeated",
+        "levels-same-integer"])
 def test_entries_that_would_share_an_output_are_rejected(tmp_path, capsys, command,
                                                          source, key, entries, line):
     """Two times with one {t:g} file label, or a level twice, would write one
@@ -176,6 +178,24 @@ def test_entries_that_would_share_an_output_are_rejected(tmp_path, capsys, comma
     assert main([command, *args, "--out", str(out)]) == 2
     assert capsys.readouterr().err == line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "flags"])
+def test_negative_zero_time_is_time_zero(tmp_path, source):
+    """-0 is time 0: its solve file is t0 and its report rows read "t": 0.0."""
+    if source == "flags":
+        args = ["--n", "0", "--t", "-0"]
+    else:
+        body = SMALL_PROFILE.replace("levels: [0, 1]", "levels: [0]")
+        args = ["--config", _write_config(tmp_path, body.replace("[0.3]", "[-0.0]"))]
+    assert main(["solve", *args, "--out", str(tmp_path / "solve")]) == 0
+    assert [p.name for p in (tmp_path / "solve").iterdir()] == ["solve_n0_t0.csv"]
+    assert main(["verify", *args, "--out", str(tmp_path / "verify")]) == 0
+    report = json.loads((tmp_path / "verify" / "verify_report.json").read_text())
+    times = [row["params"]["t"] for row in report
+             if row["check"] != "pseudo_hermiticity_check"]
+    assert len(times) == 5
+    assert all(t == 0.0 and math.copysign(1.0, t) == 1.0 for t in times)
 
 
 @pytest.mark.parametrize("body, flags, line", [

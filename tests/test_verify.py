@@ -604,6 +604,35 @@ def test_von_neumann_residual_is_the_grid_remainder():
                 assert ratio == pytest.approx(1.0, abs=1e-3), (t, region)
 
 
+def test_commutator_bands_match_dense_products():
+    rng = np.random.default_rng(18)
+
+    def tridiagonal(n):
+        diag, upper, lower = (rng.normal(size=k) + 1j * rng.normal(size=k)
+                              for k in (n, n - 1, n - 1))
+        return DiscretizedOperator(diag=diag, upper=upper, lower=lower)
+
+    def dense(op):
+        return np.diag(op.diag) + np.diag(op.upper, 1) + np.diag(op.lower, -1)
+
+    for n in (5, 6, 40):
+        a, b = tridiagonal(n), tridiagonal(n)
+        want = dense(a) @ dense(b) - dense(b) @ dense(a)
+        for offset, band in zip((2, 1, 0, -1, -2), verify._commutator_bands(a, b)):
+            assert np.max(np.abs(band - np.diag(want, offset))) < 1e-13, (n, offset)
+
+
+@pytest.mark.parametrize("dx", [0.005, 0.01])
+@pytest.mark.parametrize("profile", [UNIT, WAVY], ids=["unit", "wavy"])
+def test_von_neumann_residual_regions_agree_to_rounding(profile, dx):
+    # I_2 is the mirror image of I_1 and H commutes with parity, so the
+    # two regions' rows are one number
+    for t in (0.0, 0.3, profile.window):
+        one = von_neumann_residual(profile, 1, t, Grid1D.half_line(14.0, dx, 1))
+        two = von_neumann_residual(profile, 2, t, Grid1D.half_line(14.0, dx, 2))
+        assert two == pytest.approx(one, rel=1e-14, abs=0.0), t
+
+
 def test_von_neumann_residual_start_uses_one_sided_difference():
     assert von_neumann_residual(UNIT, 1, 0.0, HALF1) < 1e-4
 
