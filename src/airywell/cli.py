@@ -426,6 +426,10 @@ def run_solve(cfg: RunConfig, stdout=None) -> int:
 def _verify_jobs(cfg: RunConfig, wrong_sign_k: bool):
     """(rows, fn) per job: rows holds (check, params, threshold) of each
     report row, and fn() returns one value per row."""
+    prof = cfg.profile
+    t_hi = min(0.9 * prof.window, 1.5)      # pseudo-hermiticity times lie in [0.01, t_hi]
+    if t_hi < 0.01:
+        raise ConfigError(f"profile: window {prof.window:g} is below verify's minimum 0.01/0.9")
     _require_grid_reach(cfg)
     tol = cfg.tolerances
     full = Grid1D.centered(cfg.half_width, cfg.dx)
@@ -433,7 +437,6 @@ def _verify_jobs(cfg: RunConfig, wrong_sign_k: bool):
     _require_kernel_disc(cfg, -full.dx, full.x_max + full.dx)
     halves = {1: Grid1D.half_line(cfg.half_width, cfg.dx, 1),
               2: Grid1D.half_line(cfg.half_width, cfg.dx, 2)}
-    prof = cfg.profile
     jobs = []
 
     def one(check, params, threshold, fn):
@@ -454,7 +457,6 @@ def _verify_jobs(cfg: RunConfig, wrong_sign_k: bool):
             one("von_neumann_residual", {"region": region, "t": t}, tol["von_neumann"],
                 lambda r=region, t=t: von_neumann_residual(prof, r, t, halves[r]))
     rng = np.random.default_rng(20230816)
-    t_hi = min(0.9 * prof.window, 1.5)
     for region in (1, 2):
         for t in sorted(rng.uniform(0.01, t_hi, 10)):
             one("pseudo_hermiticity_check", {"region": region, "t": round(float(t), 12)},

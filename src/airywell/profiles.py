@@ -362,7 +362,7 @@ class _ProfileTables:
             if fine_grid.nodes.size - 1 > _MAX_TOTAL_PANELS:
                 raise RuntimeError("quadrature did not converge within the panel budget")
             fine = _ProfileTables._assemble(profile, fine_grid)
-            diff = fine.max_node_difference(prev)
+            diff = np.max(np.abs(fine.values[..., ::2] - prev.values), axis=-1)  # shared nodes
             scale = np.max(np.abs(fine.values), axis=-1)
             if np.all(diff <= np.maximum(_TABLE_TOL, _TABLE_ULPS * np.finfo(float).eps * scale)):
                 return _ProfileTables(table=fine, estimate=float(np.max(diff)))

@@ -19,9 +19,9 @@ everything is computed on one shared grid per profile:
     whose end slopes are the exactly known integrand values, which keeps
     the interpolation error at the same fourth order as the table itself.
 
-Convergence is controlled by the caller: rebuild with doubled panel
-counts and compare tables at shared nodes (Richardson style) until the
-difference passes the tolerance.
+Convergence is controlled by the caller: `SimpsonGrid.refined` halves
+every panel, so the old nodes are bitwise every other new node, and the
+tables are compared there (Richardson style) until they agree.
 """
 
 from __future__ import annotations
@@ -150,8 +150,3 @@ class CumulativeTable:
             + h * (h10 * self.integrand[..., i] + h11 * self.integrand[..., i + 1])
         )
         return float(out) if out.ndim == 0 else out
-
-    def max_node_difference(self, coarse: "CumulativeTable"):
-        """Largest |F_fine - F_coarse| over the coarse node set, per row."""
-        diff = np.max(np.abs(self.value(coarse.grid.nodes) - coarse.values), axis=-1)
-        return float(diff) if diff.ndim == 0 else diff

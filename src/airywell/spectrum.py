@@ -74,11 +74,10 @@ def level(n: int) -> SpectralLevel:
 
 
 def eigenfunction(n: int, x):
-    """phi_n at real x (scalar or array); real-valued by construction."""
-    lev = level(n)
+    """phi_n at real x (scalar or array): the continued branch at |x|, times sgn(x) for odd n."""
     xa = np.asarray(x, dtype=float)
-    vals = airy_ai_many(np.abs(xa) - lev.eigenvalue).real * lev.norm_const
-    if lev.parity == "odd":
+    vals = eigenfunction_continued(n, np.abs(xa)).real
+    if n % 2:
         vals = vals * np.sign(xa)        # sgn(0) = 0 zeroes the origin exactly
     return float(vals) if xa.ndim == 0 else vals
 

@@ -146,6 +146,11 @@ def build_hamiltonian(profile: TimeProfile, t: float, grid: Grid1D) -> Discretiz
     return DiscretizedOperator(diag=diag, upper=off, lower=off)
 
 
+def _p_entries(c: complex, dx: float) -> tuple:
+    """The (upper, lower) entries of c p, with p = -i d/dx the central difference."""
+    return c * (-1j) / (2 * dx), c * (+1j) / (2 * dx)
+
+
 def build_invariant(profile: TimeProfile, region: int, t: float,
                     grid: Grid1D) -> DiscretizedOperator:
     """The region invariant p^2 +- x + c_p p + c_0 as a tridiagonal operator."""
@@ -153,9 +158,9 @@ def build_invariant(profile: TimeProfile, region: int, t: float,
     x = grid.nodes
     dx = grid.dx
     diag = 2.0 / dx**2 + co.x * x + co.const
-    # p = -i d/dx: upper -i/(2dx), lower +i/(2dx)
-    upper = np.full(grid.n_points - 1, -1.0 / dx**2 + co.p * (-1j) / (2 * dx))
-    lower = np.full(grid.n_points - 1, -1.0 / dx**2 + co.p * (+1j) / (2 * dx))
+    p_upper, p_lower = _p_entries(co.p, dx)
+    upper = np.full(grid.n_points - 1, -1.0 / dx**2 + p_upper)
+    lower = np.full(grid.n_points - 1, -1.0 / dx**2 + p_lower)
     return DiscretizedOperator(diag=diag, upper=upper, lower=lower)
 
 
@@ -482,29 +487,27 @@ def von_neumann_residual(profile: TimeProfile, region: int, t: float,
                          grid: Grid1D) -> float:
     """Conservation-law residual |dI/dt - i[I, H]| / |H| (max row sums).
 
-    Region-wise so the potential is smooth on the grid.  [I, H] is formed
-    band by band (`_commutator_bands`), not as IH - HI, whose entries
-    near (2/dx^2)|H| cancel; so the two regions' values agree to rounding
-    (I_2 = P I_1 P, and H commutes with parity P).  What is left of the
-    value's departure from the grid remainder |g + ik||f| m dx^2 comes
-    from the time difference of band entries that hold 2/dx^2.  The time
-    derivative is second order everywhere: central inside the window,
-    one-sided at either end.  Two rows at each end are excluded: banded
-    products truncate there.
+    Region-wise so the potential is smooth on the grid.  Only c_p and c_0
+    move, so dI/dt = c_p' p + c_0', with (c_p', c_0') from one
+    `_time_derivative` of `invariant_coefficients` (central inside the
+    window, one-sided at either end).  [I, H] is formed band by band
+    (`_commutator_bands`), not as IH - HI, whose entries near
+    (2/dx^2)|H| cancel; so the two regions' values agree to rounding
+    (I_2 = P I_1 P, and H commutes with parity P).  Two rows at each end
+    are excluded: banded products truncate there.
     """
-    def bands(s):
-        op = build_invariant(profile, region, s, grid)
-        return np.concatenate((op.upper, op.diag, op.lower))
+    def coefficients(s):
+        co = invariant_coefficients(profile, s, region)
+        return np.array((co.p, co.const))
 
-    n = grid.n_points
-    dupper, ddiag, dlower = np.split(
-        _time_derivative(bands, t, TIME_DELTA, profile.window), (n - 1, 2 * n - 1))
+    dp, dconst = _time_derivative(coefficients, t, TIME_DELTA, profile.window)
+    dupper, dlower = _p_entries(dp, grid.dx)
 
     ham = build_hamiltonian(profile, t, grid)
     c2u, c1u, c0, c1l, c2l = _commutator_bands(build_invariant(profile, region, t, grid), ham)
 
     # row sums of |dI/dt - i[I, H]|
-    rows = np.abs(ddiag - 1j * c0)
+    rows = np.abs(dconst - 1j * c0)
     rows[:-1] += np.abs(dupper - 1j * c1u)
     rows[1:] += np.abs(dlower - 1j * c1l)
     rows[:-2] += np.abs(c2u)

@@ -126,20 +126,19 @@ def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):
 
 
 def assemble_wavefunction(profile: TimeProfile, n: int, t: float, grid) -> WavefunctionSample:
-    """Piecewise state on a real grid; x >= 0 from region 1, x < 0 from 2.
+    """Piecewise state on a real grid: Psi_n,1(x) for x >= 0, sigma_n Psi_n,1(|x|) for x < 0.
 
-    The grid must contain the origin so both regions are represented up to
-    their shared boundary.
+    One region-1 read at |x|, negated at x < 0 for odd n.  The grid must
+    contain the origin, the boundary the two regions share.
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size < 2:
         raise ValueError("grid must be a 1-d array with at least two points")
     if np.min(np.abs(xs)) > 1e-12:
         raise ValueError("grid must include x = 0 (the region boundary)")
-    values = np.empty(xs.size, dtype=complex)
-    pos = xs >= 0.0
-    values[pos] = wavefunction_branch(profile, n, 1, xs[pos].astype(complex), t)
-    values[~pos] = wavefunction_branch(profile, n, 2, xs[~pos].astype(complex), t)
+    values = _branch1(n, coefficients_at(profile, t), np.abs(xs).astype(complex))
+    if n % 2:
+        values[xs < 0.0] *= -1.0
     return WavefunctionSample(grid=xs, values=values)
 
 

@@ -373,6 +373,26 @@ def test_verify_at_window_end_is_a_failed_check_not_a_crash(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window, code", [(1e-9, 2), (2.0e-5, 2), (0.011, 2), (0.0112, 0)])
+def test_verify_refuses_a_window_below_its_minimum(tmp_path, capsys, window, code):
+    # the pseudo-hermiticity rows draw times from [0.01, 0.9 window]; a
+    # shorter window is one line and exit 2, with no report, and solve
+    # still runs on it
+    body = SMALL_PROFILE.replace("window: 3.0", f"window: {window!r}").replace(
+        "levels: [0, 1]", "levels: [0]").replace("times: [0.3]", "times: [0.0]")
+    cfg = _write_config(tmp_path, body + "grid: {half_width: 12.0, dx: 0.01}\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err == (f"error: profile: window {window:g} is below verify's "
+                       f"minimum 0.01/0.9\n")
+        assert not out.exists()
+    else:
+        assert err == "" and (out / "verify_report.json").exists()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+
+
 def _write_sampled_tables(tmp_path, rows):
     """Mass and coupling CSV tables with `rows` rows each on [0, 2]."""
     t = np.linspace(0.0, 2.0, rows)

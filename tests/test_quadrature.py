@@ -85,17 +85,34 @@ def test_refined_doubles_panels():
 
 
 def test_max_node_difference_detects_coarse_error():
+    # the Richardson test of the profile tables: the fine table read at the
+    # coarse nodes, which are every (fine/coarse)-th fine node
     y = lambda t: np.sin(5.0 * t)
-    coarse = SimpsonGrid.build(3.0, knots=None, panels_per_segment=2)
-    tc = coarse.cumulative(y(coarse.nodes))
-    fine = coarse.refined()
-    tf = fine.cumulative(y(fine.nodes))
-    assert tf.max_node_difference(tc) > 1e-1       # 2 panels cannot see sin(5t)
-    ok = SimpsonGrid.build(3.0, knots=None, panels_per_segment=128)
-    tok = ok.cumulative(y(ok.nodes))
-    ref = SimpsonGrid.build(3.0, knots=None, panels_per_segment=1024)
-    tref = ref.cumulative(y(ref.nodes))
-    assert tref.max_node_difference(tok) < 2e-5    # resolved grid agrees
+
+    def node_difference(coarse_panels, fine_panels):
+        coarse, fine = (SimpsonGrid.build(3.0, knots=None, panels_per_segment=p)
+                        for p in (coarse_panels, fine_panels))
+        step = fine_panels // coarse_panels
+        assert np.array_equal(fine.nodes[::step], coarse.nodes)
+        tc, tf = coarse.cumulative(y(coarse.nodes)), fine.cumulative(y(fine.nodes))
+        return np.max(np.abs(tf.values[::step] - tc.values))
+
+    assert node_difference(2, 4) > 1e-1          # 2 panels cannot see sin(5t)
+    assert node_difference(128, 1024) < 2e-5     # resolved grid agrees
+
+
+@pytest.mark.parametrize("knots, span", [
+    (None, 3.0),                                              # the unit profile's grid
+    (np.linspace(0.0, 2.0, 2001), 2.0),                       # a 2001-row sampled pair
+    (np.random.default_rng(19).uniform(0.0, 2.5, 37), 2.5),   # random knots
+], ids=["unit", "sampled-2001", "random-knots"])
+def test_refined_grid_holds_the_coarse_nodes_bitwise(knots, span):
+    # the profile tables compare fine[..., ::2] with the coarse table, so
+    # each refinement must keep every coarse node as every other fine node
+    for panels in (2, 4, 8, 16):
+        grid = SimpsonGrid.build(span, knots=knots, panels_per_segment=panels)
+        fine = grid.refined()
+        assert fine.nodes[::2].tobytes() == grid.nodes.tobytes(), panels
 
 
 def test_build_validation():

@@ -637,6 +637,33 @@ def test_von_neumann_residual_start_uses_one_sided_difference():
     assert von_neumann_residual(UNIT, 1, 0.0, HALF1) < 1e-4
 
 
+@pytest.mark.parametrize("t", [0.0, 0.4, 3.0])
+def test_von_neumann_residual_builds_the_invariant_once(monkeypatch, t):
+    # dI/dt comes from the coefficients c_p and c_0, not from invariants
+    # built at the stencil instants and differenced
+    calls = []
+    real = verify.build_invariant
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "build_invariant", counting)
+    von_neumann_residual(UNIT, 1, t, HALF1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("profile", [UNIT, WAVY], ids=["unit", "wavy"])
+def test_von_neumann_residual_at_start_has_no_band_difference_rounding(profile):
+    # c_p = 0 at t = 0, so the grid remainder vanishes and what is left is
+    # the one-sided stencil's truncation, 3.6e-12 here.  The bound keeps a
+    # 2.7x margin and fails a time difference of the band entries that
+    # hold 2/dx^2, which reads 2.2e-11.
+    for region in (1, 2):
+        grid = Grid1D.half_line(16.0, 0.005, region)
+        assert von_neumann_residual(profile, region, 0.0, grid) < 1e-11
+
+
 def test_von_neumann_residual_frozen_tilt_fails(monkeypatch):
     # the invariant with its p coefficient zeroed is not conserved
     real = verify.invariant_coefficients

@@ -54,6 +54,22 @@ def test_assemble_identity_at_zero_time():
         np.testing.assert_allclose(w0.values.imag, 0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("grid", [np.arange(-1600, 1601) * 0.005, np.arange(-700, 1301) * 0.01],
+                         ids=["centered", "asymmetric"])
+@pytest.mark.parametrize("profile", [UNIT, WAVY, SAMPLED], ids=["unit", "wavy", "sampled"])
+def test_assemble_is_the_two_region_construction_bitwise(profile, grid):
+    # one region-1 read at |x|, sign-flipped at x < 0 for odd n, is the
+    # region-1 branch on x >= 0 and the region-2 branch on x < 0, to the bit
+    pos = grid >= 0.0
+    for n in range(4):
+        for t in (0.0, 0.5):
+            want = np.empty(grid.size, dtype=complex)
+            want[pos] = wavefunction_branch(profile, n, 1, grid[pos].astype(complex), t)
+            want[~pos] = wavefunction_branch(profile, n, 2, grid[~pos].astype(complex), t)
+            got = assemble_wavefunction(profile, n, t, grid).values
+            assert got.tobytes() == want.tobytes(), (n, t)
+
+
 def test_assemble_grid_validation():
     with pytest.raises(ValueError):
         assemble_wavefunction(UNIT, 0, 0.5, np.linspace(0.5, 2.0, 8))
