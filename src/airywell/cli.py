@@ -25,7 +25,8 @@ import yaml
 from .airy import MAX_ABS_Z, airy_derivative_zero, airy_eval, airy_function_zero
 from .profiles import TimeProfile, _finite_number, coefficients_at
 from .spectrum import MAX_LEVEL, density, level
-from .verify import Grid1D, level_residuals, pseudo_hermiticity_check, von_neumann_residual
+from .verify import (Grid1D, _stencil, level_residuals, pseudo_hermiticity_check,
+                     von_neumann_residual)
 # tdse_residual and invariant_eigen_residual are not called here, but the
 # benchmark tracer in bench/tracing.py rebinds them in this namespace
 from .verify import invariant_eigen_residual, tdse_residual  # noqa: F401
@@ -257,28 +258,27 @@ def _require_tables(cfg: RunConfig):
         raise ConfigError(f"profile: {exc}") from exc
 
 
-def _require_kernel_disc(cfg: RunConfig, u_lo: float, u_hi: float,
-                         with_static: bool = False):
+def _branch_shifts(profile: TimeProfile, instants) -> list:
+    """S - i b at each instant, where the branches evaluate Ai(|x| + S - i b - lambda_n)."""
+    return [complex(c.shift, -c.b) for c in (coefficients_at(profile, s) for s in instants)]
+
+
+def _require_kernel_disc(cfg: RunConfig, u_lo: float, u_hi: float, shifts):
     """Every Airy argument a grid command evaluates must lie in |z| <= 40.
 
-    The branches evaluate Ai(u + S(t) - i b(t) - lambda_n) for u = |x| over
-    [u_lo, u_hi]; with_static adds the static arguments u - lambda_n that
-    the density reconstruction evaluates.  The modulus of a linear function
-    on a segment peaks at an end point, so the two ends decide.
+    For a configured time t the command evaluates Ai(u + s - lambda_n) for u = |x|
+    in [u_lo, u_hi] and s in shifts(t); a refusal names t.  The modulus of a
+    linear function on a segment peaks at an end, so the two ends decide.
     """
     for t in cfg.times:
-        c = coefficients_at(cfg.profile, t)
-        shifts = [complex(c.shift, -c.b)]
-        if with_static:
-            shifts.append(0j)
+        at_t = shifts(t)
         for n in cfg.levels:
-            lam = level(n).eigenvalue
-            for shift in shifts:
+            for shift in at_t:
                 for u in (u_lo, u_hi):
-                    size = abs(u + shift - lam)
+                    size = abs(u + shift - level(n).eigenvalue)
                     if not size <= MAX_ABS_Z:
                         raise ConfigError(
-                            f"level {n} at t = {t:g} needs Ai at |z| = {size:.3g}"
+                            f"level {n} at t = {t:g} needs Ai at |z| = {size:.6g}"
                             f" (|x| = {abs(u):g}), beyond the supported {MAX_ABS_Z:g}")
 
 
@@ -398,7 +398,8 @@ def run_solve(cfg: RunConfig, stdout=None) -> int:
     _require_grid_reach(cfg)
     _require_tables(cfg)
     grid = Grid1D.centered(cfg.half_width, cfg.dx)
-    _require_kernel_disc(cfg, 0.0, grid.x_max, with_static=True)
+    # the branches at t, and the density reconstruction's static u - lambda_n
+    _require_kernel_disc(cfg, 0.0, grid.x_max, lambda t: _branch_shifts(cfg.profile, [t]) + [0j])
     # after the config checks, which leave no directory behind, and
     # before any state is computed
     _out_dir(cfg)
@@ -412,10 +413,8 @@ def run_solve(cfg: RunConfig, stdout=None) -> int:
                 raise ConfigError(f"level {n} at t = {t:g}: the state leaves double "
                                   f"precision range on the grid")
             path = _out_path(cfg, f"solve_n{n}_{_time_label(t)}")
-            _write_rows(path,
-                        ("x", "re", "im", "reconstructed_density"),
-                        (xs, sample.values.real, sample.values.imag, rho),
-                        cfg.fmt)
+            _write_rows(path, ("x", "re", "im", "reconstructed_density"),
+                        (xs, sample.values.real, sample.values.imag, rho), cfg.fmt)
             written.append(path)
     if stdout:
         for path in written:
@@ -433,8 +432,9 @@ def _verify_jobs(cfg: RunConfig, wrong_sign_k: bool):
     _require_grid_reach(cfg)
     tol = cfg.tolerances
     full = Grid1D.centered(cfg.half_width, cfg.dx)
-    # the evolution residual reads each branch one node past its half-line
-    _require_kernel_disc(cfg, -full.dx, full.x_max + full.dx)
+    # the branches one node past each half-line, at t and its d/dt stencil's instants
+    _require_kernel_disc(cfg, -full.dx, full.x_max + full.dx, lambda t: _branch_shifts(
+        prof, [t] + [t + s for s, _ in _stencil(t, prof.window)]))
     halves = {1: Grid1D.half_line(cfg.half_width, cfg.dx, 1),
               2: Grid1D.half_line(cfg.half_width, cfg.dx, 2)}
     jobs = []

@@ -226,7 +226,8 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     H(t_mid) is the operator `build_hamiltonian` gives, its bands filled by
     the same helper straight into A's band arrays, allocated once per run.
     m and f are read at every step midpoint in one call each before the
-    first step, and the mass is checked positive there.  A is refilled
+    first step: these masses, the only ones the run reads, must be positive
+    and their least bounds dt/dx^2.  A is refilled
     and refactored only on steps where the pair (m(t_mid), f(t_mid))
     differs from the previous step's, so a constant-coefficient profile
     factors once per run and a time-dependent one on every step.
@@ -251,10 +252,6 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
         raise ValueError("propagation grid must be uniform")
     grid = Grid1D(float(xs[0]), float(xs[-1]), xs.size)
 
-    m_min = float(np.min(profile.mass.value(np.linspace(t0, t1, 33))))
-    if dt / grid.dx**2 > 10.0 * m_min:
-        raise ValueError("time step too large for this grid (dt/dx^2 guard)")
-
     n_steps = int(round((t1 - t0) / dt))
     if abs(t0 + n_steps * dt - t1) > 1e-9:
         raise ValueError("(t1 - t0) must be an integer number of steps")
@@ -263,6 +260,8 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     m_mid = profile.mass.value(t_mid)
     if not np.all(m_mid > 0.0):
         raise ValueError("mass must stay positive")
+    if dt / grid.dx**2 > 10.0 * np.min(m_mid, initial=np.inf):
+        raise ValueError("time step too large for this grid (dt/dx^2 guard)")
     coefficients = zip(m_mid.tolist(), profile.coupling.value(t_mid).tolist())
 
     sigma = None if boundary is not None else _mirror_parity(full, grid)
@@ -280,7 +279,6 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     b = np.empty(n, dtype=complex)
     factored_for = None                      # the (m, f) the factors belong to
     probe = 0.0
-    t = t0
     for step, (m, f) in enumerate(coefficients):
         if (m, f) != factored_for:
             _hamiltonian_bands(m, f, abs_x, dx, main, upper)
@@ -303,7 +301,7 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
                 raise RuntimeError(f"tridiagonal solve broke down at step {step}")
             factored_for = (m, f)
 
-        left, right = (0.0, 0.0) if boundary is None else boundary(t + dt)
+        left, right = (0.0, 0.0) if boundary is None else boundary((t0 + step * dt) + dt)
         np.add(psi, psi, out=b)
         if not reflect:
             b[0] = left + psi[0]
@@ -319,11 +317,10 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
             raise RuntimeError(f"propagation diverged at step {step}")
 
         probe = max(probe, float(abs(psi[near_left])), float(abs(psi[-3])))
-        t = t0 + (step + 1) * dt
 
     if sigma is not None and n_steps:      # a run of no steps returns its input as given
         full[:origin] = sigma * full[:origin:-1]
-    return PropagationResult(grid=grid, t_final=t, values=full, steps=n_steps,
+    return PropagationResult(grid=grid, t_final=t0 + n_steps * dt, values=full, steps=n_steps,
                              boundary_probe=probe)
 
 
@@ -331,26 +328,29 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
 TIME_DELTA = 1e-5
 
 
-def _time_derivative(fn, t: float, delta: float, window: float):
-    """d/dt of fn at t, second order in delta.
+def _stencil(t: float, window: float) -> tuple:
+    """The (offset, weight) pairs of the d/dt stencil at t, step TIME_DELTA.
 
-    Central difference inside the window; within delta of t = 0 or of
+    Central difference inside the window; within TIME_DELTA of t = 0 or of
     t = window, the one-sided three-point formula that stays inside it.
     """
-    if t - delta < 0.0:
-        stencil = ((0.0, -3.0), (delta, 4.0), (2.0 * delta, -1.0))
-    elif t + delta > window:
-        stencil = ((0.0, 3.0), (-delta, -4.0), (-2.0 * delta, 1.0))
-    else:
-        stencil = ((delta, 1.0), (-delta, -1.0))
-    return sum(weight * fn(t + step) for step, weight in stencil) / (2.0 * delta)
+    if t - TIME_DELTA < 0.0:
+        return ((0.0, -3.0), (TIME_DELTA, 4.0), (2.0 * TIME_DELTA, -1.0))
+    if t + TIME_DELTA > window:
+        return ((0.0, 3.0), (-TIME_DELTA, -4.0), (-2.0 * TIME_DELTA, 1.0))
+    return ((TIME_DELTA, 1.0), (-TIME_DELTA, -1.0))
+
+
+def _time_derivative(fn, t: float, window: float):
+    """d/dt of fn at t over `_stencil`, second order in TIME_DELTA."""
+    return sum(w * fn(t + s) for s, w in _stencil(t, window)) / (2.0 * TIME_DELTA)
 
 
 def _branch_samples(profile: TimeProfile, n: int, t: float, grid: Grid1D):
     """The region-1 branch at the nodes k dx that every residual of (n, t) reads.
 
     With K the largest |k| of grid, returns Psi_n,1 at t for k = -1 ...
-    K + 1 and its d/dt (the `_time_derivative` stencil) for k = 0 ... K.
+    K + 1 and its d/dt (`_time_derivative`) for k = 0 ... K.
     Region 2 is read from these by parity: its value at k dx, k < 0, is
     sigma_n times the region-1 value at |k| dx, which on the exact grid is
     bitwise what `wavefunction_branch(..., 2, ...)` gives there.
@@ -360,7 +360,7 @@ def _branch_samples(profile: TimeProfile, n: int, t: float, grid: Grid1D):
     centre = wavefunction_branch(profile, n, 1, ks.astype(complex), t)
     nodes = ks[1:-1].astype(complex)
     dpsi = _time_derivative(lambda s: wavefunction_branch(profile, n, 1, nodes, s),
-                            t, TIME_DELTA, profile.window)
+                            t, profile.window)
     return centre, dpsi
 
 
@@ -500,7 +500,7 @@ def von_neumann_residual(profile: TimeProfile, region: int, t: float,
         co = invariant_coefficients(profile, s, region)
         return np.array((co.p, co.const))
 
-    dp, dconst = _time_derivative(coefficients, t, TIME_DELTA, profile.window)
+    dp, dconst = _time_derivative(coefficients, t, profile.window)
     dupper, dlower = _p_entries(dp, grid.dx)
 
     ham = build_hamiltonian(profile, t, grid)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -349,6 +350,29 @@ def test_kernel_argument_outside_disc_is_a_config_error(tmp_path, capsys, comman
     assert not out.exists()
 
 
+# m0 = 0.01: at t itself the branches reach |z| = 39.9999 at most, but the
+# d/dt stencil also reads them at t + 1e-5, where x = 0 needs |z| = 40.0011
+STENCIL_EDGE = """\
+profile: {window: 1.0, mass: {family: constant, m0: 0.01}, coupling: {family: zero}}
+levels: [0]
+times: [0.124861694732]
+"""
+
+
+def test_verify_checks_the_kernel_disc_at_its_stencil_instants(tmp_path, capsys):
+    cfg = _write_config(tmp_path, STENCIL_EDGE)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: level 0 at t = 0.124862 needs Ai at |z| = ")
+    assert err.count("\n") == 1 and not out.exists()
+    # the refused modulus prints above the bound it breaks
+    assert float(err.split("|z| = ")[1].split()[0]) > 40.0
+    # solve reads the branches at t alone
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "solve_n0_t0.124862.csv").exists()
+
+
 def test_verify_at_window_start_passes(tmp_path, capsys):
     # the time derivatives turn one-sided at t = 0 instead of leaving the window
     body = SMALL_PROFILE.replace("times: [0.3]", "times: [0.0]")
@@ -526,6 +550,67 @@ def test_config_bad_profile_family(tmp_path, capsys):
     assert "quadratic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, line", [
+    ("times: []\n", "error: times: list must be non-empty\n"),
+    ("- 1\n", "error: config root must be a mapping\n"),
+    ("grid: {foo: 1}\n", "error: grid: takes exactly the keys half_width and dx\n"),
+    ("tolerances: 3\n", "error: tolerances: must be a mapping\n"),
+    ("profile: [1]\n", "error: profile: profile block must be a mapping\n"),
+    ("profile: {window: 3.0, mass: 3, coupling: {family: zero}}\n",
+     "error: profile: mass block must be a mapping\n"),
+], ids=["empty-times", "list-root", "grid-key", "tolerances-scalar", "profile-list",
+        "mass-scalar"])
+def test_config_shapes_are_one_line_errors(tmp_path, capsys, body, line):
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+
+
+def test_config_table_naming_a_directory_is_one_line(tmp_path, capsys):
+    (tmp_path / "tables").mkdir()
+    cfg = _write_config(tmp_path, SMALL_PROFILE.replace(
+        "mass: {family: constant, m0: 1.0}", "mass: {family: sampled, table: tables}"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    _assert_one_line_config_error(capsys, out, "error: mass: cannot read table file")
+
+
+def test_empty_config_file_runs_the_defaults(tmp_path):
+    cfg = _write_config(tmp_path, "")
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    header, rows = _read_csv(tmp_path / "out" / "spectrum.csv")
+    assert [int(row[0]) for row in rows] == list(cli.RunConfig.levels)
+    assert cli.load_config(cfg) == cli.RunConfig(
+        profile=cli.TimeProfile.from_config(cli._DEFAULT_PROFILE))
+
+
+def test_load_config_builds_what_main_runs(tmp_path, monkeypatch):
+    # every key, with a sampled table read relative to the config's directory
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "mass.csv").write_text("0.0,1.0\n3.0,2.5\n")
+    cfg = _write_config(tmp_path / "runs", SMALL_PROFILE.replace(
+        "mass: {family: constant, m0: 1.0}", "mass: {family: sampled, table: mass.csv}")
+        + "grid: {half_width: 12.0, dx: 0.01}\ntolerances: {tdse: 0.5}\n"
+        + f"out: {tmp_path / 'out'}\nformat: json\n")
+    built = []
+    monkeypatch.setattr(cli, "run_spectrum",
+                        lambda cfg, stdout=None: built.append(cfg) or 0)
+    assert main(["spectrum", "--config", cfg]) == 0
+    loaded = cli.load_config(cfg)
+    # sampled laws compare by identity, so their tables are compared here
+    [ran] = built
+    for got in (ran, loaded):
+        np.testing.assert_array_equal(got.profile.mass.times, [0.0, 3.0])
+        np.testing.assert_array_equal(got.profile.mass.samples, [1.0, 2.5])
+    assert ran.profile.coupling == loaded.profile.coupling
+    assert ran.profile.window == loaded.profile.window == 3.0
+    assert (dataclasses.replace(ran, profile=None)
+            == dataclasses.replace(loaded, profile=None))
+    assert loaded.tolerances["tdse"] == 0.5 and loaded.fmt == "json"
+
+
 @pytest.mark.parametrize("case, words", [
     ("solve", "out: cannot create directory"),
     ("verify", "out: cannot create directory"),
@@ -556,7 +641,7 @@ def test_unusable_paths_are_one_line_config_errors(tmp_path, capsys, case, words
 
 
 @pytest.mark.parametrize("command, work", [("solve", "assemble_wavefunction"),
-                                           ("verify", "tdse_residual")])
+                                           ("verify", "level_residuals")])
 def test_unusable_out_is_reported_before_any_work(tmp_path, capsys, monkeypatch,
                                                   command, work):
     calls = []

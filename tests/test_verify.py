@@ -347,6 +347,40 @@ def test_cn_step_size_guard():
         crank_nicolson_propagate(FREE, _State(x, psi), 0.0, 0.1, 1e-3)
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0, 3.0], ids=["start", "inside", "end"])
+def test_time_derivative_reads_only_the_stencil_instants(t):
+    # the verify pre-flight checks the kernel disc at these instants
+    seen = []
+    assert verify._time_derivative(lambda s: seen.append(s) or s, t, 3.0) == pytest.approx(1.0)
+    assert seen == [t + s for s, _ in verify._stencil(t, 3.0)]
+    assert all(0.0 <= s <= 3.0 for s in seen)
+
+
+def test_cn_checks_the_step_masses_before_the_guard():
+    # m = (1 - t/2)^2 vanishes at t = 2, the midpoint of the one step of
+    # [1.9995, 2.0005]: that is the mass the step reads, and it is refused
+    # as a mass before it could bound dt/dx^2
+    prof = TimeProfile.from_config({
+        "mass": {"family": "power", "m0": 1.0, "gamma": -0.5, "alpha": 2.0},
+        "coupling": {"family": "zero"},
+        "window": 3.0,
+    })
+    x = Grid1D.centered(5.0, 0.05).nodes
+    psi = np.exp(-x**2).astype(complex)
+    with pytest.raises(ValueError, match="mass must stay positive"):
+        crank_nicolson_propagate(prof, _State(x, psi), 1.9995, 2.0005, 1e-3)
+
+
+def test_cn_run_of_no_steps_is_not_guarded():
+    # dt/dx^2 = 40 would break the guard of m = 1, but a run of no steps
+    # reads no step mass and returns its input
+    x = Grid1D.centered(5.0, 0.005).nodes
+    psi = np.exp(-x**2).astype(complex)
+    res = crank_nicolson_propagate(FREE, _State(x, psi), 0.5, 0.5, 1e-3)
+    assert res.steps == 0 and res.t_final == 0.5 and res.boundary_probe == 0.0
+    np.testing.assert_array_equal(res.values, psi)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)],
                          ids=["nan", "inf", "-inf", "imag-inf"])
 def test_cn_flags_nonfinite_state_with_step_index(bad):
@@ -481,7 +515,7 @@ def _two_region_tdse(profile, n, t, grid, flip_coupling_sign):
         nodes = xs[idx].astype(complex)
         dpsi = verify._time_derivative(
             lambda s: wavefunction_branch(profile, n, region, nodes, s),
-            t, verify.TIME_DELTA, profile.window)
+            t, profile.window)
         res[idx] = 1j * dpsi - (-lap / (2.0 * m) + 1j * f * np.abs(xs[idx]) * mid)
         psi_mid[idx] = mid
     keep = np.zeros(grid.n_points, dtype=bool)
