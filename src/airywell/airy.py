@@ -8,7 +8,10 @@ of Ai and a'_k of Ai'.  Two evaluators share one input contract:
     K_{1/3} (`scipy.special.kv`; DLMF 9.6.1 and 9.2.12, see its
     docstring).  Every eigenfunction and branch state reads only Ai, so
     they all use it.  Against mpmath its relative error is about 4e-14 on
-    the working disc |z| <= 40, away from the zeros of Ai.
+    the working disc |z| <= 40, away from the zeros of Ai.  A 0-d input
+    (one point, as the Crank-Nicolson boundary feed asks for on every
+    step) is read in Python scalars with the same formulas, which costs
+    a fraction of the same work on one-element arrays.
 
   * `airy_eval_many` gives Ai, Ai', Bi and Bi' from `scipy.special.airy`,
     which wraps D. E. Amos's complex Airy routines (ACM TOMS Algorithm
@@ -23,7 +26,10 @@ Three details are handled here rather than left to callers:
     returns a wrong value (scipy 1.17.1 gives Ai(-5 - 0.0j) =
     -0.175 + 0.069j, the true value being 0.351).  Region 2 of the
     time-dependent states produces such arguments as -z - lambda, so every
-    argument is normalized with `+ 0.0`, which turns -0.0 into +0.0.
+    argument is normalized by adding +0.0 to its imaginary part, which
+    turns -0.0 into +0.0.  A one-point read adds it to the float
+    `z.imag`: `z + 0.0` on a Python complex keeps -0.0 under the C99
+    mixed-mode arithmetic of Python 3.14.
 
   * The origin.  K_{1/3} is infinite at 0, so `airy_ai_many` returns
     Ai(0) = 3^(-2/3)/Gamma(2/3) for |z| < 1e-17, where Ai(z) rounds to
@@ -37,7 +43,9 @@ Three details are handled here rather than left to callers:
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +66,7 @@ MAX_ABS_Z = 40.0
 MAX_ZERO_INDEX = 50
 _NEWTON_STEPS = 3
 
-_K_SCALE = 1.0 / (np.pi * np.sqrt(3.0))
+_K_SCALE = 1.0 / (math.pi * math.sqrt(3.0))
 _AI_AT_ZERO = 0.35502805388781723926     # 3^(-2/3) / Gamma(2/3)
 _NEAR_ZERO = 1e-17                        # |Ai'(0) z / Ai(0)| < 1e-17 below
 
@@ -78,6 +86,13 @@ class AiryPair:
         return self.ai * self.bi_prime - self.ai_prime * self.bi
 
 
+def _refuse_outside_disc(largest_modulus):
+    """A ValueError unless the largest |z| lies in the disc; NaN fails too."""
+    # written so that a NaN modulus fails the test
+    if not largest_modulus <= MAX_ABS_Z:
+        raise ValueError(f"|z| > {MAX_ABS_Z} is outside the supported disc")
+
+
 def _in_disc(z):
     """z as complex, -0.0 imaginary parts made +0.0, with its moduli.
 
@@ -86,9 +101,7 @@ def _in_disc(z):
     # + 0.0 maps a -0.0 imaginary part to +0.0 (see the module docstring)
     zarr = np.asarray(z, dtype=complex) + 0.0
     mod = np.abs(zarr)
-    # written so that a NaN modulus fails the test
-    if not mod.max(initial=0.0) <= MAX_ABS_Z:
-        raise ValueError(f"|z| > {MAX_ABS_Z} is outside the supported disc")
+    _refuse_outside_disc(mod.max(initial=0.0))
     return zarr, mod
 
 
@@ -122,7 +135,12 @@ def airy_ai_many(z) -> np.ndarray:
     computed zeta: its imaginary part has the sign opposite to Im z there.
     A point on the boundary ray then always gets the formula that matches
     the side of the cut kv sees.
+
+    A 0-d input (a Python or numpy number, or a 0-d array) is read by
+    `_ai_point` in Python scalars and gives an np.complex128.
     """
+    if isinstance(z, (int, float, complex)) or np.ndim(z) == 0:
+        return _ai_point(complex(z))
     zarr, mod = _in_disc(z)
     flat = zarr.reshape(-1)
     root = np.sqrt(flat)
@@ -136,7 +154,24 @@ def airy_ai_many(z) -> np.ndarray:
     val *= _K_SCALE * root
     if mod.min(initial=np.inf) < _NEAR_ZERO:
         val[mod.reshape(-1) < _NEAR_ZERO] = _AI_AT_ZERO
-    return val.reshape(zarr.shape)[()]
+    return val.reshape(zarr.shape)
+
+
+def _ai_point(z: complex) -> np.complex128:
+    """`airy_ai_many` at one point: the same formulas, refusals and Ai(0)
+    rule, in Python scalars and one or two scalar kv calls."""
+    # the float sum clears a -0.0 imaginary part; z + 0.0 need not
+    z = complex(z.real, z.imag + 0.0)
+    mod = abs(z)
+    _refuse_outside_disc(mod)
+    if mod < _NEAR_ZERO:
+        return np.complex128(_AI_AT_ZERO)
+    root = cmath.sqrt(z)
+    zeta = (2.0 / 3.0) * z * root
+    val = kv(1.0 / 3.0, zeta)
+    if math.copysign(1.0, zeta.imag * z.imag) < 0.0:      # the far sector
+        val = kv(1.0 / 3.0, -zeta) - val
+    return val * (_K_SCALE * root)
 
 
 def airy_eval(z) -> AiryPair:

@@ -83,11 +83,14 @@ def eigenfunction(n: int, x):
 
 
 def eigenfunction_continued(n: int, z):
-    """Analytic continuation N Ai(z - lambda) of phi_n's x >= 0 branch."""
+    """Analytic continuation N Ai(z - lambda) of phi_n's x >= 0 branch.
+
+    A 0-d z is read in Python scalars and gives a Python complex.
+    """
     lev = level(n)
-    za = np.asarray(z, dtype=complex)
-    vals = airy_ai_many(za - lev.eigenvalue) * lev.norm_const
-    return complex(vals) if za.ndim == 0 else vals
+    if isinstance(z, (int, float, complex)) or np.ndim(z) == 0:
+        return complex(airy_ai_many(z - lev.eigenvalue) * lev.norm_const)
+    return airy_ai_many(np.asarray(z, dtype=complex) - lev.eigenvalue) * lev.norm_const
 
 
 def density(n: int, x):

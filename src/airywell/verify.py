@@ -26,7 +26,7 @@ import numpy as np
 # solve_banded is not called here, but the benchmark tracer in
 # bench/tracing.py rebinds it in this namespace
 from scipy.linalg import solve_banded  # noqa: F401
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .profiles import TimeProfile, coefficients_at, invariant_coefficients
 from .spectrum import level
@@ -202,8 +202,10 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     Each step applies (1 + i tau H)^-1 (1 - i tau H), with tau = dt/2 and
     H = H(t_mid), in its Cayley form 2 (1 + i tau H)^-1 - 1: it solves
     A y = 2 psi with A = 1 + i tau H and sets psi_new = y - psi, so no
-    product with H is formed.  A is factored by LAPACK's tridiagonal LU
-    (`zgttrf`) and each step is one `zgttrs` solve.  Ends are Dirichlet:
+    product with H is formed.  A is solved by LAPACK's tridiagonal LU with
+    partial pivoting: `zgttrf` factors and `zgttrs` solves, or `zgtsv`
+    does both in one call for an A no other step reuses (see below).
+    Both run the same elimination with the same pivoting.  Ends are Dirichlet:
     zero by default, or values from `boundary(t_new) -> (left, right)`
     when the run is fed analytic edge data (the half-line cross-checks).
     A's end rows are identity rows, so the right-hand side holds
@@ -227,10 +229,13 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     the same helper straight into A's band arrays, allocated once per run.
     m and f are read at every step midpoint in one call each before the
     first step: these masses, the only ones the run reads, must be positive
-    and their least bounds dt/dx^2.  A is refilled
-    and refactored only on steps where the pair (m(t_mid), f(t_mid))
-    differs from the previous step's, so a constant-coefficient profile
-    factors once per run and a time-dependent one on every step.
+    and their least bounds dt/dx^2.  A is refilled only on steps where the
+    pair (m(t_mid), f(t_mid)) differs from the previous step's.  A pair the
+    next step shares is factored once by `zgttrf` and every step of it
+    solves with `zgttrs`; a pair the next step does not share is solved by
+    one `zgtsv` call, which skips storing factors no step reads.  So a
+    constant-coefficient profile factors once per run, and a time-dependent
+    one takes one `zgtsv` call per step.
 
     The run must lie inside the profile window: t0 >= 0 and t1 <= window,
     with the 1e-12 slack of the profile's table reads.
@@ -262,7 +267,7 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
         raise ValueError("mass must stay positive")
     if dt / grid.dx**2 > 10.0 * np.min(m_mid, initial=np.inf):
         raise ValueError("time step too large for this grid (dt/dx^2 guard)")
-    coefficients = zip(m_mid.tolist(), profile.coupling.value(t_mid).tolist())
+    pairs = list(zip(m_mid.tolist(), profile.coupling.value(t_mid).tolist()))
 
     sigma = None if boundary is not None else _mirror_parity(full, grid)
     origin = 0 if sigma is None else -grid.first_index
@@ -279,7 +284,7 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     b = np.empty(n, dtype=complex)
     factored_for = None                      # the (m, f) the factors belong to
     probe = 0.0
-    for step, (m, f) in enumerate(coefficients):
+    for step, (m, f) in enumerate(pairs):
         if (m, f) != factored_for:
             _hamiltonian_bands(m, f, abs_x, dx, main, upper)
             main *= half_step
@@ -295,18 +300,28 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
                 main[0] = 1.0
             lower[-1] = 0.0
             main[-1] = 1.0
-            lower, main, upper, upper2, pivots, info = zgttrf(
-                lower, main, upper, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
-            if info > 0:
-                raise RuntimeError(f"tridiagonal solve broke down at step {step}")
-            factored_for = (m, f)
+            # factor only for a pair the next step reuses; A of a one-off
+            # pair is factored and solved by one zgtsv call below
+            factored_for = (m, f) if pairs[step + 1:step + 2] == [(m, f)] else None
+            if factored_for is not None:
+                lower, main, upper, upper2, pivots, info = zgttrf(
+                    lower, main, upper, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+                if info > 0:
+                    raise RuntimeError(f"tridiagonal solve broke down at step {step}")
 
         left, right = (0.0, 0.0) if boundary is None else boundary((t0 + step * dt) + dt)
         np.add(psi, psi, out=b)
         if not reflect:
             b[0] = left + psi[0]
         b[-1] = right + psi[-1]
-        b, _ = zgttrs(lower, main, upper, upper2, pivots, b, overwrite_b=True)
+        if factored_for is None:
+            # zgtsv overwrites the bands, which the next step refills
+            _, _, _, b, info = zgtsv(lower, main, upper, b, overwrite_dl=True,
+                                     overwrite_d=True, overwrite_du=True, overwrite_b=True)
+            if info > 0:
+                raise RuntimeError(f"tridiagonal solve broke down at step {step}")
+        else:
+            b, _ = zgttrs(lower, main, upper, upper2, pivots, b, overwrite_b=True)
         np.subtract(b, psi, out=psi)
         if not reflect:
             psi[0] = left

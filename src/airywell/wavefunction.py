@@ -51,6 +51,7 @@ hidden; see the origin tests and the residual checks.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,12 +100,16 @@ def shift_reorder_phase(profile: TimeProfile, t: float) -> float:
     return c.cum_chi2 - c.cum_chi1
 
 
-def _branch1(n: int, c: CoefficientSet, x: np.ndarray) -> np.ndarray:
-    """Psi_n,1 at the complex points x, from the coefficients c at one instant."""
+def _branch1(n: int, c: CoefficientSet, x):
+    """Psi_n,1 at the complex points x, from the coefficients c at one instant.
+
+    x is an array, or one Python complex, which is read in Python scalars.
+    """
+    exp = cmath.exp if isinstance(x, complex) else np.exp
     eps2 = _epsilon(n, c.cum_chi2, c.g)
-    amp = np.exp(1j * (eps2 + c.zeta - c.g * c.shift / 4.0)) * np.exp(-c.g * c.b / 2.0)
+    amp = exp(1j * (eps2 + c.zeta - c.g * c.shift / 4.0)) * exp(-c.g * c.b / 2.0)
     slope = c.k / 2.0 + 1j * (-c.g / 2.0)
-    return amp * np.exp(slope * x) * eigenfunction_continued(n, x + (c.shift - 1j * c.b))
+    return amp * exp(slope * x) * eigenfunction_continued(n, x + (c.shift - 1j * c.b))
 
 
 def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):
@@ -113,16 +118,25 @@ def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):
     The branch is entire in x; evaluating it off its own half-line is what
     the finite-difference residual checks need near the origin.  Region 2
     is sigma_n times region 1 at -x.
+
+    A one-element x (the Crank-Nicolson boundary feed reads one point per
+    step) is read as a Python complex through the same `_branch1`, whose
+    scalar arithmetic costs a fraction of the same work on a one-element
+    array; the result keeps x's shape.  It agrees with the array read to
+    rounding, not bitwise: numpy's array complex multiply may fuse.
     """
     if region not in (1, 2):
         raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
     c = coefficients_at(profile, t)
     xa = np.asarray(x, dtype=complex)
+    points = xa.item() if xa.size == 1 else xa
     if region == 1:
-        vals = _branch1(n, c, xa)
+        vals = _branch1(n, c, points)
     else:
-        vals = (-1.0 if n % 2 else 1.0) * _branch1(n, c, -xa)
-    return complex(vals) if xa.ndim == 0 else vals
+        vals = (-1.0 if n % 2 else 1.0) * _branch1(n, c, -points)
+    if xa.size == 1 and xa.ndim:
+        return np.full(xa.shape, vals)
+    return vals
 
 
 def assemble_wavefunction(profile: TimeProfile, n: int, t: float, grid) -> WavefunctionSample:

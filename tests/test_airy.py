@@ -307,10 +307,11 @@ def _mp_ai(z):
 
 
 def _assert_ai_matches_mpmath(z, rel):
-    got = airy_ai_many(z)
+    # the array read, and one call per point on the Python-scalar path
     want = np.array([_mp_ai(w) for w in z])
-    err = np.abs(got - want) / np.abs(want)
-    assert float(np.max(err)) <= rel, z[np.argmax(err)]
+    for got in (airy_ai_many(z), np.array([airy_ai_many(complex(w)) for w in z])):
+        err = np.abs(got - want) / np.abs(want)
+        assert float(np.max(err)) <= rel, z[np.argmax(err)]
 
 
 def test_ai_only_kernel_matches_mpmath_over_disc():
@@ -335,9 +336,13 @@ def test_ai_only_kernel_on_both_sides_of_the_sector_boundary():
 @pytest.mark.parametrize("x", [1.5, 5.0, 12.0, 30.0, 38.0])
 @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus-zero", "minus-zero"])
 def test_ai_only_kernel_on_negative_real_axis(x, zero):
-    got = airy_ai_many(np.array([complex(-x, zero)]))[0]
+    # in an array, and on the one-point path as a Python complex and as an
+    # np.complex128
+    z = complex(-x, zero)
     want = _mp_ai(-x)
-    assert abs(got - want) <= 1e-12 * abs(want)
+    for got in (airy_ai_many(np.array([z]))[0], airy_ai_many(z),
+                airy_ai_many(np.complex128(z))):
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_ai_only_kernel_along_negative_real_axis():

@@ -252,16 +252,24 @@ def test_cn_matches_reference_stepping():
         assert np.max(np.abs(res.values - psi)) > 1e-3     # the state did move
 
 
-def _factored_rows(monkeypatch):
-    """Record the number of rows of every matrix `zgttrf` factors."""
+def _factored_rows(monkeypatch, entries=None):
+    """Record the number of rows of every matrix `zgttrf` or `zgtsv` factors,
+    and which of the two did in `entries` when it is given."""
     rows = []
-    real = verify.zgttrf
 
-    def counting(lower, main, upper, **kwargs):
-        rows.append(main.size)
-        return real(lower, main, upper, **kwargs)
+    def counting(name):
+        real = getattr(verify, name)
 
-    monkeypatch.setattr(verify, "zgttrf", counting)
+        def call(lower, main, *args, **kwargs):
+            rows.append(main.size)
+            if entries is not None:
+                entries.append(name)
+            return real(lower, main, *args, **kwargs)
+
+        return call
+
+    for name in ("zgttrf", "zgtsv"):
+        monkeypatch.setattr(verify, name, counting(name))
     return rows
 
 
@@ -324,18 +332,44 @@ def test_cn_steps_the_full_line_unless_the_fold_is_exact(monkeypatch, case):
     assert abs(res.boundary_probe - probe) <= 1e-13
 
 
+def test_cn_factors_a_pair_only_when_the_next_step_reuses_it(monkeypatch):
+    # a sampled mass of 1 with a plateau at 1.2 on which exactly the third
+    # of five step midpoints lands: pairs A A B A A, so A is factored for
+    # steps 0-1 and again for 3-4, after the one-off B overwrote the bands
+    profile = TimeProfile.from_config({
+        "mass": {"family": "sampled",
+                 "table": [[0.0, 1.0], [2.1e-3, 1.0], [2.2e-3, 1.2], [2.8e-3, 1.2],
+                           [2.9e-3, 1.0], [1.0, 1.0]]},
+        "coupling": {"family": "constant", "f0": 1.0},
+        "window": 1.0,
+    })
+    entries = []
+    rows = _factored_rows(monkeypatch, entries)
+    xs = Grid1D.centered(10.0, 0.1).nodes
+    psi = np.exp(-(xs - 0.5)**2).astype(complex)
+    res = crank_nicolson_propagate(profile, _State(xs, psi), 0.0, 5e-3, 1e-3)
+    want, probe = _reference_cn(profile, xs, psi, 0.0, 5e-3, 1e-3)
+    assert res.steps == 5
+    assert np.max(np.abs(res.values - want)) <= 1e-13
+    assert abs(res.boundary_probe - probe) <= 1e-13
+    assert entries == ["zgttrf", "zgtsv", "zgttrf"] and set(rows) == {xs.size}
+
+
 def test_cn_reports_a_singular_pivot_with_step_index(monkeypatch):
-    real = verify.zgttrf
-
-    def singular(*args, **kwargs):
-        *factors, _ = real(*args, **kwargs)
-        return (*factors, 1)
-
-    monkeypatch.setattr(verify, "zgttrf", singular)
+    # FREE factors with zgttrf; WAVY, whose pair changes on every step, solves with zgtsv
     xs = Grid1D.centered(8.0, 0.01).nodes
     psi = np.exp(-xs**2).astype(complex)
-    with pytest.raises(RuntimeError, match="tridiagonal solve broke down at step 0"):
-        crank_nicolson_propagate(FREE, _State(xs, psi), 0.0, 0.01, 1e-3)
+    for profile, entry in ((FREE, "zgttrf"), (WAVY, "zgtsv")):
+        real = getattr(verify, entry)
+
+        def singular(*args, real=real, **kwargs):
+            *factors, _ = real(*args, **kwargs)
+            return (*factors, 1)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, entry, singular)
+            with pytest.raises(RuntimeError, match="tridiagonal solve broke down at step 0"):
+                crank_nicolson_propagate(profile, _State(xs, psi), 0.0, 0.01, 1e-3)
 
 
 def test_cn_step_size_guard():

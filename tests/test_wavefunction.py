@@ -95,6 +95,23 @@ def test_branch_composition_consistency():
             np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=f"n={n}")
 
 
+@pytest.mark.parametrize("region", [1, 2])
+def test_one_point_branch_agrees_with_the_array_read(region):
+    # a one-element x is read in Python scalars, an array in numpy, whose
+    # complex multiply may fuse: over these 4800 points per region the
+    # worst relative gap measured 6.1e-14, and the bound leaves a factor 8
+    xs = np.linspace(0.0, 10.0, 100) * (1.0 if region == 1 else -1.0)
+    for t in (0.05, 0.2, 0.5, 0.9, 1.3, 1.7, 2.1, 2.4):
+        for n in range(6):
+            want = wavefunction_branch(WAVY, n, region, xs.astype(complex), t)
+            for i, x in enumerate(xs):
+                got = wavefunction_branch(WAVY, n, region, np.array([complex(x)]), t)
+                assert got.shape == (1,)
+                assert abs(got[0] - want[i]) <= 5e-13 * abs(want[i]), (n, t, x)
+                if i % 25 == 0:
+                    assert wavefunction_branch(WAVY, n, region, complex(x), t) == got[0]
+
+
 def test_branch_region_validation():
     for region in (0, 3):
         with pytest.raises(ValueError):
