@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .airy import MAX_ABS_Z, airy_derivative_zero, airy_eval, airy_function_zero
+from .airy import (MAX_ABS_Z, MAX_ZERO_INDEX, airy_derivative_zero, airy_eval,
+                   airy_function_zero)
 from .profiles import TimeProfile, _finite_number, coefficients_at
 from .spectrum import MAX_LEVEL, density, level
 from .verify import (Grid1D, _stencil, level_residuals, pseudo_hermiticity_check,
@@ -70,7 +71,7 @@ class RunConfig:
     tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
 
 
-def _validate_levels(levels) -> tuple:
+def _validate_levels(levels, cap: int) -> tuple:
     if not isinstance(levels, (list, tuple)) or len(levels) == 0:
         raise ConfigError("levels: list must be non-empty")
     out = []
@@ -80,8 +81,8 @@ def _validate_levels(levels) -> tuple:
         n = int(float(n))
         if n < 0:
             raise ConfigError(f"levels: index {n} is negative")
-        if n > MAX_LEVEL:
-            raise ConfigError(f"levels: index {n} exceeds the supported {MAX_LEVEL}")
+        if n > cap:
+            raise ConfigError(f"levels: index {n} exceeds the supported {cap}")
         if n in out:
             raise ConfigError(f"levels: {n} is listed twice")
         out.append(n)
@@ -164,9 +165,10 @@ def _read_config(path: Path) -> dict:
     return raw
 
 
-def _run_config(raw: dict, base: Path) -> RunConfig:
+def _run_config(raw: dict, base: Path, level_cap: int = MAX_LEVEL) -> RunConfig:
     """The one check of a config mapping, flags written in: unknown keys
-    anywhere are hard errors, and table files are relative to base."""
+    anywhere are hard errors, table files are relative to base, and no
+    level may exceed level_cap."""
     known = {"profile", "levels", "times", "grid", "out", "format", "tolerances"}
     extra = set(raw) - known
     if extra:
@@ -185,7 +187,7 @@ def _run_config(raw: dict, base: Path) -> RunConfig:
 
     cfg = {"profile": profile}
     if "levels" in raw:
-        cfg["levels"] = _validate_levels(raw["levels"])
+        cfg["levels"] = _validate_levels(raw["levels"], level_cap)
     if "times" in raw:
         cfg["times"] = _validate_times(raw["times"], profile.window)
     if "grid" in raw:
@@ -345,7 +347,10 @@ def _out_path(cfg: RunConfig, stem: str) -> Path:
 
 
 def run_zeros(cfg: RunConfig, stdout=None) -> int:
-    """Both families of kernel zeros, one row per (family, index)."""
+    """Both families of kernel zeros, one row per (family, index).
+
+    cfg.levels are 1-based zero indices up to MAX_ZERO_INDEX; a 0 is
+    skipped, and indices 1 to 10 are written when none is left."""
     indices = sorted(n for n in cfg.levels if n >= 1) or list(range(1, 11))
     rows = []
     for k in indices:
@@ -562,7 +567,9 @@ def main(argv=None) -> int:
             for key in ("levels", "times", "out", "format"):
                 if getattr(args, key) is not None:
                     raw[key] = getattr(args, key)
-            cfg = _run_config(raw, Path(args.config or ".").parent)
+            # zeros reads its list as 1-based zero indices, which reach further
+            cap = MAX_ZERO_INDEX if args.command == "zeros" else MAX_LEVEL
+            cfg = _run_config(raw, Path(args.config or ".").parent, cap)
             if args.command == "verify":
                 return run_verify(cfg, stdout=sys.stdout,
                                   wrong_sign_k=args.wrong_sign_k)

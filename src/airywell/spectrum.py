@@ -73,10 +73,21 @@ def level(n: int) -> SpectralLevel:
     return SpectralLevel(n=n, parity="odd", eigenvalue=lam, norm_const=float(norm))
 
 
+def _at_distinct_abs(read, x):
+    """read(u) at the sorted distinct u = |x|, scattered back to x's shape:
+    K + 1 points on a centered grid of 2K + 1 nodes.  A 0-d x is read as is."""
+    if np.ndim(x) == 0:
+        return read(np.abs(x))
+    # raveled: numpy 2.x shapes the inverse of an N-d input differently
+    u, inv = np.unique(np.abs(x).ravel(), return_inverse=True)
+    return read(u)[inv].reshape(np.shape(x))
+
+
 def eigenfunction(n: int, x):
-    """phi_n at real x (scalar or array): the continued branch at |x|, times sgn(x) for odd n."""
+    """phi_n at real x (scalar or array): the continued branch once per
+    distinct |x|, times sgn(x) for odd n."""
     xa = np.asarray(x, dtype=float)
-    vals = eigenfunction_continued(n, np.abs(xa)).real
+    vals = _at_distinct_abs(lambda u: eigenfunction_continued(n, u).real, xa)
     if n % 2:
         vals = vals * np.sign(xa)        # sgn(0) = 0 zeroes the origin exactly
     return float(vals) if xa.ndim == 0 else vals

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import CoefficientSet, TimeProfile, coefficients_at
-from .spectrum import eigenfunction_continued, level
+from .spectrum import _at_distinct_abs, eigenfunction_continued, level
 
 __all__ = [
     "WavefunctionSample",
@@ -142,15 +142,16 @@ def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):
 def assemble_wavefunction(profile: TimeProfile, n: int, t: float, grid) -> WavefunctionSample:
     """Piecewise state on a real grid: Psi_n,1(x) for x >= 0, sigma_n Psi_n,1(|x|) for x < 0.
 
-    One region-1 read at |x|, negated at x < 0 for odd n.  The grid must
-    contain the origin, the boundary the two regions share.
+    One region-1 read per distinct |x|, negated at x < 0 for odd n.  The
+    grid must contain the origin, the boundary the two regions share.
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size < 2:
         raise ValueError("grid must be a 1-d array with at least two points")
     if np.min(np.abs(xs)) > 1e-12:
         raise ValueError("grid must include x = 0 (the region boundary)")
-    values = _branch1(n, coefficients_at(profile, t), np.abs(xs).astype(complex))
+    c = coefficients_at(profile, t)
+    values = _at_distinct_abs(lambda u: _branch1(n, c, u.astype(complex)), xs)
     if n % 2:
         values[xs < 0.0] *= -1.0
     return WavefunctionSample(grid=xs, values=values)
@@ -161,8 +162,8 @@ def reconstructed_density(profile: TimeProfile, n: int, t: float, grid):
 
     Undoing the metric root and the shift-tilt unitary returns the branch
     to e^{i eps} phi_n.  Only the real parts of that round trip are
-    applied, at u = |x| (by parity the density at x is the one at |x|,
-    which region 1 reconstructs):
+    applied, once per distinct u = |x| (by parity the density at x is the
+    one at |x|, which region 1 reconstructs):
 
       |e^{-k(u - S)/2} Psi_n,1(u - S + ib)|^2 = |phi_n(u)|^2.
 
@@ -173,7 +174,10 @@ def reconstructed_density(profile: TimeProfile, n: int, t: float, grid):
     """
     xs = np.asarray(grid, dtype=float)
     c = coefficients_at(profile, t)
-    inner = np.abs(np.atleast_1d(xs)).astype(complex) - c.shift
-    rec = np.exp((-c.k / 2.0) * inner) * _branch1(n, c, inner + 1j * c.b)
-    out = np.abs(rec) ** 2
+
+    def modulus2(u):
+        inner = u.astype(complex) - c.shift
+        rec = np.exp((-c.k / 2.0) * inner) * _branch1(n, c, inner + 1j * c.b)
+        return np.abs(rec) ** 2
+    out = _at_distinct_abs(modulus2, np.atleast_1d(xs))
     return float(out[0]) if xs.ndim == 0 else out

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -232,6 +233,31 @@ def test_zeros_table(tmp_path):
     assert table[("function", 1)] == pytest.approx(-2.3381074105, abs=1e-9)
 
 
+def test_zeros_reaches_every_zero_index_the_kernel_supports(tmp_path):
+    """zeros reads --n as 1-based zero indices, which reach past the level cap."""
+    assert main(["zeros", "--n", "45", "--out", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "zeros.csv")
+    assert [(r[0], int(r[1])) for r in rows] == [("function", 45), ("derivative", 45)]
+    a, ap, _, _ = scipy.special.ai_zeros(45)
+    assert float(rows[0][2]) == pytest.approx(a[-1], rel=1e-11)      # 12 digits
+    assert float(rows[1][2]) == pytest.approx(ap[-1], rel=1e-11)
+
+
+def test_zeros_refuses_an_index_past_the_kernel_table(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["zeros", "--n", "51", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: levels: index 51 exceeds the supported 50\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "density", "solve", "verify"])
+def test_level_commands_keep_the_level_cap(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--n", "45", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: levels: index 45 exceeds the supported 40\n"
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- density
 
 
@@ -252,6 +278,31 @@ def test_density_files(tmp_path):
     rho1 = np.array([float(r[1]) for r in rows1])
     assert rho1[mid] == 0.0
     assert np.trapezoid(rho1, x) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_solve_and_density_read_the_kernel_once_per_distinct_abs_x(tmp_path, monkeypatch):
+    """A state on a centered grid of 2K + 1 nodes reads K + 1 kernel points
+    for its values and K + 1 for its density; a density level reads 1001
+    points of its 2001-node grid."""
+    from airywell import spectrum, wavefunction
+
+    sizes = []
+
+    def counted(read):
+        def counting(n, z):
+            sizes.append(np.size(z))
+            return read(n, z)
+        return counting
+
+    for module in (spectrum, wavefunction):
+        monkeypatch.setattr(module, "eigenfunction_continued",
+                            counted(module.eigenfunction_continued))
+    cfg = _write_config(tmp_path, SMALL_PROFILE + "grid: {half_width: 13.0, dx: 0.01}\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")]) == 0
+    assert sizes == [1301] * 4            # K = 1300; levels 0 and 1 at one time
+    sizes.clear()
+    assert main(["density", "--n", "0,1", "--out", str(tmp_path / "density")]) == 0
+    assert sizes == [1001] * 2
 
 
 def test_density_reruns_are_byte_identical(tmp_path):

@@ -23,8 +23,9 @@ from airywell.profiles import (
     coefficients_at,
 )
 from airywell.airy import airy_ai_many
-from airywell.spectrum import density, eigenfunction, level
+from airywell.spectrum import density, eigenfunction, eigenfunction_continued, level
 from airywell.wavefunction import (
+    _branch1,
     assemble_wavefunction,
     phase,
     reconstructed_density,
@@ -68,6 +69,45 @@ def test_assemble_is_the_two_region_construction_bitwise(profile, grid):
             want[~pos] = wavefunction_branch(profile, n, 2, grid[~pos].astype(complex), t)
             got = assemble_wavefunction(profile, n, t, grid).values
             assert got.tobytes() == want.tobytes(), (n, t)
+
+
+# unsorted and asymmetric, with the origin as -0.0 and +0.0 and repeated |x|
+SCATTER_GRID = np.array([1.25, -0.0, 3.5, -1.25, 0.0, 2.0, -0.5, 1.25, -3.5, 0.5, 7.75, -0.0])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_readers_scatter_one_read_per_abs_x_bitwise(n):
+    """Each real-grid reader, reading once per distinct |x|, gives the bits of
+    the same expression evaluated at every node."""
+    xs = SCATTER_GRID
+    u = np.abs(xs).astype(complex)
+    for prof, t in ((UNIT, 0.0), (WAVY, 0.7), (SAMPLED, 1.3)):
+        c = coefficients_at(prof, t)
+        want = _branch1(n, c, u)
+        if n % 2:
+            want[xs < 0.0] *= -1.0
+        assert assemble_wavefunction(prof, n, t, xs).values.tobytes() == want.tobytes()
+        inner = u - c.shift
+        rec = np.exp((-c.k / 2.0) * inner) * _branch1(n, c, inner + 1j * c.b)
+        want = np.abs(rec) ** 2
+        assert reconstructed_density(prof, n, t, xs).tobytes() == want.tobytes()
+    want = eigenfunction_continued(n, np.abs(xs)).real
+    if n % 2:
+        want = want * np.sign(xs)
+    assert eigenfunction(n, xs).tobytes() == want.tobytes()
+
+
+def test_readers_keep_the_shape_of_their_input():
+    grid = SCATTER_GRID.reshape(3, 4)
+    for read in (lambda x: reconstructed_density(WAVY, 1, 0.7, x),
+                 lambda x: eigenfunction(1, x), lambda x: density(2, x)):
+        out = read(grid)
+        assert out.shape == (3, 4)
+        assert out.tobytes() == read(SCATTER_GRID).tobytes()
+        for x in (0.0, -0.0, -1.25, np.float64(2.0), np.array(-0.5)):
+            value = read(x)
+            assert type(value) is float
+            assert value == pytest.approx(float(read(np.array([x]))[0]), rel=1e-13, abs=1e-300)
 
 
 def test_assemble_grid_validation():
