@@ -97,6 +97,66 @@ def test_writer_matches_a_per_cell_reference(tmp_path, name, fmt):
     assert path.read_bytes() == _reference_table(header, plain, fmt)
 
 
+def _neighbours(x):
+    return [float(np.nextafter(x, -math.inf)), x, float(np.nextafter(x, math.inf))]
+
+
+def _examples(values):
+    def apply(test):
+        for x in values:
+            test = example(x)(test)
+        return test
+    return apply
+
+
+# the double nearest a 12-digit tie (10 m + 5) 10^p: scaled by the
+# kernel, it lies within 1e-4 of a half, where rint alone may round wrong
+_NEAR_TIES = st.builds(lambda m, p: (10 * m + 5) * 10.0 ** p,
+                       st.integers(10**11, 10**12 - 1), st.integers(-300, 290))
+
+
+@_examples([1000000000005.0, -1000000000005.0, 1000000000015.0,
+            9999999999995.0,                     # a tie that carries: 1.00000000000e+13
+            *_neighbours(9.999999999995e-5), *_neighbours(1e100), *_neighbours(1e-100),
+            5e-324, -0.0, math.inf, math.nan])
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | _NEAR_TIES)
+@settings(max_examples=1000, deadline=None)
+def test_cell_kernel_matches_percent_formatting(x):
+    cells = cli._sci_cells(np.array([x]))
+    assert cells.shape == (1, cli._CELL)
+    assert cells.tobytes().replace(b"\0", b"") == ("%.11e" % x).encode()
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_cell_kernel_is_exact_when_log10_is_one_off(monkeypatch, shift):
+    # a log10 a few ulp off can land on the other side of an integer near a
+    # power of ten; the kernel must then hand the cell to the fallback
+    rng = np.random.default_rng(11)
+    values = np.concatenate([rng.standard_normal(200) * 10.0 ** rng.uniform(-290, 290, 200),
+                             [1.0, 9.999999999999999e22, 1e23, -0.125, 999999999999.5]])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+    cells = [bytes(row).replace(b"\0", b"") for row in cli._sci_cells(values)]
+    assert cells == [("%.11e" % x).encode() for x in values.tolist()]
+
+
+def test_solve_formats_almost_every_cell_without_the_fallback(tmp_path, monkeypatch):
+    # the kernel hands a cell to the per-cell _sci only when it cannot
+    # guarantee its rounding; a writer that formats cells in Python again
+    # fails here, though its bytes would pass every other test
+    kernel, fallback = cli._sci_cells, cli._sci
+    kernel_cells, fallback_cells = [], []
+    monkeypatch.setattr(cli, "_sci_cells",
+                        lambda v: kernel_cells.append(v.size) or kernel(v))
+    monkeypatch.setattr(cli, "_sci", lambda x: fallback_cells.append(x) or fallback(x))
+    assert main(["solve", "--out", str(tmp_path)]) == 0
+    tables = sorted(tmp_path.glob("solve_*.csv"))
+    assert len(tables) == 18                 # six levels at three times
+    rows = sum(len(_read_csv(path)[1]) for path in tables)
+    assert sum(kernel_cells) == 4 * rows
+    assert len(fallback_cells) <= 0.01 * 4 * rows
+
+
 # ------------------------------------------------------------- spectrum
 
 
