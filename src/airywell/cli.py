@@ -1,9 +1,9 @@
 """Configuration-driven command line front end.
 
 Subcommands: zeros, spectrum, density, solve, verify.  Every run is
-deterministic: numbers are written with 12 significant digits in
-scientific notation, files carry no timestamps, and repeated runs with
-the same configuration produce byte-identical output.
+deterministic: numbers are rounded to 12 significant digits (`%.11e` in
+CSV and printed lines, the nearest double in JSON), files carry no
+timestamps, and repeated runs of one configuration are byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 """

@@ -10,25 +10,23 @@ of the package:
     s = -int_0^t f k,      w =  int_0^t f g.
 
 Because k' = 2f, the third primitive collapses exactly: s = -k^2/4, so
-k^2 + 4s = 0 and s is never integrated.
+k^2 + 4s = 0 and s is never integrated.  The phases in `wavefunction`
+read one more integral, int chi2, of a build-time integrand:
 
-Two more rows integrate pointwise combinations of these:
+    chi2 = theta + (k^2 - g^2 + 4s)/(16 m) = theta - g^2/(16 m),
+    theta = (f/2) (k g/2 - w).
 
-    theta = (f/2) (k g/2 - w)
-    chi1  = theta - (k^2 + 3 g^2 + 4 s)/(16 m) = theta - 3 g^2/(16 m)
-    chi2  = theta + (k^2 - g^2 + 4 s)/(16 m)   = theta -   g^2/(16 m)
+Region 1's chi1 = chi2 - g^2/(8m) needs no row: g' = -1/m makes
+int (g^2/m) = -g^3/3, so int chi1 = int chi2 + g^3/24 exactly.
 
-theta and chi are build-time integrands only: an instant reads their
-integrals int chi1 and int chi2, which the phases in `wavefunction` use.
-
-Every family, built-in or sampled, takes the same route: g, k, w,
-int chi1 and int chi2 are the rows of one stacked cumulative table on a
-knot-aligned Simpson grid per profile (see quadrature), and one cubic
-Hermite read gives all five at any t.  The grid is refined until each
-row changes by at most max(1e-10, 64 ulp of its largest value) at the
-shared nodes: a fixed absolute tolerance alone cannot be met once the
-integrals grow large (int chi grows like T^3), and for integrals below
-about 7e3 in size the relative term never binds.
+Every family, built-in or sampled, takes the same route: g, k, w and
+int chi2 are the rows of one stacked cumulative table on a knot-aligned
+Simpson grid per profile (see quadrature), and one cubic Hermite read
+gives all four at any t.  The grid is refined until each row changes by
+at most max(1e-10, 64 ulp of its largest value) at the shared nodes: a
+fixed absolute tolerance alone cannot be met once the integrals grow
+large (int chi2 grows like T^3), and for integrals below about 7e3 in
+size the relative term never binds.
 """
 
 from __future__ import annotations
@@ -338,7 +336,7 @@ def _finite_number(value, label: str) -> float:
 class _ProfileTables:
     """The cumulative integrals of one profile, stacked on a shared Simpson grid.
 
-    The rows of `table` are g, k, w, int chi1 and int chi2, in that order.
+    The rows of `table` are g, k, w and int chi2, in that order.
     """
 
     table: CumulativeTable
@@ -380,12 +378,14 @@ class _ProfileTables:
         g, k = gk.values
         w = grid.cumulative(f * g)
         theta = 0.5 * f * (0.5 * k * g - w.values)
-        curvature = g * g / (16.0 * m)        # s = -k^2/4 already cancelled
-        chi = grid.cumulative(np.stack((theta - 3.0 * curvature, theta - curvature)))
-        parts = (gk, w, chi)
+        chi2 = grid.cumulative(theta - g * g / (16.0 * m))  # s = -k^2/4 already cancelled
+        parts = (gk, w, chi2)
         table = CumulativeTable(grid=grid, integrand=np.vstack([p.integrand for p in parts]),
                                 values=np.vstack([p.values for p in parts]))
-        if not np.all(np.isfinite(table.values)):
+        # coefficients_at forms k^2, k b and g^3/24 from the rows; in Python
+        # floats an overflow is inf, or nan, and raises no numpy warning
+        gm, km, wm, cm = np.max(np.abs(table.values), axis=-1).tolist()
+        if not math.isfinite(gm * gm * gm + km * (km + gm * km + wm) + cm):
             raise ValueError("the time integrals overflow double precision on the window")
         return table
 
@@ -395,10 +395,10 @@ class _ProfileTables:
 
 def coefficients_at(profile: TimeProfile, t: float) -> CoefficientSet:
     """All derived time functions of the profile at one instant t in [0, T]."""
-    g, k, w, cum_chi1, cum_chi2 = profile.tables.table.value(float(t)).tolist()
+    g, k, w, cum_chi2 = profile.tables.table.value(float(t)).tolist()
     b = 0.5 * g * k - w
-    return CoefficientSet(g=g, k=k, s=-0.25 * k * k, w=w, zeta=-0.25 * k * b,
-                          shift=-0.25 * g * g, b=b, cum_chi1=cum_chi1, cum_chi2=cum_chi2)
+    return CoefficientSet(g=g, k=k, s=-0.25 * k * k, w=w, zeta=-0.25 * k * b, shift=-0.25 * g * g,
+                          b=b, cum_chi1=cum_chi2 + g**3 / 24.0, cum_chi2=cum_chi2)
 
 
 def invariant_coefficients(profile: TimeProfile, t: float, region: int) -> InvariantCoefficients:

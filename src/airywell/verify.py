@@ -252,6 +252,8 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     xs = np.asarray(initial.grid, dtype=float)
     if xs.ndim != 1 or xs.size != full.size:
         raise ValueError("initial state grid/values shape mismatch")
+    if xs.size < 5:                     # Grid1D's own floor, before the spacing is read
+        raise ValueError("grid needs at least 5 points")
     dxs = np.diff(xs)
     if not np.allclose(dxs, dxs[0], rtol=1e-9, atol=0):
         raise ValueError("propagation grid must be uniform")

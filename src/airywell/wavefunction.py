@@ -7,11 +7,10 @@ out of the frozen time integrals g, k, s, w (module `profiles`):
     with a real coordinate shift by S = (k^2 - g^2 + 4s)/4 = -g^2/4.
     Splitting the single exponential that defines U into (phase) x
     (plane wave) x (translation) produces a real scalar phase bch from
-    the commutator of the shift and tilt generators.  That scalar is
-    fixed numerically, not assumed: the symmetric (Weyl) split gives
-    -g S/4, and the generator ordering adds the time integral
-    int_0^t (k^2 + g^2 + 4s)/(8m) = int_0^t (chi2 - chi1)
-    (`shift_reorder_phase`).  The residual checks in `verify` validate it.
+    the commutator of the shift and tilt generators: the symmetric (Weyl)
+    split gives -g S/4, and the generator ordering adds the exact
+    int_0^t (k^2 + g^2 + 4s)/(8m) = int_0^t (chi2 - chi1) = -g^3/24, since
+    g' = -1/m (`shift_reorder_phase`); the checks in `verify` validate it.
 
   * the inverse metric root rho^{-1} = exp[k x/2 + b p] with b = gk/2 - w:
     a real exponential tilt exp(kx/2), an imaginary coordinate
@@ -93,11 +92,10 @@ def phase(profile: TimeProfile, n: int, region: int, t: float) -> float:
 
 
 def shift_reorder_phase(profile: TimeProfile, t: float) -> float:
-    """int_0^t (k^2 + g^2 + 4s)/(8m) = int_0^t (chi2 - chi1): the scalar
-    phase produced when the combined shift-and-tilt transform is split
-    into its displayed factors; it equals eps^2 - eps^1."""
-    c = coefficients_at(profile, t)
-    return c.cum_chi2 - c.cum_chi1
+    """int_0^t (k^2 + g^2 + 4s)/(8m) = int_0^t (chi2 - chi1) = -g^3/24: the
+    scalar phase produced when the combined shift-and-tilt transform is
+    split into its displayed factors; it equals eps^2 - eps^1."""
+    return -coefficients_at(profile, t).g ** 3 / 24.0
 
 
 def _branch1(n: int, c: CoefficientSet, x):

@@ -988,6 +988,24 @@ def test_odd_family_parameters_end_cleanly(tmp_path, capsys, recwarn, command, b
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("mass, coupling", [
+    ({"family": "constant", "m0": 1e-102}, {"family": "zero"}),
+    ({"family": "constant", "m0": 1e100}, {"family": "constant", "f0": 1e160}),
+], ids=["g-cubed", "k-squared"])
+def test_a_coefficient_beyond_double_range_is_refused(tmp_path, capsys, mass, coupling):
+    # coefficients_at forms int chi1 = int chi2 + g^3/24 and s = -k^2/4 from
+    # the table rows: |g| = 1e103 and |k| = 2e161 at the window end make
+    # each of them overflow, so the profile is refused whole
+    block = {"window": 10.0, "mass": mass, "coupling": coupling}
+    line = "the time integrals overflow double precision on the window"
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=f"^{line}$"):
+        airywell.TimeProfile.from_config(block).tables
+    cfg = _write_config(tmp_path, yaml.safe_dump({"profile": block, "levels": [0], "times": [1.0]}))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: profile: {line}\n"
+    assert not (tmp_path / "out").exists()
+
+
 _FAMILY_PARAMETERS = {
     "mass": {"constant": ["m0"], "exponential": ["m0", "gamma"],
              "power": ["m0", "gamma", "alpha"], "sampled": ["table"], "smooth": []},

@@ -172,7 +172,7 @@ def test_float_read_is_bitwise_the_array_read_on_a_profile_table():
     many = tab.value(ts)
     for j, t in enumerate(ts.tolist()):
         one = tab.value(t)
-        assert one.shape == (5,) and one.tobytes() == many[:, j].tobytes(), t
+        assert one.shape == (4,) and one.tobytes() == many[:, j].tobytes(), t
     for t in (-2e-12, 2.0 + 2e-12, float("nan")):
         with pytest.raises(ValueError, match="query time outside the configured window"):
             tab.value(t)

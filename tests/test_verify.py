@@ -8,6 +8,7 @@ from scipy.linalg import solve_banded
 
 from airywell import cli, spectrum, verify
 from airywell.profiles import TimeProfile, coefficients_at
+from airywell.quadrature import CumulativeTable
 from airywell.verify import (
     Grid1D,
     DiscretizedOperator,
@@ -179,6 +180,11 @@ def test_cn_validation():
     warped = np.concatenate([x[:200], x[200:] + 0.004])
     with pytest.raises(ValueError, match="uniform"):
         crank_nicolson_propagate(FREE, _State(warped, psi), 0.0, 0.1, 1e-3)
+    # fewer than two nodes have no spacing to read; they meet Grid1D's floor
+    for nodes in ([], [0.0]):
+        short = np.asarray(nodes)
+        with pytest.raises(ValueError, match="at least 5 points"):
+            crank_nicolson_propagate(FREE, _State(short, short.astype(complex)), 0.0, 0.1, 1e-3)
 
 
 @pytest.mark.parametrize("t0, t1, dt", [
@@ -781,3 +787,36 @@ def test_invariant_operator_against_direct_formula():
     assert op.diag[3] == pytest.approx(2.0 / dx**2 + grid.nodes[3] + co.const)
     assert op.upper[3] == pytest.approx(-1.0 / dx**2 - 0.5j * co.p / dx)
     assert op.lower[3] == pytest.approx(-1.0 / dx**2 + 0.5j * co.p / dx)
+
+
+# ------------------------------------------------------- what checks see
+
+
+def test_every_stored_table_row_is_read_by_some_check(monkeypatch):
+    # scale one row of the stacked time-integral table at a time by
+    # 1 + 1e-6: each row must move at least one residual, so the table
+    # stores no row that every check is blind to
+    grid = Grid1D.centered(12.0, 0.01)
+    halves = {r: Grid1D.half_line(12.0, 0.01, r) for r in (1, 2)}
+    times = (0.1, 0.5)
+
+    def residuals():
+        values = [v for n in (0, 3) for t in times for v in level_residuals(WAVY, n, t, grid)]
+        for r in (1, 2):
+            for t in times:
+                values += [von_neumann_residual(WAVY, r, t, halves[r]),
+                           pseudo_hermiticity_check(WAVY, t, r)]
+        return np.array(values)
+
+    clean = residuals()
+    read = CumulativeTable.value
+    blind = []
+    for row in range(WAVY.tables.table.values.shape[0]):
+        def scaled(table, t, row=row):
+            out = read(table, t)
+            out[row] *= 1.0 + 1e-6
+            return out
+        monkeypatch.setattr(CumulativeTable, "value", scaled)
+        if np.array_equal(residuals(), clean):
+            blind.append(row)
+    assert blind == []
