@@ -16,6 +16,7 @@ from .airy import (
     airy_eval,
     airy_eval_many,
     airy_ai_many,
+    airy_ai_and_prime,
     airy_function_zero,
     airy_derivative_zero,
 )
@@ -36,6 +37,7 @@ from .spectrum import (
 from .wavefunction import (
     WavefunctionSample,
     wavefunction_branch,
+    wavefunction_branch_offsets,
     assemble_wavefunction,
     reconstructed_density,
     phase,
@@ -60,6 +62,7 @@ __all__ = [
     "airy_eval",
     "airy_eval_many",
     "airy_ai_many",
+    "airy_ai_and_prime",
     "airy_function_zero",
     "airy_derivative_zero",
     "CoefficientSet",
@@ -74,6 +77,7 @@ __all__ = [
     "density",
     "WavefunctionSample",
     "wavefunction_branch",
+    "wavefunction_branch_offsets",
     "assemble_wavefunction",
     "reconstructed_density",
     "phase",

@@ -349,22 +349,41 @@ def _sci_cells(v: np.ndarray) -> np.ndarray:
 _WRITE_BLOCK_ROWS = 4096
 
 
+# json's names for the floats that have no JSON number
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(v: np.ndarray) -> list:
+    """`_round12` of each float as json writes it: the shortest repr of the
+    `_sci_cells` text read back, or json's name for a non-finite value."""
+    newline = np.full((v.size, 1), ord("\n"), np.uint8)
+    text = np.concatenate((_sci_cells(v), newline), axis=1).tobytes().translate(None, b"\0")
+    cells = list(map(float.__repr__, map(float, text.split(b"\n")[:-1])))
+    if np.all(np.isfinite(v)):
+        return cells
+    return [_JSON_NON_FINITE.get(c, c) for c in cells]
+
+
 def _write_rows(path: Path, header, columns, fmt: str):
     """Write a table given as one sequence per header name.
 
     Float columns are written as `_sci` writes them in CSV, through
     `_sci_cells`, and rounded by `_round12` in JSON; int, bool and string
-    columns as `str` writes them.  The strings are the package's own
-    labels, which csv would not quote.  A CSV block is one byte matrix,
-    a NUL-padded slot per cell and a separator byte after it, written
-    without its NULs.
+    columns as `str` writes them in CSV and as json writes them in JSON.
+    The strings are the package's own labels, which csv would not quote.
+    A CSV block is one byte matrix, a NUL-padded slot per cell and a
+    separator byte after it, written without its NULs.  A JSON block is
+    one row template, filled per row: the bytes of `json.dump(rows,
+    indent=2, sort_keys=True)` of one dict per row, without json's
+    per-value encoder.
     """
     columns = [np.asarray(c) for c in columns]
     floats = [c.dtype.kind == "f" for c in columns]
+    n_rows = len(columns[0])
     if fmt == "csv":
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
-            for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            for start in range(0, n_rows, _WRITE_BLOCK_ROWS):
                 block = [c[start:start + _WRITE_BLOCK_ROWS] for c in columns]
                 comma = np.full((len(block[0]), 1), ord(","), np.uint8)
                 parts = []
@@ -374,12 +393,17 @@ def _write_rows(path: Path, header, columns, fmt: str):
                 parts[-1] = np.full_like(comma, ord("\n"))
                 fh.write(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0"))
     else:
-        values = [[_round12(v) for v in c.tolist()] if f else c.tolist()
-                  for c, f in zip(columns, floats)]
-        payload = [dict(zip(header, row)) for row in zip(*values)]
+        order = sorted(range(len(header)), key=header.__getitem__)
+        keys = [json.dumps(header[i]).replace("%", "%%") for i in order]
+        row = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write("[")
+            for start in range(0, n_rows, _WRITE_BLOCK_ROWS):
+                cells = [_json_floats(c) if f else list(map(json.dumps, c.tolist()))
+                         for c, f in ((columns[i][start:start + _WRITE_BLOCK_ROWS], floats[i])
+                                      for i in order)]
+                fh.write((",\n" if start else "\n") + ",\n".join(row % r for r in zip(*cells)))
+            fh.write("\n]\n" if n_rows else "]\n")
 
 
 def _out_dir(cfg: RunConfig) -> Path:

@@ -15,6 +15,13 @@ legitimate).  Only the Crank-Nicolson propagator works with the glued
 state on both half-lines, because that is the point of the cross-check;
 an unfed run of a mirror-symmetric state steps x >= 0 alone and unfolds
 by parity, which the full-line scheme commutes with.
+
+The time derivatives are finite differences over the instants of
+`_stencil`.  For the closed-form state those samples come from one Airy
+read at t, stepped to each instant by the Taylor series of Ai (see
+`wavefunction.wavefunction_branch_offsets`), so the samples share one
+kernel error, which the difference cancels, and no instant costs a
+kernel read of its own.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .profiles import TimeProfile, coefficients_at, invariant_coefficients
 from .spectrum import level
-from .wavefunction import wavefunction_branch
+from .wavefunction import wavefunction_branch, wavefunction_branch_offsets
 
 __all__ = [
     "Grid1D",
@@ -367,18 +374,20 @@ def _branch_samples(profile: TimeProfile, n: int, t: float, grid: Grid1D):
     """The region-1 branch at the nodes k dx that every residual of (n, t) reads.
 
     With K the largest |k| of grid, returns Psi_n,1 at t for k = -1 ...
-    K + 1 and its d/dt (`_time_derivative`) for k = 0 ... K.
+    K + 1 and its d/dt (`_time_derivative`) for k = 0 ... K.  All of it
+    comes from one Airy read at t: `wavefunction_branch_offsets` gives the
+    branch at t, bitwise `wavefunction_branch`'s, and steps it to the
+    instants of `_stencil`.
     Region 2 is read from these by parity: its value at k dx, k < 0, is
     sigma_n times the region-1 value at |k| dx, which on the exact grid is
     bitwise what `wavefunction_branch(..., 2, ...)` gives there.
     """
     k_max = max(-grid.first_index, grid.first_index + grid.n_points - 1)
     ks = np.arange(-1, k_max + 2) * grid.dx
-    centre = wavefunction_branch(profile, n, 1, ks.astype(complex), t)
-    nodes = ks[1:-1].astype(complex)
-    dpsi = _time_derivative(lambda s: wavefunction_branch(profile, n, 1, nodes, s),
-                            t, profile.window)
-    return centre, dpsi
+    offsets = [0.0] + [s for s, _ in _stencil(t, profile.window) if s]
+    rows = wavefunction_branch_offsets(profile, n, 1, ks.astype(complex), t, offsets)
+    at = {t + s: row[1:-1] for s, row in zip(offsets, rows)}
+    return rows[0], _time_derivative(at.__getitem__, t, profile.window)
 
 
 def _tdse(profile: TimeProfile, n: int, t: float, grid: Grid1D, centre: np.ndarray,

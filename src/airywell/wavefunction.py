@@ -51,16 +51,19 @@ hidden; see the origin tests and the residual checks.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .airy import MAX_ABS_Z, airy_ai_and_prime
 from .profiles import CoefficientSet, TimeProfile, coefficients_at
 from .spectrum import _at_distinct_abs, eigenfunction_continued, level
 
 __all__ = [
     "WavefunctionSample",
     "wavefunction_branch",
+    "wavefunction_branch_offsets",
     "assemble_wavefunction",
     "reconstructed_density",
     "phase",
@@ -98,16 +101,97 @@ def shift_reorder_phase(profile: TimeProfile, t: float) -> float:
     return -coefficients_at(profile, t).g ** 3 / 24.0
 
 
-def _branch1(n: int, c: CoefficientSet, x):
+def _branch1(n: int, c: CoefficientSet, x, continued=None):
     """Psi_n,1 at the complex points x, from the coefficients c at one instant.
 
     x is an array, or one Python complex, which is read in Python scalars.
+    continued, when given, stands in for the kernel factor
+    `eigenfunction_continued(n, x + S - ib)` at c.
     """
     exp = cmath.exp if isinstance(x, complex) else np.exp
     eps2 = _epsilon(n, c.cum_chi2, c.g)
     amp = exp(1j * (eps2 + c.zeta - c.g * c.shift / 4.0)) * exp(-c.g * c.b / 2.0)
     slope = c.k / 2.0 + 1j * (-c.g / 2.0)
-    return amp * exp(slope * x) * eigenfunction_continued(n, x + (c.shift - 1j * c.b))
+    if continued is None:
+        continued = eigenfunction_continued(n, x + (c.shift - 1j * c.b))
+    return amp * exp(slope * x) * continued
+
+
+# The Taylor series that steps Ai from z to z + delta: its remainder after
+# J terms is at most cosh(1) (|delta| kappa)^J times |Ai(z)| + |Ai'(z)|/kappa,
+# kappa = sqrt(1 + MAX_ABS_Z) (see `wavefunction_branch_offsets`); J is the
+# least count that takes the factor to 2^-53, and at most _MAX_TERMS
+_KAPPA = math.sqrt(1.0 + MAX_ABS_Z)
+_LOG_TOL = math.log(2.0 ** -53 / math.cosh(1.0))
+_MAX_TERMS = 24
+
+
+def _series_terms(delta: complex) -> int:
+    """Terms of the series at this step, or 0 if it needs more than _MAX_TERMS."""
+    q = abs(delta) * _KAPPA
+    if q == 0.0:
+        return 1
+    if q >= 1.0:
+        return 0
+    terms = max(1, math.ceil(_LOG_TOL / math.log(q)))
+    return terms if terms <= _MAX_TERMS else 0
+
+
+def wavefunction_branch_offsets(profile: TimeProfile, n: int, region: int, x, t: float,
+                                offsets) -> list:
+    """One region's branch on the complex array x at each instant t + s, s in offsets.
+
+    Returns one array per offset, in their order, each equal to
+    `wavefunction_branch(profile, n, region, x, t + s)` to within the
+    kernel's accuracy, from one Airy read at t.  Each instant takes its
+    amplitude, slope, S and b from its own `coefficients_at` read, so only
+    the kernel argument z = x + S - ib - lambda_n moves between instants,
+    by one constant delta = dS - i db.  Ai(z + delta) is the Taylor series
+
+        sum_j a_j delta^j / j!,   a_0 = Ai(z), a_1 = Ai'(z),
+                                  a_{j+2} = z a_j + j a_{j-1}  (from Ai'' = z Ai),
+
+    summed by Horner's rule from one `airy_ai_and_prime` read.  Its
+    remainder is bounded through a majorant: with R >= |z| and
+    B_0 = |a_0|, B_1 = |a_1|, B_{j+2} = R B_j + j B_{j-1}, every
+    |a_j| <= B_j, and the B_j are the Taylor coefficients of Y'' = (R + h) Y,
+    which stays below B_0 cosh(kappa h) + (B_1/kappa) sinh(kappa h) for
+    0 <= h <= 1/kappa, kappa = sqrt(1 + R).  So the remainder after J terms
+    is at most cosh(1) (B_0 + B_1/kappa) (|delta| kappa)^J.  The read
+    itself refuses |z| > MAX_ABS_Z, so R = MAX_ABS_Z holds for every read,
+    and J depends on delta alone.  An instant whose delta needs more than
+    _MAX_TERMS terms for a factor of 2^-53 reads the kernel directly.
+
+    An offset of 0 gives the read at t itself: the row is then bitwise
+    `wavefunction_branch`'s on the same array.
+    """
+    if region not in (1, 2):
+        raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
+    xa = np.asarray(x, dtype=complex)
+    if region == 2:
+        xa = -xa
+    c = coefficients_at(profile, t)
+    lev = level(n)
+    z = (xa + (c.shift - 1j * c.b)) - lev.eigenvalue
+    derivs = list(airy_ai_and_prime(z))
+    rows = []
+    for s in offsets:
+        cs = c if s == 0.0 else coefficients_at(profile, t + s)
+        delta = (cs.shift - c.shift) - 1j * (cs.b - c.b)
+        terms = _series_terms(delta)
+        if not terms:
+            row = _branch1(n, cs, xa)
+        else:
+            for j in range(len(derivs), terms):
+                derivs.append(z * derivs[j - 2] if j == 2 else
+                              z * derivs[j - 2] + (j - 2) * derivs[j - 3])
+            ai = derivs[terms - 1]
+            for j in range(terms - 2, -1, -1):
+                ai = derivs[j] + (delta / (j + 1)) * ai
+            row = _branch1(n, cs, xa, ai * lev.norm_const)
+        # region 2 is sigma_n times region 1 at -x, as in `wavefunction_branch`
+        rows.append(row if region == 1 else (-1.0 if n % 2 else 1.0) * row)
+    return rows
 
 
 def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):

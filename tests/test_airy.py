@@ -20,6 +20,7 @@ import mpmath as mp
 from airywell.airy import (
     MAX_ZERO_INDEX,
     AiryPair,
+    airy_ai_and_prime,
     airy_ai_many,
     airy_derivative_zero,
     airy_eval,
@@ -389,3 +390,93 @@ def test_ai_only_kernel_shape_and_dtype_match_airy_eval_many(z):
 def test_ai_only_kernel_rejects_points_outside_the_disc(z):
     with pytest.raises(ValueError):
         airy_ai_many(z)
+
+
+# ------------------------------------------------------ Ai and Ai' kernel
+
+
+def _mp_aip(z):
+    return complex(mp.airyai(mp.mpc(z), derivative=1))
+
+
+def _assert_aip_matches_mpmath(z, rel):
+    # the Ai' column against mpmath, the Ai column bitwise airy_ai_many's
+    ai, aip = airy_ai_and_prime(z)
+    assert np.array_equal(ai, airy_ai_many(z))
+    want = np.array([_mp_aip(w) for w in z])
+    err = np.abs(aip - want) / np.abs(want)
+    assert float(np.max(err)) <= rel, z[np.argmax(err)]
+
+
+def test_ai_prime_kernel_matches_mpmath_over_disc():
+    # the same 800 points as the Ai-only sweep
+    rng = np.random.default_rng(11)
+    z = 40.0 * np.sqrt(rng.uniform(0.0, 1.0, 800)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 800))
+    _assert_aip_matches_mpmath(z, 1e-12)
+
+
+def test_ai_prime_kernel_on_both_sides_of_the_sector_boundary():
+    on_ray = np.array([r * np.exp(1j * s * (2 * np.pi / 3 + d))
+                       for r in (0.5, 3.0, 10.0, 25.0, 39.9) for s in (1, -1)
+                       for d in (0.0, 1e-15, -1e-15, 1e-9, -1e-9, 1e-4, -1e-4)])
+    nudged = [complex(np.nextafter(w.real, a), np.nextafter(w.imag, b))
+              for w in on_ray[::7] for a in (-1, 1) for b in (-1, 1)]
+    _assert_aip_matches_mpmath(np.concatenate([on_ray, nudged]), 1e-12)
+
+
+@pytest.mark.parametrize("x", [1.5, 5.0, 12.0, 30.0, 38.0])
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus-zero", "minus-zero"])
+def test_ai_prime_kernel_on_negative_real_axis(x, zero):
+    want = _mp_aip(-x)
+    for z in (np.array([complex(-x, zero)]), np.array(complex(-x, zero))):
+        got = airy_ai_and_prime(z)[1]
+        assert abs(np.ravel(got)[0] - want) <= 1e-12 * abs(want)
+
+
+def test_ai_prime_kernel_along_negative_real_axis():
+    # Ai' oscillates here, so the error is taken against its modulus
+    # function N = sqrt(Ai'^2 + Bi'^2) (DLMF 9.8)
+    xs = np.linspace(0.0, 38.0, 381)
+    want = np.array([_mp_aip(-x) for x in xs])
+    scale = np.array([float(mp.sqrt(mp.airyai(-x, derivative=1) ** 2
+                                    + mp.airybi(-x, derivative=1) ** 2)) for x in xs])
+    for zero in (0.0, -0.0):
+        got = airy_ai_and_prime(np.array([complex(-x, zero) for x in xs]))[1]
+        assert float(np.max(np.abs(got - want) / scale)) <= 1e-13
+
+
+@pytest.mark.parametrize("r", [1e-12, 1e-8])
+def test_ai_prime_kernel_near_the_origin(r):
+    _assert_aip_matches_mpmath(r * np.exp(1j * np.linspace(-np.pi, np.pi, 13)), 1e-12)
+
+
+def test_ai_prime_kernel_at_the_origin():
+    # z K_{2/3}(zeta) is 0 times infinity at 0
+    z = np.array([0.0, -0.0, 1e-300j, -1e-250, 5e-324])
+    ai, aip = airy_ai_and_prime(z)
+    assert np.all(ai == float(mp.airyai(0)))
+    assert np.all(aip == float(mp.airyai(0, derivative=1)))
+
+
+@pytest.mark.parametrize("z", [
+    0.5, -3.0 + 0.2j, np.array(2.0 - 1.0j), np.array([-2.0 - 0.1j]), np.array([4.0]),
+    np.array([-9.0, 3.0 + 4.0j, -1.0 - 1.7j, 0.0, 7.5]),
+    np.array([[1.0, -20.0 + 1.0j], [-5.0 - 0.0j, 2.0j]]), np.zeros(0),
+], ids=["float", "complex", "0-d", "one-far", "one-near", "mixed", "2-d", "empty"])
+def test_ai_prime_kernel_shape_and_dtype_match_airy_eval_many(z):
+    got = airy_ai_and_prime(z)
+    want = airy_eval_many(z)[:2]
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert np.shape(g) == np.shape(w) and g.dtype == w.dtype
+        np.testing.assert_allclose(g, w, rtol=1e-12)
+    assert np.array_equal(got[0], airy_ai_many(z))
+
+
+@pytest.mark.parametrize("z", [
+    np.nan, complex(0.0, np.nan), np.inf, 41.0, 30.0 + 30.0j,
+    np.array([1.0, np.nan]), np.array([1.0, -40.5]),
+])
+def test_ai_prime_kernel_rejects_points_outside_the_disc(z):
+    with pytest.raises(ValueError):
+        airy_ai_and_prime(z)

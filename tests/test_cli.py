@@ -84,6 +84,14 @@ _TABLES = {
         (0, 1, 2), ("even", "odd", "even"),
         (1.0187929716474709, 2.338107410459767, 3.248197582179837),
         (1.4261, -0.0, 5e-324)]),
+    # where json's float repr changes form (1e16 and 1e-4), near-ties of the
+    # 12-digit rounding, values that round up into those forms, and the
+    # floats json writes by name; int, bool and str columns beside them
+    "json-number-forms": (("value", "k", "flag", "name"), [
+        np.array([-0.0, 1e16, -1e16, 9999999999999998.0, 1e15, 1e-4, 9.99999999999999e-5,
+                  1e-5, 1000000000005.0, -1000000000015.0, 9999999999995.0,
+                  9.999999999995e-05, 0.30000000000000004, math.inf, -math.inf, math.nan]),
+        tuple(range(-8, 8)), (True, False) * 8, tuple("abcdefghijklmnop")]),
 }
 
 

@@ -2,11 +2,12 @@
 
 import dataclasses
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from airywell import cli, spectrum, verify
+from airywell import cli, spectrum, verify, wavefunction
 from airywell.profiles import TimeProfile, coefficients_at
 from airywell.quadrature import CumulativeTable
 from airywell.verify import (
@@ -21,7 +22,9 @@ from airywell.verify import (
     von_neumann_residual,
     pseudo_hermiticity_check,
 )
-from airywell.wavefunction import assemble_wavefunction, wavefunction_branch
+from airywell.spectrum import level
+from airywell.wavefunction import (_branch1, assemble_wavefunction, wavefunction_branch,
+                                   wavefunction_branch_offsets)
 
 UNIT = TimeProfile.from_config({
     "mass": {"family": "constant", "m0": 1.0},
@@ -536,26 +539,27 @@ def test_tdse_residual_examples():
 
 def _two_region_tdse(profile, n, t, grid, flip_coupling_sign):
     """The evolution residual with each region's branch evaluated on its own
-    nodes: region 2 through wavefunction_branch(..., 2, ...)."""
+    nodes: region 2 through wavefunction_branch_offsets(..., 2, ...), the
+    read that steps the branch to the d/dt stencil's instants."""
     xs = grid.nodes
     dx = grid.dx
     m = float(profile.mass.value(t))
     f = float(profile.coupling.value(t))
     if flip_coupling_sign:
         f = -f
+    offsets = [0.0] + [s for s, _ in verify._stencil(t, profile.window) if s]
     res = np.zeros(grid.n_points, dtype=complex)
     psi_mid = np.zeros(grid.n_points, dtype=complex)
     for region, mask in ((1, xs >= 0.0), (2, xs < 0.0)):
         idx = np.where(mask)[0]
         lo, hi = idx[0], idx[-1]
         ext = np.concatenate(([xs[lo] - dx], xs[lo:hi + 1], [xs[hi] + dx])).astype(complex)
-        mid = wavefunction_branch(profile, n, region, ext, t)
+        rows = wavefunction_branch_offsets(profile, n, region, ext, t, offsets)
+        mid = rows[0]
         lap = (mid[2:] - 2.0 * mid[1:-1] + mid[:-2]) / dx**2
         mid = mid[1:-1]
-        nodes = xs[idx].astype(complex)
-        dpsi = verify._time_derivative(
-            lambda s: wavefunction_branch(profile, n, region, nodes, s),
-            t, profile.window)
+        at = {t + s: row[1:-1] for s, row in zip(offsets, rows)}
+        dpsi = verify._time_derivative(at.__getitem__, t, profile.window)
         res[idx] = 1j * dpsi - (-lap / (2.0 * m) + 1j * f * np.abs(xs[idx]) * mid)
         psi_mid[idx] = mid
     keep = np.zeros(grid.n_points, dtype=bool)
@@ -590,22 +594,73 @@ def test_level_residuals_equal_the_standalone_checks(profile):
                 assert got == want, (n, t, flip)
 
 
+def _mp_time_derivative(profile, n, x, t):
+    """d/dt of the region-1 branch over `_stencil`, in 30-digit arithmetic.
+
+    Each sample is the branch's own double-precision factor amp e^{slope x}
+    times N_n Ai at the exact argument x + S - ib - lambda_n, so the kernel
+    is the only part that differs from the package's samples.
+    """
+    lev = level(n)
+    total = [mp.mpc(0)] * x.size
+    with mp.workdps(30):
+        for s, w in verify._stencil(t, profile.window):
+            c = coefficients_at(profile, t + s)
+            factor = _branch1(n, c, x.astype(complex), np.ones(x.size))
+            for i, (f, xi) in enumerate(zip(factor.tolist(), x.tolist())):
+                z = mp.mpf(xi) + mp.mpf(c.shift) - 1j * mp.mpf(c.b) - mp.mpf(lev.eigenvalue)
+                total[i] += w * mp.mpc(f) * mp.mpf(lev.norm_const) * mp.airyai(z)
+        return np.array([complex(v / (2 * mp.mpf(verify.TIME_DELTA))) for v in total])
+
+
+@pytest.mark.parametrize("profile", [UNIT, WAVY], ids=["unit", "wavy"])
+def test_stepped_time_derivative_is_no_farther_from_mpmath_than_direct_reads(profile):
+    # the d/dt of the samples `_branch_samples` reads (one kernel read,
+    # stepped by Taylor series) and of a direct kernel read at each instant,
+    # against one from mpmath values at the same instants; errors over the
+    # largest |psi|.  Rounding the two products of each sample alone can
+    # give sum |w| 2^-52 / (2 delta), the floor neither read can beat:
+    # stepped errors measured 2e-12 to 3.5e-11 (at most 0.4 of the floor),
+    # direct ones 1.4e-11 to 3e-9
+    x = np.array([0.0, 0.5, 1.3, 2.7, 4.1, 7.9])
+    for n in (0, 1, 4):
+        for t in (0.0, 0.3, profile.window):
+            stencil = verify._stencil(t, profile.window)
+            want = _mp_time_derivative(profile, n, x, t)
+            offsets = [0.0] + [s for s, _ in stencil if s]
+            rows = wavefunction_branch_offsets(profile, n, 1, x.astype(complex), t, offsets)
+            at = {t + s: row for s, row in zip(offsets, rows)}
+            stepped = verify._time_derivative(at.__getitem__, t, profile.window)
+            direct = verify._time_derivative(
+                lambda s: wavefunction_branch(profile, n, 1, x.astype(complex), s),
+                t, profile.window)
+            scale = np.max(np.abs(rows[0]))
+            floor = sum(abs(w) for _, w in stencil) * 2.0**-52 / (2 * verify.TIME_DELTA)
+            err_stepped = np.max(np.abs(stepped - want)) / scale
+            err_direct = np.max(np.abs(direct - want)) / scale
+            assert err_stepped <= max(err_direct, floor), (n, t, err_stepped, err_direct)
+
+
 def test_default_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp_path):
-    # 6 levels x 3 times, each read at t on 3203 nodes and at t +- delta on
-    # 3201: 54 kernel calls on 172,890 points
+    # 6 levels x 3 times, each read once at t on 3203 nodes, Ai and Ai'
+    # together, and stepped to t +- delta: 18 kernel calls on 57,654 points.
+    # Both entries that read Ai for a state are counted, so the test cannot
+    # pass by moving the reads to the one it does not watch
     calls = []
-    real = spectrum.airy_ai_many
 
-    def counting(z):
-        calls.append(np.size(z))
-        return real(z)
+    def counting(real):
+        def read(z):
+            calls.append(np.size(z))
+            return real(z)
+        return read
 
-    monkeypatch.setattr(spectrum, "airy_ai_many", counting)
+    monkeypatch.setattr(spectrum, "airy_ai_many", counting(spectrum.airy_ai_many))
+    monkeypatch.setattr(wavefunction, "airy_ai_and_prime",
+                        counting(wavefunction.airy_ai_and_prime))
     cfg = cli.RunConfig(profile=TimeProfile.from_config(cli._DEFAULT_PROFILE),
                         out_dir=tmp_path)
     assert cli.run_verify(cfg) == 0
-    assert len(calls) <= 54
-    assert sum(calls) <= 172_890
+    assert calls == [3203] * 18
 
 
 def test_tdse_residual_wrong_coupling_sign_fails():
