@@ -37,7 +37,7 @@ from .spectrum import (
 from .wavefunction import (
     WavefunctionSample,
     wavefunction_branch,
-    wavefunction_branch_offsets,
+    wavefunction_branch_and_dt,
     assemble_wavefunction,
     reconstructed_density,
     phase,
@@ -77,7 +77,7 @@ __all__ = [
     "density",
     "WavefunctionSample",
     "wavefunction_branch",
-    "wavefunction_branch_offsets",
+    "wavefunction_branch_and_dt",
     "assemble_wavefunction",
     "reconstructed_density",
     "phase",

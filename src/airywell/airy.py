@@ -16,9 +16,9 @@ of Ai and a'_k of Ai'.  Two evaluators share one input contract:
   * `airy_ai_and_prime` gives Ai and Ai' from one kv call over the orders
     1/3 and 2/3 (DLMF 9.6.1 and 9.6.2), with Ai' read in the same sectors
     and its Ai column bitwise that of `airy_ai_many`.  `verify` reads it
-    once per state and time and steps Ai to the nearby instants of its
-    d/dt stencil by Taylor series (see `wavefunction`).  Against mpmath
-    Ai' is within about 5e-14 relative on the same disc.
+    once per state and time, and takes the state's d/dt from Ai' by the
+    chain rule (see `wavefunction`).  Against mpmath Ai' is within about
+    5e-14 relative on the same disc.
 
   * `airy_eval_many` gives Ai, Ai', Bi and Bi' from `scipy.special.airy`,
     which wraps D. E. Amos's complex Airy routines (ACM TOMS Algorithm

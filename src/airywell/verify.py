@@ -17,11 +17,9 @@ an unfed run of a mirror-symmetric state steps x >= 0 alone and unfolds
 by parity, which the full-line scheme commutes with.
 
 The time derivatives are finite differences over the instants of
-`_stencil`.  For the closed-form state those samples come from one Airy
-read at t, stepped to each instant by the Taylor series of Ai (see
-`wavefunction.wavefunction_branch_offsets`), so the samples share one
-kernel error, which the difference cancels, and no instant costs a
-kernel read of its own.
+`_stencil`.  For the closed-form state they act on its coefficient
+scalars alone, and the chain rule on one read of Ai and Ai' at t gives
+the state's d/dt (`wavefunction.wavefunction_branch_and_dt`).
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .profiles import TimeProfile, coefficients_at, invariant_coefficients
 from .spectrum import level
-from .wavefunction import wavefunction_branch, wavefunction_branch_offsets
+from .wavefunction import wavefunction_branch, wavefunction_branch_and_dt
 
 __all__ = [
     "Grid1D",
@@ -374,20 +372,20 @@ def _branch_samples(profile: TimeProfile, n: int, t: float, grid: Grid1D):
     """The region-1 branch at the nodes k dx that every residual of (n, t) reads.
 
     With K the largest |k| of grid, returns Psi_n,1 at t for k = -1 ...
-    K + 1 and its d/dt (`_time_derivative`) for k = 0 ... K.  All of it
-    comes from one Airy read at t: `wavefunction_branch_offsets` gives the
-    branch at t, bitwise `wavefunction_branch`'s, and steps it to the
-    instants of `_stencil`.
+    K + 1 and its d/dt for k = 0 ... K, from one Airy read at t:
+    `wavefunction_branch_and_dt` gives the branch, bitwise
+    `wavefunction_branch`'s, and its d/dt by the chain rule, with
+    `_time_derivative` taken of the coefficient scalars alone.
     Region 2 is read from these by parity: its value at k dx, k < 0, is
     sigma_n times the region-1 value at |k| dx, which on the exact grid is
     bitwise what `wavefunction_branch(..., 2, ...)` gives there.
     """
     k_max = max(-grid.first_index, grid.first_index + grid.n_points - 1)
     ks = np.arange(-1, k_max + 2) * grid.dx
-    offsets = [0.0] + [s for s, _ in _stencil(t, profile.window) if s]
-    rows = wavefunction_branch_offsets(profile, n, 1, ks.astype(complex), t, offsets)
-    at = {t + s: row[1:-1] for s, row in zip(offsets, rows)}
-    return rows[0], _time_derivative(at.__getitem__, t, profile.window)
+    centre, dpsi = wavefunction_branch_and_dt(
+        profile, n, 1, ks.astype(complex), t,
+        lambda fn: _time_derivative(fn, t, profile.window))
+    return centre, dpsi[1:-1]
 
 
 def _tdse(profile: TimeProfile, n: int, t: float, grid: Grid1D, centre: np.ndarray,
@@ -432,8 +430,9 @@ def tdse_residual(profile: TimeProfile, n: int, t: float, grid: Grid1D,
     x = 0 row comes from region 1 and is dropped for odd n, where the two
     branches genuinely disagree there; three rows at each edge are dropped
     because the Dirichlet stencil is wrong for a non-vanishing tail.
-    Region 2's values are read by parity from region 1's, so the branch is
-    evaluated once per stencil instant.
+    Region 2's values are read by parity from region 1's, and the d/dt
+    is the chain rule on the same read (`_branch_samples`), so the kernel
+    is read once.
 
     flip_coupling_sign builds H with -f while the state keeps +f: a
     negative control that must fail loudly.
@@ -473,10 +472,10 @@ def level_residuals(profile: TimeProfile, n: int, t: float, grid: Grid1D,
 
     Returns (`tdse_residual` on grid, `invariant_eigen_residual` of region
     1 on grid's x >= 0 half, that of region 2 on its x <= 0 half), all
-    read from one `_branch_samples`: the region-2 state is sigma_n times
-    the mirrored region-1 samples.  On a `centered` grid each value
-    equals its standalone call (on the `half_line` grids for the
-    invariant rows) bitwise.
+    read from one `_branch_samples`, one Airy read at t: the region-2
+    state is sigma_n times the mirrored region-1 samples.  On a
+    `centered` grid each value equals its standalone call (on the
+    `half_line` grids for the invariant rows) bitwise.
     """
     centre, dpsi = _branch_samples(profile, n, t, grid)
     n_neg = -grid.first_index

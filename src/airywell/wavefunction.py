@@ -33,6 +33,12 @@ and the translation ib.  What is left of the round trip is a product of
 unit-modulus factors (e^{i eps}, e^{i zeta}, e^{-i bch} and the plane
 wave), which |.|^2 cannot see, so they are not computed there.
 
+Written as E N_n Ai(x + D - lambda_n), E = e^{i phi + a + sigma x}
+(`_exponents`), the branch depends on t through phi, a, sigma and D
+alone, so by the chain rule
+
+  d/dt Psi_n,1 = Psi_n,1 (i phi' + a' + sigma' x) + E N_n Ai'(x + D - lambda_n) D'.
+
 Region 2 (x <= 0) needs no formula of its own.  H(t) = -d^2/dx^2 / (2m)
 + i f |x| commutes with parity P, the region-2 invariant is P I_1 P, and
 the phases agree: eps^2 - eps^1 = int_0^t (chi2 - chi1) is exactly the
@@ -51,19 +57,18 @@ hidden; see the origin tests and the residual checks.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import MAX_ABS_Z, airy_ai_and_prime
+from .airy import airy_ai_and_prime
 from .profiles import CoefficientSet, TimeProfile, coefficients_at
 from .spectrum import _at_distinct_abs, eigenfunction_continued, level
 
 __all__ = [
     "WavefunctionSample",
     "wavefunction_branch",
-    "wavefunction_branch_offsets",
+    "wavefunction_branch_and_dt",
     "assemble_wavefunction",
     "reconstructed_density",
     "phase",
@@ -101,69 +106,36 @@ def shift_reorder_phase(profile: TimeProfile, t: float) -> float:
     return -coefficients_at(profile, t).g ** 3 / 24.0
 
 
+def _exponents(n: int, c: CoefficientSet) -> tuple:
+    """(phi, a, sigma, D) of Psi_n,1 = e^{i phi + a + sigma x} N_n Ai(x + D - lambda_n) at c:
+    phi = eps^2 + zeta - g S/4, a = -g b/2, sigma = (k - ig)/2 and D = S - ib."""
+    return (_epsilon(n, c.cum_chi2, c.g) + c.zeta - c.g * c.shift / 4.0, -c.g * c.b / 2.0,
+            c.k / 2.0 + 1j * (-c.g / 2.0), c.shift - 1j * c.b)
+
+
 def _branch1(n: int, c: CoefficientSet, x, continued=None):
     """Psi_n,1 at the complex points x, from the coefficients c at one instant.
 
     x is an array, or one Python complex, which is read in Python scalars.
     continued, when given, stands in for the kernel factor
-    `eigenfunction_continued(n, x + S - ib)` at c.
+    `eigenfunction_continued(n, x + S - ib)` at c; stacked rows of it give
+    one row of the result each.
     """
     exp = cmath.exp if isinstance(x, complex) else np.exp
-    eps2 = _epsilon(n, c.cum_chi2, c.g)
-    amp = exp(1j * (eps2 + c.zeta - c.g * c.shift / 4.0)) * exp(-c.g * c.b / 2.0)
-    slope = c.k / 2.0 + 1j * (-c.g / 2.0)
+    phi, a, slope, shift = _exponents(n, c)
     if continued is None:
-        continued = eigenfunction_continued(n, x + (c.shift - 1j * c.b))
-    return amp * exp(slope * x) * continued
+        continued = eigenfunction_continued(n, x + shift)
+    return exp(1j * phi) * exp(a) * exp(slope * x) * continued
 
 
-# The Taylor series that steps Ai from z to z + delta: its remainder after
-# J terms is at most cosh(1) (|delta| kappa)^J times |Ai(z)| + |Ai'(z)|/kappa,
-# kappa = sqrt(1 + MAX_ABS_Z) (see `wavefunction_branch_offsets`); J is the
-# least count that takes the factor to 2^-53, and at most _MAX_TERMS
-_KAPPA = math.sqrt(1.0 + MAX_ABS_Z)
-_LOG_TOL = math.log(2.0 ** -53 / math.cosh(1.0))
-_MAX_TERMS = 24
+def wavefunction_branch_and_dt(profile: TimeProfile, n: int, region: int, x, t: float,
+                               d_dt) -> tuple:
+    """One region's branch on the complex array x at t, bitwise
+    `wavefunction_branch`'s, and its d/dt by the module docstring's chain
+    rule, from one `airy_ai_and_prime` read at t.
 
-
-def _series_terms(delta: complex) -> int:
-    """Terms of the series at this step, or 0 if it needs more than _MAX_TERMS."""
-    q = abs(delta) * _KAPPA
-    if q == 0.0:
-        return 1
-    if q >= 1.0:
-        return 0
-    terms = max(1, math.ceil(_LOG_TOL / math.log(q)))
-    return terms if terms <= _MAX_TERMS else 0
-
-
-def wavefunction_branch_offsets(profile: TimeProfile, n: int, region: int, x, t: float,
-                                offsets) -> list:
-    """One region's branch on the complex array x at each instant t + s, s in offsets.
-
-    Returns one array per offset, in their order, each equal to
-    `wavefunction_branch(profile, n, region, x, t + s)` to within the
-    kernel's accuracy, from one Airy read at t.  Each instant takes its
-    amplitude, slope, S and b from its own `coefficients_at` read, so only
-    the kernel argument z = x + S - ib - lambda_n moves between instants,
-    by one constant delta = dS - i db.  Ai(z + delta) is the Taylor series
-
-        sum_j a_j delta^j / j!,   a_0 = Ai(z), a_1 = Ai'(z),
-                                  a_{j+2} = z a_j + j a_{j-1}  (from Ai'' = z Ai),
-
-    summed by Horner's rule from one `airy_ai_and_prime` read.  Its
-    remainder is bounded through a majorant: with R >= |z| and
-    B_0 = |a_0|, B_1 = |a_1|, B_{j+2} = R B_j + j B_{j-1}, every
-    |a_j| <= B_j, and the B_j are the Taylor coefficients of Y'' = (R + h) Y,
-    which stays below B_0 cosh(kappa h) + (B_1/kappa) sinh(kappa h) for
-    0 <= h <= 1/kappa, kappa = sqrt(1 + R).  So the remainder after J terms
-    is at most cosh(1) (B_0 + B_1/kappa) (|delta| kappa)^J.  The read
-    itself refuses |z| > MAX_ABS_Z, so R = MAX_ABS_Z holds for every read,
-    and J depends on delta alone.  An instant whose delta needs more than
-    _MAX_TERMS terms for a factor of 2^-53 reads the kernel directly.
-
-    An offset of 0 gives the read at t itself: the row is then bitwise
-    `wavefunction_branch`'s on the same array.
+    d_dt(fn) returns the derivative at t of fn, a function of time with
+    array values; it is taken of the scalars phi, a, sigma and D alone.
     """
     if region not in (1, 2):
         raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
@@ -172,26 +144,13 @@ def wavefunction_branch_offsets(profile: TimeProfile, n: int, region: int, x, t:
         xa = -xa
     c = coefficients_at(profile, t)
     lev = level(n)
-    z = (xa + (c.shift - 1j * c.b)) - lev.eigenvalue
-    derivs = list(airy_ai_and_prime(z))
-    rows = []
-    for s in offsets:
-        cs = c if s == 0.0 else coefficients_at(profile, t + s)
-        delta = (cs.shift - c.shift) - 1j * (cs.b - c.b)
-        terms = _series_terms(delta)
-        if not terms:
-            row = _branch1(n, cs, xa)
-        else:
-            for j in range(len(derivs), terms):
-                derivs.append(z * derivs[j - 2] if j == 2 else
-                              z * derivs[j - 2] + (j - 2) * derivs[j - 3])
-            ai = derivs[terms - 1]
-            for j in range(terms - 2, -1, -1):
-                ai = derivs[j] + (delta / (j + 1)) * ai
-            row = _branch1(n, cs, xa, ai * lev.norm_const)
-        # region 2 is sigma_n times region 1 at -x, as in `wavefunction_branch`
-        rows.append(row if region == 1 else (-1.0 if n % 2 else 1.0) * row)
-    return rows
+    kernel = np.stack(airy_ai_and_prime((xa + _exponents(n, c)[3]) - lev.eigenvalue))
+    psi, edge = _branch1(n, c, xa, kernel * lev.norm_const)
+    d = d_dt(lambda s: np.array(_exponents(n, coefficients_at(profile, s))))
+    dpsi = psi * (1j * d[0] + d[1] + d[2] * xa) + edge * d[3]
+    if region == 2 and n % 2:
+        return -psi, -dpsi
+    return psi, dpsi
 
 
 def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):

@@ -23,8 +23,8 @@ from airywell.verify import (
     pseudo_hermiticity_check,
 )
 from airywell.spectrum import level
-from airywell.wavefunction import (_branch1, assemble_wavefunction, wavefunction_branch,
-                                   wavefunction_branch_offsets)
+from airywell.wavefunction import (assemble_wavefunction, wavefunction_branch,
+                                   wavefunction_branch_and_dt)
 
 UNIT = TimeProfile.from_config({
     "mass": {"family": "constant", "m0": 1.0},
@@ -539,28 +539,25 @@ def test_tdse_residual_examples():
 
 def _two_region_tdse(profile, n, t, grid, flip_coupling_sign):
     """The evolution residual with each region's branch evaluated on its own
-    nodes: region 2 through wavefunction_branch_offsets(..., 2, ...), the
-    read that steps the branch to the d/dt stencil's instants."""
+    nodes: region 2 through wavefunction_branch_and_dt(..., 2, ...)."""
     xs = grid.nodes
     dx = grid.dx
     m = float(profile.mass.value(t))
     f = float(profile.coupling.value(t))
     if flip_coupling_sign:
         f = -f
-    offsets = [0.0] + [s for s, _ in verify._stencil(t, profile.window) if s]
     res = np.zeros(grid.n_points, dtype=complex)
     psi_mid = np.zeros(grid.n_points, dtype=complex)
     for region, mask in ((1, xs >= 0.0), (2, xs < 0.0)):
         idx = np.where(mask)[0]
         lo, hi = idx[0], idx[-1]
         ext = np.concatenate(([xs[lo] - dx], xs[lo:hi + 1], [xs[hi] + dx])).astype(complex)
-        rows = wavefunction_branch_offsets(profile, n, region, ext, t, offsets)
-        mid = rows[0]
-        lap = (mid[2:] - 2.0 * mid[1:-1] + mid[:-2]) / dx**2
-        mid = mid[1:-1]
-        at = {t + s: row[1:-1] for s, row in zip(offsets, rows)}
-        dpsi = verify._time_derivative(at.__getitem__, t, profile.window)
-        res[idx] = 1j * dpsi - (-lap / (2.0 * m) + 1j * f * np.abs(xs[idx]) * mid)
+        psi, dpsi = wavefunction_branch_and_dt(
+            profile, n, region, ext, t,
+            lambda fn: verify._time_derivative(fn, t, profile.window))
+        lap = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / dx**2
+        mid = psi[1:-1]
+        res[idx] = 1j * dpsi[1:-1] - (-lap / (2.0 * m) + 1j * f * np.abs(xs[idx]) * mid)
         psi_mid[idx] = mid
     keep = np.zeros(grid.n_points, dtype=bool)
     keep[3:grid.n_points - 3] = True
@@ -594,58 +591,71 @@ def test_level_residuals_equal_the_standalone_checks(profile):
                 assert got == want, (n, t, flip)
 
 
-def _mp_time_derivative(profile, n, x, t):
-    """d/dt of the region-1 branch over `_stencil`, in 30-digit arithmetic.
+def _unit_tables(t):
+    """(g, k, w, int chi2) of m = f = 1, which are polynomials in t."""
+    return -t, 2 * t, -t**2 / 2, -5 * t**3 / 48
 
-    Each sample is the branch's own double-precision factor amp e^{slope x}
-    times N_n Ai at the exact argument x + S - ib - lambda_n, so the kernel
-    is the only part that differs from the package's samples.
-    """
+
+def _wavy_tables(t):
+    """(g, k, w, int chi2) of m = e^t, f = cos t; int chi2 by mp.quad."""
+    def gkw(s):
+        w = (mp.exp(-s) * (mp.sin(s) - mp.cos(s)) + 1) / 2 - mp.sin(s)
+        return mp.exp(-s) - 1, 2 * mp.sin(s), w
+
+    def chi2(s):
+        g, k, w = gkw(s)
+        return mp.cos(s) / 2 * (k * g / 2 - w) - g**2 * mp.exp(-s) / 16
+    return (*gkw(t), mp.quad(chi2, [0, t]))
+
+
+def _mp_branch(tables, n, x, t):
+    """The closed-form region-1 branch in mpmath, from the tables at t."""
     lev = level(n)
-    total = [mp.mpc(0)] * x.size
-    with mp.workdps(30):
-        for s, w in verify._stencil(t, profile.window):
-            c = coefficients_at(profile, t + s)
-            factor = _branch1(n, c, x.astype(complex), np.ones(x.size))
-            for i, (f, xi) in enumerate(zip(factor.tolist(), x.tolist())):
-                z = mp.mpf(xi) + mp.mpf(c.shift) - 1j * mp.mpf(c.b) - mp.mpf(lev.eigenvalue)
-                total[i] += w * mp.mpc(f) * mp.mpf(lev.norm_const) * mp.airyai(z)
-        return np.array([complex(v / (2 * mp.mpf(verify.TIME_DELTA))) for v in total])
+    lam = mp.mpf(lev.eigenvalue)
+    g, k, w, cum_chi2 = tables(t)
+    shift, b = -g**2 / 4, g * k / 2 - w
+    phi = cum_chi2 + lam * g / 2 - k * b / 4 - g * shift / 4
+    return (mp.expj(phi) * mp.exp(-g * b / 2 + (k - 1j * g) * x / 2)
+            * mp.mpf(lev.norm_const) * mp.airyai(x + shift - 1j * b - lam))
 
 
-@pytest.mark.parametrize("profile", [UNIT, WAVY], ids=["unit", "wavy"])
-def test_stepped_time_derivative_is_no_farther_from_mpmath_than_direct_reads(profile):
-    # the d/dt of the samples `_branch_samples` reads (one kernel read,
-    # stepped by Taylor series) and of a direct kernel read at each instant,
-    # against one from mpmath values at the same instants; errors over the
-    # largest |psi|.  Rounding the two products of each sample alone can
-    # give sum |w| 2^-52 / (2 delta), the floor neither read can beat:
-    # stepped errors measured 2e-12 to 3.5e-11 (at most 0.4 of the floor),
-    # direct ones 1.4e-11 to 3e-9
+@pytest.mark.parametrize("profile, tables, times, bound", [
+    (UNIT, _unit_tables, (0.0, 0.1, 0.3, 1.5, 3.0), 3e-10),
+    (WAVY, _wavy_tables, (0.0, 0.3, 1.5, 2.0), 3e-9),
+], ids=["unit", "wavy"])
+def test_branch_time_derivative_matches_mpmath(profile, tables, times, bound):
+    # the chain-rule d/dt `_branch_samples` reads, against mp.diff of the
+    # closed form with exact tables, over max |d/dt psi|.  Measured: at most
+    # 7.6e-11 on m = f = 1, whose tables the package holds to rounding, so
+    # the stencil on the coefficient scalars sets it (differencing Taylor-
+    # stepped kernel samples instead was off by 1.9e-9 there); 8.7e-10 on
+    # m = e^t, f = cos t, where the slope of the 1024-panel table sets it
     x = np.array([0.0, 0.5, 1.3, 2.7, 4.1, 7.9])
-    for n in (0, 1, 4):
-        for t in (0.0, 0.3, profile.window):
-            stencil = verify._stencil(t, profile.window)
-            want = _mp_time_derivative(profile, n, x, t)
-            offsets = [0.0] + [s for s, _ in stencil if s]
-            rows = wavefunction_branch_offsets(profile, n, 1, x.astype(complex), t, offsets)
-            at = {t + s: row for s, row in zip(offsets, rows)}
-            stepped = verify._time_derivative(at.__getitem__, t, profile.window)
-            direct = verify._time_derivative(
-                lambda s: wavefunction_branch(profile, n, 1, x.astype(complex), s),
-                t, profile.window)
-            scale = np.max(np.abs(rows[0]))
-            floor = sum(abs(w) for _, w in stencil) * 2.0**-52 / (2 * verify.TIME_DELTA)
-            err_stepped = np.max(np.abs(stepped - want)) / scale
-            err_direct = np.max(np.abs(direct - want)) / scale
-            assert err_stepped <= max(err_direct, floor), (n, t, err_stepped, err_direct)
+    cached = {}
+
+    def at(s):
+        if s not in cached:
+            cached[s] = tables(s)
+        return cached[s]
+    with mp.workdps(30):
+        for t in times:
+            for n in (0, 1, 4):
+                _, got = wavefunction_branch_and_dt(
+                    profile, n, 1, x.astype(complex), t,
+                    lambda fn: verify._time_derivative(fn, t, profile.window))
+                want = np.array([complex(mp.diff(lambda s: _mp_branch(at, n, mp.mpf(xi), s),
+                                                 mp.mpf(t)))
+                                 for xi in x.tolist()])
+                err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert err <= bound, (n, t, err)
 
 
-def test_default_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp_path):
-    # 6 levels x 3 times, each read once at t on 3203 nodes, Ai and Ai'
-    # together, and stepped to t +- delta: 18 kernel calls on 57,654 points.
-    # Both entries that read Ai for a state are counted, so the test cannot
-    # pass by moving the reads to the one it does not watch
+def _count_kernel_reads(monkeypatch, cfg):
+    """(exit code, points of each kernel call) of one `run_verify`.
+
+    Both entries that read Ai for a state are counted, so a test cannot
+    pass by moving the reads to the one it does not watch.
+    """
     calls = []
 
     def counting(real):
@@ -657,10 +667,26 @@ def test_default_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp_p
     monkeypatch.setattr(spectrum, "airy_ai_many", counting(spectrum.airy_ai_many))
     monkeypatch.setattr(wavefunction, "airy_ai_and_prime",
                         counting(wavefunction.airy_ai_and_prime))
+    return cli.run_verify(cfg), calls
+
+
+def test_default_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp_path):
+    # 6 levels x 3 times, each read once at t on 3203 nodes, Ai and Ai'
+    # together: 18 kernel calls on 57,654 points
     cfg = cli.RunConfig(profile=TimeProfile.from_config(cli._DEFAULT_PROFILE),
                         out_dir=tmp_path)
-    assert cli.run_verify(cfg) == 0
-    assert calls == [3203] * 18
+    assert _count_kernel_reads(monkeypatch, cfg) == (0, [3203] * 18)
+
+
+def test_tiny_mass_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp_path):
+    # m0 = 1e-3: the kernel argument moves by about 5e-2 over one d/dt step
+    # at t = 0.01, and the state is still read once per (n, t).  The default
+    # dx is too coarse for the tdse rows of this profile, so the run exits 1
+    profile = TimeProfile.from_config({"window": 0.1, "mass": {"family": "constant", "m0": 1e-3},
+                                       "coupling": {"family": "constant", "f0": 1.0}})
+    cfg = cli.RunConfig(profile=profile, levels=(0, 1), times=(0.002, 0.005, 0.01),
+                        out_dir=tmp_path)
+    assert _count_kernel_reads(monkeypatch, cfg) == (1, [3203] * 6)
 
 
 def test_tdse_residual_wrong_coupling_sign_fails():
@@ -671,6 +697,25 @@ def test_tdse_residual_monotone_under_refinement():
     coarse = tdse_residual(WAVY, 1, 0.4, Grid1D.centered(16.0, 0.01))
     fine = tdse_residual(WAVY, 1, 0.4, Grid1D.centered(16.0, 0.005))
     assert fine <= coarse
+
+
+@pytest.mark.parametrize("profile", [UNIT, WAVY], ids=["unit", "wavy"])
+def test_residuals_are_second_order_in_dx(profile):
+    # residual(2 dx)/residual(dx) over dx = 0.02 -> 0.01 -> 0.005 on
+    # half-width 12: a stencil weight that loses an order gives 2 or 1.
+    # Measured 3.992 to 4.0005 for the evolution, region-1 invariant and
+    # von Neumann rows
+    dxs = (0.02, 0.01, 0.005)
+    for t in (0.1, 0.5):
+        rows = [[von_neumann_residual(profile, 1, t, Grid1D.half_line(12.0, dx, 1))
+                 for dx in dxs]]
+        for n in (0, 3):
+            tdse, inv1, _ = zip(*(level_residuals(profile, n, t, Grid1D.centered(12.0, dx))
+                                  for dx in dxs))
+            rows += [tdse, inv1]
+        for row in rows:
+            for coarse, fine in zip(row, row[1:]):
+                assert coarse / fine == pytest.approx(4.0, abs=0.02), (t, row)
 
 
 # -------------------------------------------------- invariant residuals

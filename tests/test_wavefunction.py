@@ -26,12 +26,11 @@ from airywell.airy import airy_ai_many
 from airywell.spectrum import density, eigenfunction, eigenfunction_continued, level
 from airywell.wavefunction import (
     _branch1,
-    _series_terms,
     assemble_wavefunction,
     phase,
     reconstructed_density,
     wavefunction_branch,
-    wavefunction_branch_offsets,
+    wavefunction_branch_and_dt,
 )
 
 UNIT = TimeProfile(mass=ConstantMass(1.0), coupling=ConstantCoupling(1.0), window=3.0)
@@ -159,80 +158,7 @@ def test_branch_region_validation():
         with pytest.raises(ValueError):
             wavefunction_branch(UNIT, 0, region, 0.5, 0.5)
         with pytest.raises(ValueError):
-            wavefunction_branch_offsets(UNIT, 0, region, np.array([0.5j]), 0.5, [0.0])
-
-
-# ------------------------------------------- one Airy read, stepped in time
-
-SMALL_MASS = TimeProfile(mass=ConstantMass(0.01), coupling=ConstantCoupling(1.0), window=1.0)
-_DELTA = 1e-5           # verify.TIME_DELTA, the step of the d/dt stencils
-
-
-@pytest.mark.parametrize("profile, times", [
-    (UNIT, (0.0, 0.3, 3.0)), (WAVY, (0.0, 0.4, 2.5)), (RAMP, (0.0, 1.0, 2.0)),
-    (SAMPLED, (0.0, 0.7, 2.0)), (SMALL_MASS, (0.01, 0.05)),
-], ids=["unit", "wavy", "ramp", "sampled", "small-mass"])
-def test_offset_read_matches_direct_reads_at_each_instant(profile, times):
-    # on the region-1 samples of the default verify grid, at every instant
-    # any d/dt stencil reads.  Series against direct reads, each over the
-    # largest |direct|: at most 2.9e-14 measured (small mass, 7 to 11 terms;
-    # 1.9e-14 on the others), and the bound leaves a factor 3.  The offset-0
-    # row is the read at t itself, to the bit
-    x = (np.arange(-1, 3202) * 0.005).astype(complex)
-    for n in (0, 1, 4, 5):
-        for t in times:
-            offsets = [s for s in (0.0, -2 * _DELTA, -_DELTA, _DELTA, 2 * _DELTA)
-                       if 0.0 <= t + s <= profile.window]
-            rows = wavefunction_branch_offsets(profile, n, 1, x, t, offsets)
-            assert len(rows) == len(offsets)
-            assert np.array_equal(rows[0], wavefunction_branch(profile, n, 1, x, t))
-            for s, row in zip(offsets[1:], rows[1:]):
-                want = wavefunction_branch(profile, n, 1, x, t + s)
-                assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want)), (n, t, s)
-
-
-@pytest.mark.parametrize("n", [0, 1])
-def test_offset_read_of_region_two_is_the_mirrored_region_one_read(n):
-    x = np.linspace(0.0, 8.0, 161).astype(complex)
-    offsets = [0.0, _DELTA, -_DELTA]
-    one = wavefunction_branch_offsets(WAVY, n, 1, x, 0.4, offsets)
-    two = wavefunction_branch_offsets(WAVY, n, 2, -x, 0.4, offsets)
-    for a, b in zip(one, two):
-        assert np.array_equal(b, (-1.0 if n % 2 else 1.0) * a)
-    assert np.array_equal(two[0], wavefunction_branch(WAVY, n, 2, -x, 0.4))
-
-
-def test_offset_read_falls_back_to_direct_reads_beyond_the_series_bound():
-    # m0 = 1e-3: S = -g^2/4 moves by about 5e-2 over one step at t = 0.01,
-    # more than 24 terms can reach, so every shifted instant reads the
-    # kernel itself and equals the direct read to the bit
-    tiny = TimeProfile(mass=ConstantMass(1e-3), coupling=ConstantCoupling(1.0), window=0.1)
-    t = 0.01
-    c = coefficients_at(tiny, t)
-    x = np.linspace(0.0, 10.0, 201).astype(complex)
-    offsets = [0.0, _DELTA, -_DELTA]
-    for s in offsets[1:]:
-        cs = coefficients_at(tiny, t + s)
-        delta = (cs.shift - c.shift) - 1j * (cs.b - c.b)
-        assert 4e-2 < abs(delta) < 6e-2
-        assert _series_terms(delta) == 0
-    for n in (0, 1, 2):
-        rows = wavefunction_branch_offsets(tiny, n, 1, x, t, offsets)
-        for s, row in zip(offsets, rows):
-            assert np.array_equal(row, wavefunction_branch(tiny, n, 1, x, t + s)), (n, s)
-
-
-def test_series_terms_follow_the_stated_bound():
-    # cosh(1) (|delta| sqrt(41))^J <= 2^-53 for the count returned, not for
-    # one fewer; none past 24 terms
-    kappa = np.sqrt(41.0)
-    for d in (1e-12, 2.2e-6, 1e-4, 1e-2, 3e-2):
-        j = _series_terms(d * np.exp(0.7j))
-        q = d * kappa
-        assert 1 <= j <= 24
-        assert np.cosh(1.0) * q**j <= 2.0**-53 < np.cosh(1.0) * q**(j - 1)
-    assert _series_terms(0j) == 1
-    assert _series_terms(5e-2) == 0 and _series_terms(1.0) == 0
+            wavefunction_branch_and_dt(UNIT, 0, region, np.array([0.5j]), 0.5, lambda fn: fn(0.5))
 
 
 def test_branch_satisfies_equation_of_motion():
