@@ -17,6 +17,7 @@ from .airy import (
     airy_eval_many,
     airy_ai_many,
     airy_ai_and_prime,
+    airy_ai_and_prime_lattice,
     airy_function_zero,
     airy_derivative_zero,
 )
@@ -37,6 +38,7 @@ from .spectrum import (
 from .wavefunction import (
     WavefunctionSample,
     wavefunction_branch,
+    wavefunction_branch_on_lattice,
     wavefunction_branch_and_dt,
     assemble_wavefunction,
     reconstructed_density,
@@ -63,6 +65,7 @@ __all__ = [
     "airy_eval_many",
     "airy_ai_many",
     "airy_ai_and_prime",
+    "airy_ai_and_prime_lattice",
     "airy_function_zero",
     "airy_derivative_zero",
     "CoefficientSet",
@@ -77,6 +80,7 @@ __all__ = [
     "density",
     "WavefunctionSample",
     "wavefunction_branch",
+    "wavefunction_branch_on_lattice",
     "wavefunction_branch_and_dt",
     "assemble_wavefunction",
     "reconstructed_density",

@@ -2,12 +2,12 @@
 
 The solver in this package needs Ai(z) at complex arguments with moduli
 up to about 40, Ai'(z) at the real zeros, and the negative real zeros a_k
-of Ai and a'_k of Ai'.  Two evaluators share one input contract:
+of Ai and a'_k of Ai'.  The evaluators share one input contract:
 
   * `airy_ai_many` gives Ai alone through the modified Bessel function
     K_{1/3} (`scipy.special.kv`; DLMF 9.6.1 and 9.2.12, see its
-    docstring).  Every eigenfunction and branch state reads only Ai, so
-    they all use it.  Against mpmath its relative error is about 4e-14 on
+    docstring).  The eigenfunctions and the assembled states read only
+    Ai, so they use it.  Against mpmath its relative error is about 4e-14 on
     the working disc |z| <= 40, away from the zeros of Ai.  A 0-d input
     (one point, as the Crank-Nicolson boundary feed asks for on every
     step) is read in Python scalars with the same formulas, which costs
@@ -15,10 +15,21 @@ of Ai and a'_k of Ai'.  Two evaluators share one input contract:
 
   * `airy_ai_and_prime` gives Ai and Ai' from one kv call over the orders
     1/3 and 2/3 (DLMF 9.6.1 and 9.6.2), with Ai' read in the same sectors
-    and its Ai column bitwise that of `airy_ai_many`.  `verify` reads it
-    once per state and time, and takes the state's d/dt from Ai' by the
-    chain rule (see `wavefunction`).  Against mpmath Ai' is within about
-    5e-14 relative on the same disc.
+    and its Ai column bitwise that of `airy_ai_many`.  Against mpmath Ai'
+    is within about 5e-14 relative on the same disc.
+
+  * `airy_ai_and_prime_lattice` gives Ai and Ai' on a lattice c + k h
+    with a real step h.  It reads `airy_ai_and_prime` at the anchors,
+    the nodes k = 0 mod 8, and sums every other node from the anchor at
+    most 4 nodes away by the Taylor series that Ai'' = z Ai supplies,
+    with a stated bound on its remainder (Gil, Segura and Temme,
+    Numerical Methods for Special Functions, SIAM 2007, on Taylor methods
+    for the ODEs of special functions).  A step too coarse for the series
+    is read directly.  `verify` reads every state through it, once per
+    state and time, and takes the state's d/dt from Ai' by the chain rule
+    (see `wavefunction`).  On the default grid it costs about a quarter
+    of the direct read, within 4e-14 of it in units of
+    |Ai| + |Ai'|/sqrt(41).
 
   * `airy_eval_many` gives Ai, Ai', Bi and Bi' from `scipy.special.airy`,
     which wraps D. E. Amos's complex Airy routines (ACM TOMS Algorithm
@@ -66,6 +77,7 @@ __all__ = [
     "airy_eval_many",
     "airy_ai_many",
     "airy_ai_and_prime",
+    "airy_ai_and_prime_lattice",
     "airy_function_zero",
     "airy_derivative_zero",
     "MAX_ABS_Z",
@@ -217,6 +229,118 @@ def airy_ai_and_prime(z) -> tuple[np.ndarray, np.ndarray]:
         val[tiny] = _AI_AT_ZERO
         der[tiny] = _AIP_AT_ZERO
     return val.reshape(zarr.shape)[()], der.reshape(zarr.shape)[()]
+
+
+# the anchor spacing of `airy_ai_and_prime_lattice`, and the terms of its
+# series: J with cosh(1) q^J <= 2^-53, q = (_STRIDE/2) |h| _KAPPA, at most
+# _MAX_TERMS (see its docstring for the bound)
+_STRIDE = 8
+_KAPPA = math.sqrt(1.0 + MAX_ABS_Z)
+_LOG_TOL = math.log(2.0 ** -53 / math.cosh(1.0))
+_MAX_TERMS = 32
+
+
+def _lattice_terms(h: float) -> int:
+    """Series terms J for the lattice step h, or 0 if h needs the direct read."""
+    q = _STRIDE // 2 * abs(h) * _KAPPA
+    if not 0.0 < q < 1.0:               # h = 0, or |h| too coarse or not finite
+        return 0
+    # at least 3, so that each sum of `_taylor_rows` reads both Ai and Ai'
+    terms = max(3, math.ceil(_LOG_TOL / math.log(q)))
+    return terms if terms <= _MAX_TERMS else 0
+
+
+def _taylor_rows(za, ai, aip, steps, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ai and Ai' at za[i] + steps[i, j] from Ai and Ai' at each anchor za[i].
+
+    Horner's rule on `terms` terms of the Taylor series at za,
+
+        Ai(za + d)  = sum_j c_j d^j,           c_0 = Ai(za), c_1 = Ai'(za),
+        Ai'(za + d) = sum_j (j + 1) c_{j+1} d^j,
+        c_{j+2} = (za c_j + c_{j-1}) / ((j + 2)(j + 1))   (Ai'' = z Ai, DLMF 9.2.1),
+
+    for real steps.  A non-finite Ai or Ai' at an anchor makes every value
+    of its row non-finite: with terms >= 3 each sum reads both c_0 and
+    c_1 (Ai' through c_2 = za c_0 / 2), and the last Horner step adds one
+    of them, so a NaN or infinity reaches every step, 0 included.
+    """
+    coef = np.empty((terms + 1, za.size), dtype=complex)
+    coef[0], coef[1] = ai, aip
+    for j in range(terms - 1):
+        np.multiply(za, coef[j], out=coef[j + 2])
+        if j:
+            coef[j + 2] += coef[j - 1]
+        coef[j + 2] /= (j + 2) * (j + 1)
+    # rows[j] = (c_j, (j + 1) c_{j+1}), the j-th coefficients of both sums
+    rows = np.stack((coef[:-1], coef[1:] * np.arange(1.0, terms + 1.0)[:, None]), axis=1)
+    acc = np.empty((2,) + steps.shape, dtype=complex)
+    acc[...] = rows[-1, :, :, None]
+    # a real step scales the real and imaginary parts alike
+    parts, step2 = acc.view(float), np.repeat(steps, 2, axis=-1)
+    for row in rows[-2::-1, :, :, None]:
+        parts *= step2
+        acc += row
+    return acc[0], acc[1]
+
+
+def airy_ai_and_prime_lattice(c: complex, h: float, ks: range) -> tuple[np.ndarray, np.ndarray]:
+    """Ai and Ai' at the lattice nodes z_k = c + k h, k in ks, for a real step h.
+
+    The values are those of `airy_ai_and_prime(c + np.arange(ks.start,
+    ks.stop) * h)` to within the kernel's accuracy, and it refuses what
+    that call refuses, NaN included.  The kernel is read only at the
+    anchors, the nodes k = 0 mod 8; each other node is summed from the
+    anchor at most 4 nodes away by `_taylor_rows`, over the exact step
+    z_k - z_anchor.  The remainder after J terms is bounded through a
+    majorant: the Taylor coefficients a_j = Ai^(j)(z) obey
+    a_{j+2} = z a_j + j a_{j-1}, so with R >= |z|, B_0 = |a_0|,
+    B_1 = |a_1| and B_{j+2} = R B_j + j B_{j-1}, every |a_j| <= B_j; the
+    B_j are the coefficients of Y'' = (R + d) Y, which stays below
+    B_0 cosh(kappa d) + (B_1/kappa) sinh(kappa d) for 0 <= d <= 1/kappa,
+    kappa = sqrt(1 + R).  So with q = 4 |h| kappa the remainder of Ai
+    after J terms, and that of Ai'/kappa, is at most
+    cosh(1) q^J (|Ai| + |Ai'|/kappa) at the anchor.  R = 40 for every
+    anchor in the disc, so J, the least count with cosh(1) q^J <= 2^-53,
+    depends on h alone: 19 at |h| = 0.005, 28 at 0.01.
+
+    Where J would exceed 32 (|h| above about 0.0122; at 0.04, q > 1 and
+    the series diverges), the whole range is read directly.  So is the
+    block of an anchor outside |z| <= 40, which can happen within 4 nodes
+    past either end of a range whose nodes all lie inside.  Every node's
+    value depends on c, h and k alone, so two reads that share nodes of
+    one lattice give the same bits there, and an anchor's value is
+    bitwise the direct read's.
+    """
+    if ks.step != 1:
+        raise ValueError("the lattice range must have step 1")
+    c = complex(c)
+    terms = _lattice_terms(h)
+    if not terms or not len(ks):
+        # an infinite or huge h gives NaN or infinite points, which are refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            return airy_ai_and_prime(c + np.arange(ks.start, ks.stop) * h)
+    half = _STRIDE // 2
+    first = (ks.start + half) // _STRIDE        # the anchor of node k is 8 ((k + 4) // 8)
+    last = (ks.stop - 1 + half) // _STRIDE
+    nodes = np.arange(first * _STRIDE - half, last * _STRIDE + half)
+    block = c + nodes * h                       # the blocks of the anchors, one per row
+    lo = ks.start - nodes[0]
+    z = block[lo:lo + len(ks)]
+    _refuse_outside_disc(np.abs(z).max())       # NaN included
+    block = block.reshape(-1, _STRIDE)
+    za = block[:, half]
+    inside = np.abs(za) <= MAX_ABS_Z
+    ai = np.empty(block.shape, dtype=complex)
+    aip = np.empty(block.shape, dtype=complex)
+    ai[inside], aip[inside] = _taylor_rows(
+        za[inside], *airy_ai_and_prime(za[inside]),
+        (block[inside] - za[inside, None]).real, terms)
+    ai = ai.reshape(-1)[lo:lo + len(ks)]
+    aip = aip.reshape(-1)[lo:lo + len(ks)]
+    if not inside.all():
+        direct = ~np.repeat(inside, _STRIDE)[lo:lo + len(ks)]
+        ai[direct], aip[direct] = airy_ai_and_prime(z[direct])
+    return ai, aip
 
 
 def airy_eval(z) -> AiryPair:

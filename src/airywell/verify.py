@@ -19,7 +19,12 @@ by parity, which the full-line scheme commutes with.
 The time derivatives are finite differences over the instants of
 `_stencil`.  For the closed-form state they act on its coefficient
 scalars alone, and the chain rule on one read of Ai and Ai' at t gives
-the state's d/dt (`wavefunction.wavefunction_branch_and_dt`).
+the state's d/dt (`wavefunction.wavefunction_branch_and_dt`).  Every
+residual reads the state on the grid's lattice x = k dx through
+`airy.airy_ai_and_prime_lattice`, which reads the kernel at every 8th
+node and sums the others from it; reads that share nodes give the same
+bits there, so a residual computed from shared samples equals its
+standalone call bitwise.
 """
 
 from __future__ import annotations
@@ -35,7 +40,10 @@ from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .profiles import TimeProfile, coefficients_at, invariant_coefficients
 from .spectrum import level
-from .wavefunction import wavefunction_branch, wavefunction_branch_and_dt
+from .wavefunction import wavefunction_branch_and_dt, wavefunction_branch_on_lattice
+# wavefunction_branch is not called here, but the benchmark tracer in
+# bench/tracing.py rebinds it in this namespace
+from .wavefunction import wavefunction_branch  # noqa: F401
 
 __all__ = [
     "Grid1D",
@@ -372,18 +380,16 @@ def _branch_samples(profile: TimeProfile, n: int, t: float, grid: Grid1D):
     """The region-1 branch at the nodes k dx that every residual of (n, t) reads.
 
     With K the largest |k| of grid, returns Psi_n,1 at t for k = -1 ...
-    K + 1 and its d/dt for k = 0 ... K, from one Airy read at t:
-    `wavefunction_branch_and_dt` gives the branch, bitwise
-    `wavefunction_branch`'s, and its d/dt by the chain rule, with
-    `_time_derivative` taken of the coefficient scalars alone.
-    Region 2 is read from these by parity: its value at k dx, k < 0, is
-    sigma_n times the region-1 value at |k| dx, which on the exact grid is
-    bitwise what `wavefunction_branch(..., 2, ...)` gives there.
+    K + 1 and its d/dt for k = 0 ... K, from one lattice read of Ai and
+    Ai' at t: `wavefunction_branch_and_dt` gives the branch and its d/dt
+    by the chain rule, with `_time_derivative` taken of the coefficient
+    scalars alone.  Region 2 is read from these by parity: its value at
+    k dx, k < 0, is sigma_n times the region-1 value at |k| dx, which is
+    bitwise what `wavefunction_branch_on_lattice(..., 2, ...)` gives there.
     """
     k_max = max(-grid.first_index, grid.first_index + grid.n_points - 1)
-    ks = np.arange(-1, k_max + 2) * grid.dx
     centre, dpsi = wavefunction_branch_and_dt(
-        profile, n, 1, ks.astype(complex), t,
+        profile, n, 1, range(-1, k_max + 2), grid.dx, t,
         lambda fn: _time_derivative(fn, t, profile.window))
     return centre, dpsi[1:-1]
 
@@ -455,14 +461,16 @@ def invariant_eigen_residual(profile: TimeProfile, n: int, region: int, t: float
     """Relative L2 residual of (invariant - lambda) on one region branch.
 
     The grid must live in the region's half-line; interior rows only (the
-    end rows of a tridiagonal operator see truncated stencils).
+    end rows of a tridiagonal operator see truncated stencils).  The
+    branch is read on the grid's lattice (`wavefunction_branch_on_lattice`).
     """
     xs = grid.nodes
     if region == 1 and xs[0] < -1e-12:
         raise ValueError("region 1 residual needs a grid on x >= 0")
     if region == 2 and xs[-1] > 1e-12:
         raise ValueError("region 2 residual needs a grid on x <= 0")
-    psi = wavefunction_branch(profile, n, region, xs.astype(complex), t)
+    psi = wavefunction_branch_on_lattice(
+        profile, n, region, range(grid.first_index, grid.first_index + grid.n_points), grid.dx, t)
     return _invariant_eigen(profile, n, region, t, grid, psi)
 
 

@@ -39,6 +39,13 @@ alone, so by the chain rule
 
   d/dt Psi_n,1 = Psi_n,1 (i phi' + a' + sigma' x) + E N_n Ai'(x + D - lambda_n) D'.
 
+On a grid x = k dx the kernel argument x + D - lambda_n is itself a
+lattice, so the residual checks read Ai and Ai' there with
+`airy.airy_ai_and_prime_lattice` (`wavefunction_branch_on_lattice` and
+`wavefunction_branch_and_dt`), which reads the kernel at every 8th node
+and sums the others by a Taylor series; arbitrary complex x, and the
+assembled states and densities, read the kernel directly.
+
 Region 2 (x <= 0) needs no formula of its own.  H(t) = -d^2/dx^2 / (2m)
 + i f |x| commutes with parity P, the region-2 invariant is P I_1 P, and
 the phases agree: eps^2 - eps^1 = int_0^t (chi2 - chi1) is exactly the
@@ -61,13 +68,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import airy_ai_and_prime
+from .airy import airy_ai_and_prime_lattice
 from .profiles import CoefficientSet, TimeProfile, coefficients_at
 from .spectrum import _at_distinct_abs, eigenfunction_continued, level
 
 __all__ = [
     "WavefunctionSample",
     "wavefunction_branch",
+    "wavefunction_branch_on_lattice",
     "wavefunction_branch_and_dt",
     "assemble_wavefunction",
     "reconstructed_density",
@@ -128,26 +136,51 @@ def _branch1(n: int, c: CoefficientSet, x, continued=None):
     return exp(1j * phi) * exp(a) * exp(slope * x) * continued
 
 
-def wavefunction_branch_and_dt(profile: TimeProfile, n: int, region: int, x, t: float,
-                               d_dt) -> tuple:
-    """One region's branch on the complex array x at t, bitwise
-    `wavefunction_branch`'s, and its d/dt by the module docstring's chain
-    rule, from one `airy_ai_and_prime` read at t.
+def _on_lattice(n: int, region: int, c: CoefficientSet, ks: range, dx: float) -> tuple:
+    """(x, Psi_n,1, E N_n Ai'(x + D - lambda_n)) at one region's nodes k dx, k in ks.
+
+    x is the region-1 coordinate of each node, k dx in region 1 and -k dx
+    in region 2, in the order of ks; Psi_n,1 and the Ai' term of its d/dt
+    (see the module docstring) come from one `airy_ai_and_prime_lattice`
+    read on the region-1 nodes, so two reads that share nodes of one
+    lattice give the same bits there.
+    """
+    if region not in (1, 2):
+        raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
+    if region == 2:
+        ks = range(1 - ks.stop, 1 - ks.start)       # the region-1 nodes -k, ascending
+    lev = level(n)
+    kernel = np.stack(airy_ai_and_prime_lattice(_exponents(n, c)[3] - lev.eigenvalue, dx, ks))
+    x = np.arange(ks.start, ks.stop) * dx
+    psi, edge = _branch1(n, c, x, kernel * lev.norm_const)
+    if region == 2:
+        return x[::-1], psi[::-1], edge[::-1]
+    return x, psi, edge
+
+
+def wavefunction_branch_on_lattice(profile: TimeProfile, n: int, region: int, ks: range,
+                                   dx: float, t: float) -> np.ndarray:
+    """One region's branch at t on the grid nodes k dx, k in ks (a range of step 1).
+
+    It agrees with `wavefunction_branch` on the same nodes to within the
+    kernel's accuracy, and bitwise with `wavefunction_branch_and_dt`'s
+    branch on the nodes the two share.
+    """
+    _, psi, _ = _on_lattice(n, region, coefficients_at(profile, t), ks, dx)
+    return -psi if region == 2 and n % 2 else psi
+
+
+def wavefunction_branch_and_dt(profile: TimeProfile, n: int, region: int, ks: range,
+                               dx: float, t: float, d_dt) -> tuple:
+    """`wavefunction_branch_on_lattice` and its d/dt by the module
+    docstring's chain rule, from the same one kernel read at t.
 
     d_dt(fn) returns the derivative at t of fn, a function of time with
     array values; it is taken of the scalars phi, a, sigma and D alone.
     """
-    if region not in (1, 2):
-        raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
-    xa = np.asarray(x, dtype=complex)
-    if region == 2:
-        xa = -xa
-    c = coefficients_at(profile, t)
-    lev = level(n)
-    kernel = np.stack(airy_ai_and_prime((xa + _exponents(n, c)[3]) - lev.eigenvalue))
-    psi, edge = _branch1(n, c, xa, kernel * lev.norm_const)
+    x, psi, edge = _on_lattice(n, region, coefficients_at(profile, t), ks, dx)
     d = d_dt(lambda s: np.array(_exponents(n, coefficients_at(profile, s))))
-    dpsi = psi * (1j * d[0] + d[1] + d[2] * xa) + edge * d[3]
+    dpsi = psi * (1j * d[0] + d[1] + d[2] * x) + edge * d[3]
     if region == 2 and n % 2:
         return -psi, -dpsi
     return psi, dpsi

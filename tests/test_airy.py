@@ -17,10 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 import mpmath as mp
 
+from airywell import airy
 from airywell.airy import (
     MAX_ZERO_INDEX,
     AiryPair,
     airy_ai_and_prime,
+    airy_ai_and_prime_lattice,
     airy_ai_many,
     airy_derivative_zero,
     airy_eval,
@@ -480,3 +482,141 @@ def test_ai_prime_kernel_shape_and_dtype_match_airy_eval_many(z):
 def test_ai_prime_kernel_rejects_points_outside_the_disc(z):
     with pytest.raises(ValueError):
         airy_ai_and_prime(z)
+
+
+# ------------------------------------------------ anchored lattice read
+
+
+def _lattice(c, h, ks):
+    return c + np.arange(ks.start, ks.stop) * h
+
+
+def test_lattice_term_counts():
+    # cosh(1) q^J <= 2^-53 with q = 4 |h| sqrt(41); past 32 terms, and
+    # wherever q >= 1 (|h| = 0.04), the read is direct
+    assert [airy._lattice_terms(h) for h in (0.005, -0.005, 0.01, 0.012)] == [19, 19, 28, 32]
+    # never fewer than 3, so that both sums read Ai and Ai' at the anchor
+    assert [airy._lattice_terms(h) for h in (1e-9, 1e-12)] == [3, 3]
+    assert [airy._lattice_terms(h) for h in (0.0125, 0.02, 0.04, 0.0, np.nan, np.inf)] == [0] * 6
+
+
+@pytest.mark.parametrize("c, ks, every", [
+    (2.0j, range(-6000, 1000), 17),          # Re z from -30 to 5, Im z = 2
+    (-0.75j, range(-7000, 600), 19),         # Re z from -35 to 3, Im z = -0.75
+], ids=["upper", "lower"])
+def test_lattice_read_matches_mpmath_across_the_far_sector(c, ks, every):
+    # the series path at h = 0.005 on lines that cross arg z = +-2pi/3; the
+    # checked nodes (every 17th or 19th) fall on all 8 offsets from an anchor
+    z = _lattice(c, 0.005, ks)
+    ai, aip = airy_ai_and_prime_lattice(c, 0.005, ks)
+    picked = np.arange(0, z.size, every)
+    far = np.abs(np.angle(z[picked])) >= 2 * np.pi / 3
+    assert far.any() and not far.all()
+    assert set((ks.start + picked) % 8) == set(range(8))
+    for got, oracle in ((ai, _mp_ai), (aip, _mp_aip)):
+        want = np.array([oracle(w) for w in z[picked]])
+        err = np.abs(got[picked] - want) / np.abs(want)
+        assert float(np.max(err)) <= 1e-12, z[picked][np.argmax(err)]
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus-zero", "minus-zero"])
+def test_lattice_read_along_negative_real_axis(zero):
+    # z = k / 200 for k = -7600 ... 0, scaled by the modulus functions as in
+    # the kernel sweeps above
+    ks = range(-7600, 1)
+    ai, aip = airy_ai_and_prime_lattice(complex(0.0, zero), 0.005, ks)
+    picked = np.arange(0, len(ks), 19)
+    xs = _lattice(0.0, 0.005, ks)[picked]
+    with mp.workdps(20):
+        for got, d in ((ai, 0), (aip, 1)):
+            want = np.array([float(mp.airyai(x, derivative=d)) for x in xs])
+            scale = np.array([float(mp.sqrt(mp.airyai(x, derivative=d) ** 2
+                                             + mp.airybi(x, derivative=d) ** 2)) for x in xs])
+            assert float(np.max(np.abs(got[picked] - want) / scale)) <= 1e-13
+
+
+@pytest.mark.parametrize("h", [0.0125, 0.02, 0.04])
+@pytest.mark.parametrize("ks", [range(-500, 400), range(3, 4), range(5, 5)],
+                         ids=["long", "one", "empty"])
+def test_lattice_read_of_a_coarse_step_is_the_direct_read(h, ks):
+    c = -3.0 + 1.0j
+    got = airy_ai_and_prime_lattice(c, h, ks)
+    want = airy_ai_and_prime(_lattice(c, h, ks))
+    for g, w in zip(got, want):
+        assert g.shape == (len(ks),) and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("c, h, ks", [
+    (complex(np.nan, 0.0), 0.005, range(0, 10)),
+    (complex(0.0, np.nan), 0.005, range(0, 10)),
+    (1.0 + 1.0j, np.nan, range(-3, 3)),
+    (39.9 + 0.0j, 0.005, range(0, 100)),        # the range leaves the disc at z = 40.005
+    (-40.2 + 1.0j, 0.005, range(0, 100)),       # it enters it at |z| = 40.0
+    (0.0, 0.005, range(7990, 8002)),            # z = 40.005 at k = 8001, its anchor at 40.0
+    (0.0, 0.04, range(990, 1010)),              # the direct path
+], ids=["nan-real", "nan-imag", "nan-step", "leaves", "enters", "anchor-inside", "direct"])
+def test_lattice_read_refuses_what_the_direct_read_refuses(c, h, ks):
+    with np.errstate(invalid="ignore"):
+        z = _lattice(c, h, ks)
+    with pytest.raises(ValueError) as direct:
+        airy_ai_and_prime(z)
+    with pytest.raises(ValueError) as lattice:
+        airy_ai_and_prime_lattice(c, h, ks)
+    assert str(lattice.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("c, ks, block", [
+    (0.001, range(7900, 8000), slice(-4, None)),      # anchor 8000 at z = 40.001
+    (-0.001, range(-7999, -7900), slice(None, 3)),    # anchor -8000 at z = -40.001
+], ids=["right-end", "left-end"])
+def test_lattice_read_reads_an_end_block_whose_anchor_leaves_the_disc(c, ks, block):
+    # every node lies in |z| <= 40, the end block's anchor does not: that
+    # block is read directly, the rest by the series
+    z = _lattice(c, 0.005, ks)
+    assert np.max(np.abs(z)) <= 40.0
+    assert abs(c + 8000 * np.sign(ks.start) * 0.005) > 40.0
+    got = airy_ai_and_prime_lattice(c, 0.005, ks)
+    want = airy_ai_and_prime(z)
+    # in units of |Ai| + |Ai'|/sqrt(41): the nodes near -40 lie close to
+    # zeros of Ai and Ai'
+    scale = np.abs(want[0]) + np.abs(want[1]) / np.sqrt(41.0)
+    for g, w, unit in zip(got, want, (1.0, np.sqrt(41.0))):
+        assert np.array_equal(g[block], w[block])
+        assert float(np.max(np.abs(g - w) / unit / scale)) <= 1e-13
+
+
+@pytest.mark.parametrize("h", [0.005, 0.01])
+def test_lattice_reads_agree_bitwise_on_shared_nodes(h):
+    # two overlapping sub-ranges of one lattice, and its anchors against
+    # the direct read
+    c = -5.0 + 1.0j
+    a = airy_ai_and_prime_lattice(c, h, range(-37, 300))
+    b = airy_ai_and_prime_lattice(c, h, range(101, 777))
+    anchors = np.arange(-32, 300, 8)
+    direct = airy_ai_and_prime(c + anchors * h)
+    for ga, gb, d in zip(a, b, direct):
+        assert np.array_equal(ga[101 + 37:], gb[:300 - 101])
+        assert np.array_equal(ga[anchors + 37], d)
+
+
+def test_lattice_read_refuses_a_strided_range():
+    with pytest.raises(ValueError, match="step 1"):
+        airy_ai_and_prime_lattice(0.0, 0.005, range(0, 10, 2))
+
+
+@pytest.mark.parametrize("terms", [3, 19, 32])
+def test_nonfinite_anchor_gives_nonfinite_series_values(terms):
+    # a NaN or infinity in Ai or Ai' at an anchor, the anchor z = 0 among
+    # them, reaches every node of its block, the anchor itself included;
+    # the one finite anchor keeps its block finite
+    inf, nan = np.inf, np.nan
+    za = np.array([1.0 + 1.0j, -2.0 + 0.5j, 0.0, 3.0, -1.0, 2.0j, 0.5])
+    ai = np.array([inf, 0.3, complex(0.0, inf), nan, 0.2, 0.1, 0.2], dtype=complex)
+    aip = np.array([0.1, complex(-inf, 0.0), 0.2, 0.4, nan, complex(nan, 0.0), -0.1],
+                   dtype=complex)
+    steps = np.tile(np.arange(-4, 4) * 0.005, (za.size, 1))
+    with np.errstate(all="ignore"):
+        vals, ders = airy._taylor_rows(za, ai, aip, steps, terms)
+    for out in (vals, ders):
+        assert not np.isfinite(out[:-1]).any()
+        assert np.isfinite(out[-1]).all()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from airywell import cli, spectrum, verify, wavefunction
+from airywell import airy, cli, spectrum, verify, wavefunction
 from airywell.profiles import TimeProfile, coefficients_at
 from airywell.quadrature import CumulativeTable
 from airywell.verify import (
@@ -538,7 +538,7 @@ def test_tdse_residual_examples():
 
 
 def _two_region_tdse(profile, n, t, grid, flip_coupling_sign):
-    """The evolution residual with each region's branch evaluated on its own
+    """The evolution residual with each region's branch read on its own
     nodes: region 2 through wavefunction_branch_and_dt(..., 2, ...)."""
     xs = grid.nodes
     dx = grid.dx
@@ -551,9 +551,10 @@ def _two_region_tdse(profile, n, t, grid, flip_coupling_sign):
     for region, mask in ((1, xs >= 0.0), (2, xs < 0.0)):
         idx = np.where(mask)[0]
         lo, hi = idx[0], idx[-1]
-        ext = np.concatenate(([xs[lo] - dx], xs[lo:hi + 1], [xs[hi] + dx])).astype(complex)
+        # the region's nodes plus one beyond each end
+        ks = range(grid.first_index + lo - 1, grid.first_index + hi + 2)
         psi, dpsi = wavefunction_branch_and_dt(
-            profile, n, region, ext, t,
+            profile, n, region, ks, dx, t,
             lambda fn: verify._time_derivative(fn, t, profile.window))
         lap = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / dx**2
         mid = psi[1:-1]
@@ -629,8 +630,10 @@ def test_branch_time_derivative_matches_mpmath(profile, tables, times, bound):
     # 7.6e-11 on m = f = 1, whose tables the package holds to rounding, so
     # the stencil on the coefficient scalars sets it (differencing Taylor-
     # stepped kernel samples instead was off by 1.9e-9 there); 8.7e-10 on
-    # m = e^t, f = cos t, where the slope of the 1024-panel table sets it
-    x = np.array([0.0, 0.5, 1.3, 2.7, 4.1, 7.9])
+    # m = e^t, f = cos t, where the slope of the 1024-panel table sets it.
+    # Six nodes of the lattice x = k / 10, read on k = 0 ... 79
+    picks = [0, 5, 13, 27, 41, 79]
+    x = np.array(picks) * 0.1
     cached = {}
 
     def at(s):
@@ -641,8 +644,9 @@ def test_branch_time_derivative_matches_mpmath(profile, tables, times, bound):
         for t in times:
             for n in (0, 1, 4):
                 _, got = wavefunction_branch_and_dt(
-                    profile, n, 1, x.astype(complex), t,
+                    profile, n, 1, range(80), 0.1, t,
                     lambda fn: verify._time_derivative(fn, t, profile.window))
+                got = got[picks]
                 want = np.array([complex(mp.diff(lambda s: _mp_branch(at, n, mp.mpf(xi), s),
                                                  mp.mpf(t)))
                                  for xi in x.tolist()])
@@ -651,31 +655,38 @@ def test_branch_time_derivative_matches_mpmath(profile, tables, times, bound):
 
 
 def _count_kernel_reads(monkeypatch, cfg):
-    """(exit code, points of each kernel call) of one `run_verify`.
+    """(exit code, nodes of each lattice read, points of each direct kernel call)
+    of one `run_verify`.
 
-    Both entries that read Ai for a state are counted, so a test cannot
-    pass by moving the reads to the one it does not watch.
+    The anchored lattice read is counted, and so are both direct entries
+    that read Ai for a state: `airy_ai_and_prime`, through which the
+    lattice read reads its anchors, and `airy_ai_many`.  So a test cannot
+    pass by moving the reads to an entry it does not watch.
     """
-    calls = []
+    lattice, direct = [], []
 
-    def counting(real):
-        def read(z):
-            calls.append(np.size(z))
-            return real(z)
+    def counting(calls, real, size):
+        def read(*args):
+            calls.append(size(*args))
+            return real(*args)
         return read
 
-    monkeypatch.setattr(spectrum, "airy_ai_many", counting(spectrum.airy_ai_many))
-    monkeypatch.setattr(wavefunction, "airy_ai_and_prime",
-                        counting(wavefunction.airy_ai_and_prime))
-    return cli.run_verify(cfg), calls
+    monkeypatch.setattr(wavefunction, "airy_ai_and_prime_lattice",
+                        counting(lattice, wavefunction.airy_ai_and_prime_lattice,
+                                 lambda c, h, ks: len(ks)))
+    monkeypatch.setattr(airy, "airy_ai_and_prime",
+                        counting(direct, airy.airy_ai_and_prime, np.size))
+    monkeypatch.setattr(spectrum, "airy_ai_many", counting(direct, spectrum.airy_ai_many, np.size))
+    return cli.run_verify(cfg), lattice, direct
 
 
 def test_default_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp_path):
-    # 6 levels x 3 times, each read once at t on 3203 nodes, Ai and Ai'
-    # together: 18 kernel calls on 57,654 points
+    # 6 levels x 3 times, each read once at t on the 3203 nodes k = -1 ...
+    # 3201, Ai and Ai' together, with the kernel read at the 401 anchors
+    # k = 0, 8, ..., 3200: 18 lattice reads of 57,654 nodes, 7,218 kernel points
     cfg = cli.RunConfig(profile=TimeProfile.from_config(cli._DEFAULT_PROFILE),
                         out_dir=tmp_path)
-    assert _count_kernel_reads(monkeypatch, cfg) == (0, [3203] * 18)
+    assert _count_kernel_reads(monkeypatch, cfg) == (0, [3203] * 18, [401] * 18)
 
 
 def test_tiny_mass_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp_path):
@@ -686,7 +697,7 @@ def test_tiny_mass_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp
                                        "coupling": {"family": "constant", "f0": 1.0}})
     cfg = cli.RunConfig(profile=profile, levels=(0, 1), times=(0.002, 0.005, 0.01),
                         out_dir=tmp_path)
-    assert _count_kernel_reads(monkeypatch, cfg) == (1, [3203] * 6)
+    assert _count_kernel_reads(monkeypatch, cfg) == (1, [3203] * 6, [401] * 6)
 
 
 def test_tdse_residual_wrong_coupling_sign_fails():

@@ -31,6 +31,7 @@ from airywell.wavefunction import (
     reconstructed_density,
     wavefunction_branch,
     wavefunction_branch_and_dt,
+    wavefunction_branch_on_lattice,
 )
 
 UNIT = TimeProfile(mass=ConstantMass(1.0), coupling=ConstantCoupling(1.0), window=3.0)
@@ -158,7 +159,9 @@ def test_branch_region_validation():
         with pytest.raises(ValueError):
             wavefunction_branch(UNIT, 0, region, 0.5, 0.5)
         with pytest.raises(ValueError):
-            wavefunction_branch_and_dt(UNIT, 0, region, np.array([0.5j]), 0.5, lambda fn: fn(0.5))
+            wavefunction_branch_and_dt(UNIT, 0, region, range(3), 0.1, 0.5, lambda fn: fn(0.5))
+        with pytest.raises(ValueError):
+            wavefunction_branch_on_lattice(UNIT, 0, region, range(3), 0.1, 0.5)
 
 
 def test_branch_satisfies_equation_of_motion():
