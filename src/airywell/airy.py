@@ -6,12 +6,13 @@ of Ai and a'_k of Ai'.  The evaluators share one input contract:
 
   * `airy_ai_many` gives Ai alone through the modified Bessel function
     K_{1/3} (`scipy.special.kv`; DLMF 9.6.1 and 9.2.12, see its
-    docstring).  The eigenfunctions and the assembled states read only
-    Ai, so they use it.  Against mpmath its relative error is about 4e-14 on
-    the working disc |z| <= 40, away from the zeros of Ai.  A 0-d input
-    (one point, as the Crank-Nicolson boundary feed asks for on every
-    step) is read in Python scalars with the same formulas, which costs
-    a fraction of the same work on one-element arrays.
+    docstring).  The eigenfunctions read only Ai, so they use it, and so
+    do the assembled states and densities off a lattice or at a step too
+    coarse for the lattice read.  Against mpmath its relative error is
+    about 4e-14 on the working disc |z| <= 40, away from the zeros of Ai.
+    A 0-d input (one point, as the Crank-Nicolson boundary feed asks for
+    on every step) is read in Python scalars with the same formulas,
+    which costs a fraction of the same work on one-element arrays.
 
   * `airy_ai_and_prime` gives Ai and Ai' from one kv call over the orders
     1/3 and 2/3 (DLMF 9.6.1 and 9.6.2), with Ai' read in the same sectors
@@ -27,7 +28,8 @@ of Ai and a'_k of Ai'.  The evaluators share one input contract:
     for the ODEs of special functions).  A step too coarse for the series
     is read directly.  `verify` reads every state through it, once per
     state and time, and takes the state's d/dt from Ai' by the chain rule
-    (see `wavefunction`).  On the default grid it costs about a quarter
+    (see `wavefunction`); `solve`'s states and densities read it once each
+    on a grid's distinct |x|.  On the default grid it costs about a quarter
     of the direct read, within 4e-14 of it in units of
     |Ai| + |Ai'|/sqrt(41).
 

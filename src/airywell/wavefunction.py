@@ -43,8 +43,11 @@ On a grid x = k dx the kernel argument x + D - lambda_n is itself a
 lattice, so the residual checks read Ai and Ai' there with
 `airy.airy_ai_and_prime_lattice` (`wavefunction_branch_on_lattice` and
 `wavefunction_branch_and_dt`), which reads the kernel at every 8th node
-and sums the others by a Taylor series; arbitrary complex x, and the
-assembled states and densities, read the kernel directly.
+and sums the others by a Taylor series.  The assembled states and
+densities read once per distinct |x|; when those are exactly k h,
+k = 0 ... K (every `Grid1D` grid), through the same lattice read, and
+otherwise, or where the step is too coarse for its series, directly,
+Ai alone.  Arbitrary complex x reads the kernel directly.
 
 Region 2 (x <= 0) needs no formula of its own.  H(t) = -d^2/dx^2 / (2m)
 + i f |x| commutes with parity P, the region-2 invariant is P I_1 P, and
@@ -68,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import airy_ai_and_prime_lattice
+from .airy import _lattice_terms, airy_ai_and_prime_lattice
 from .profiles import CoefficientSet, TimeProfile, coefficients_at
 from .spectrum import _at_distinct_abs, eigenfunction_continued, level
 
@@ -164,10 +167,13 @@ def wavefunction_branch_on_lattice(profile: TimeProfile, n: int, region: int, ks
 
     It agrees with `wavefunction_branch` on the same nodes to within the
     kernel's accuracy, and bitwise with `wavefunction_branch_and_dt`'s
-    branch on the nodes the two share.
+    branch and `assemble_wavefunction`'s state on the nodes they share.
+    Region 2 of an odd level is region 1 times -1.0, a complex multiply
+    as in `wavefunction_branch` and `assemble_wavefunction`; a negation
+    would differ from it in the sign of a zero part.
     """
     _, psi, _ = _on_lattice(n, region, coefficients_at(profile, t), ks, dx)
-    return -psi if region == 2 and n % 2 else psi
+    return -1.0 * psi if region == 2 and n % 2 else psi
 
 
 def wavefunction_branch_and_dt(profile: TimeProfile, n: int, region: int, ks: range,
@@ -182,7 +188,7 @@ def wavefunction_branch_and_dt(profile: TimeProfile, n: int, region: int, ks: ra
     d = d_dt(lambda s: np.array(_exponents(n, coefficients_at(profile, s))))
     dpsi = psi * (1j * d[0] + d[1] + d[2] * x) + edge * d[3]
     if region == 2 and n % 2:
-        return -psi, -dpsi
+        return -1.0 * psi, -1.0 * dpsi
     return psi, dpsi
 
 
@@ -213,19 +219,46 @@ def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):
     return vals
 
 
+def _lattice_step(u: np.ndarray):
+    """h when the sorted distinct |x| u are exactly k h, k = 0 ... K, and
+    `airy_ai_and_prime_lattice` sums its series at that step; else None,
+    and the reader reads the kernel directly, Ai alone."""
+    if u.size > 1 and _lattice_terms(u[1]) and np.array_equal(u, np.arange(u.size) * u[1]):
+        return u[1]
+    return None
+
+
+def _finite_grid(grid) -> np.ndarray:
+    """grid as a float array; a ValueError unless every node is finite."""
+    xs = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("grid must be finite")
+    return xs
+
+
 def assemble_wavefunction(profile: TimeProfile, n: int, t: float, grid) -> WavefunctionSample:
     """Piecewise state on a real grid: Psi_n,1(x) for x >= 0, sigma_n Psi_n,1(|x|) for x < 0.
 
     One region-1 read per distinct |x|, negated at x < 0 for odd n.  The
     grid must contain the origin, the boundary the two regions share.
+    When the distinct |x| are a lattice k h (every `Grid1D` grid), the
+    read is `_on_lattice`'s, so the state is bitwise
+    `wavefunction_branch_on_lattice` in both regions.
     """
-    xs = np.asarray(grid, dtype=float)
+    xs = _finite_grid(grid)
     if xs.ndim != 1 or xs.size < 2:
         raise ValueError("grid must be a 1-d array with at least two points")
     if np.min(np.abs(xs)) > 1e-12:
         raise ValueError("grid must include x = 0 (the region boundary)")
     c = coefficients_at(profile, t)
-    values = _at_distinct_abs(lambda u: _branch1(n, c, u.astype(complex)), xs)
+
+    def read(u):
+        h = _lattice_step(u)
+        if h is None:
+            return _branch1(n, c, u.astype(complex))
+        _, psi, _ = _on_lattice(n, 1, c, range(u.size), h)
+        return psi
+    values = _at_distinct_abs(read, xs)
     if n % 2:
         values[xs < 0.0] *= -1.0
     return WavefunctionSample(grid=xs, values=values)
@@ -244,14 +277,23 @@ def reconstructed_density(profile: TimeProfile, n: int, t: float, grid):
     The unit-modulus factors of the round trip and of the assembly (eps,
     zeta, g S/4, the plane wave) drop out of the modulus, so this pins only
     the real factors; the evolution residual and the phase checks
-    (acceptance criteria 6 and 8) pin the phases.
+    (acceptance criteria 6 and 8) pin the phases.  The kernel argument is
+    ((u - S + ib) + (S - ib)) - lambda_n, exactly -lambda_n at u = 0, so
+    on a lattice u = k h the kernel is read at -lambda_n + k h by
+    `airy_ai_and_prime_lattice`.
     """
-    xs = np.asarray(grid, dtype=float)
+    xs = _finite_grid(grid)
     c = coefficients_at(profile, t)
 
     def modulus2(u):
         inner = u.astype(complex) - c.shift
-        rec = np.exp((-c.k / 2.0) * inner) * _branch1(n, c, inner + 1j * c.b)
+        h = _lattice_step(u)
+        kernel = None
+        if h is not None:
+            lev = level(n)
+            ai, _ = airy_ai_and_prime_lattice(complex(-lev.eigenvalue), h, range(u.size))
+            kernel = ai * lev.norm_const
+        rec = np.exp((-c.k / 2.0) * inner) * _branch1(n, c, inner + 1j * c.b, kernel)
         return np.abs(rec) ** 2
     out = _at_distinct_abs(modulus2, np.atleast_1d(xs))
     return float(out[0]) if xs.ndim == 0 else out

@@ -349,12 +349,12 @@ def test_density_files(tmp_path):
 
 
 def test_solve_and_density_read_the_kernel_once_per_distinct_abs_x(tmp_path, monkeypatch):
-    """A state on a centered grid of 2K + 1 nodes reads K + 1 kernel points
-    for its values and K + 1 for its density; a density level reads 1001
-    points of its 2001-node grid."""
+    """A state on a centered grid of 2K + 1 nodes reads the K + 1 lattice
+    nodes k dx, k = 0 ... K, once for its values and once for its density;
+    a density level reads 1001 direct points of its 2001-node grid."""
     from airywell import spectrum, wavefunction
 
-    sizes = []
+    sizes, nodes = [], []
 
     def counted(read):
         def counting(n, z):
@@ -362,15 +362,25 @@ def test_solve_and_density_read_the_kernel_once_per_distinct_abs_x(tmp_path, mon
             return read(n, z)
         return counting
 
+    def counted_lattice(c, h, ks):
+        nodes.append(len(ks))
+        return lattice(c, h, ks)
+
     for module in (spectrum, wavefunction):
         monkeypatch.setattr(module, "eigenfunction_continued",
                             counted(module.eigenfunction_continued))
+    lattice = wavefunction.airy_ai_and_prime_lattice
+    monkeypatch.setattr(wavefunction, "airy_ai_and_prime_lattice", counted_lattice)
     cfg = _write_config(tmp_path, SMALL_PROFILE + "grid: {half_width: 13.0, dx: 0.01}\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")]) == 0
-    assert sizes == [1301] * 4            # K = 1300; levels 0 and 1 at one time
-    sizes.clear()
+    assert nodes == [1301] * 4            # K = 1300; levels 0 and 1 at one time
+    assert sizes == []
+    nodes.clear()
+    # the density grid np.round(np.arange(-1000, 1001) * 0.01, 10) is no
+    # exact lattice k 0.01, so it is read directly
     assert main(["density", "--n", "0,1", "--out", str(tmp_path / "density")]) == 0
     assert sizes == [1001] * 2
+    assert nodes == []
 
 
 def test_density_reruns_are_byte_identical(tmp_path):
