@@ -21,16 +21,17 @@ of Ai and a'_k of Ai'.  The evaluators share one input contract:
 
   * `airy_ai_and_prime_lattice` gives Ai and Ai' on a lattice c + k h
     with a real step h.  It reads `airy_ai_and_prime` at the anchors,
-    the nodes k = 0 mod 8, and sums every other node from the anchor at
-    most 4 nodes away by the Taylor series that Ai'' = z Ai supplies,
+    the nodes k = 0 mod 16, and sums every other node from the anchor at
+    most 8 nodes away by the Taylor series that Ai'' = z Ai supplies,
     with a stated bound on its remainder (Gil, Segura and Temme,
     Numerical Methods for Special Functions, SIAM 2007, on Taylor methods
-    for the ODEs of special functions).  A step too coarse for the series
-    is read directly.  `verify` reads every state through it, once per
-    state and time, and takes the state's d/dt from Ai' by the chain rule
-    (see `wavefunction`); `solve`'s states and densities read it once each
-    on a grid's distinct |x|.  On the default grid it costs about a quarter
-    of the direct read, within 4e-14 of it in units of
+    for the ODEs of special functions); the sums of a whole read are one
+    matrix product.  A step too coarse for the series is read directly.
+    `verify` reads every state through it, once per state and time, and
+    takes the state's d/dt from Ai' by the chain rule (see
+    `wavefunction`); `solve`'s states and densities read it once each on
+    a grid's distinct |x|.  On the default grid it costs about an eighth
+    of the direct read, within 7e-14 of it in units of
     |Ai| + |Ai'|/sqrt(41).
 
   * `airy_eval_many` gives Ai, Ai', Bi and Bi' from `scipy.special.airy`,
@@ -236,10 +237,10 @@ def airy_ai_and_prime(z) -> tuple[np.ndarray, np.ndarray]:
 # the anchor spacing of `airy_ai_and_prime_lattice`, and the terms of its
 # series: J with cosh(1) q^J <= 2^-53, q = (_STRIDE/2) |h| _KAPPA, at most
 # _MAX_TERMS (see its docstring for the bound)
-_STRIDE = 8
+_STRIDE = 16
 _KAPPA = math.sqrt(1.0 + MAX_ABS_Z)
 _LOG_TOL = math.log(2.0 ** -53 / math.cosh(1.0))
-_MAX_TERMS = 32
+_MAX_TERMS = 80
 
 
 def _lattice_terms(h: float) -> int:
@@ -252,19 +253,28 @@ def _lattice_terms(h: float) -> int:
     return terms if terms <= _MAX_TERMS else 0
 
 
-def _taylor_rows(za, ai, aip, steps, terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ai and Ai' at za[i] + steps[i, j] from Ai and Ai' at each anchor za[i].
+def _taylor_rows(za, ai, aip, h: float, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ai and Ai' at za[i] + d_s from Ai and Ai' at each anchor za[i], for
+    the steps d_s = (s - _STRIDE/2) h, s = 0 ... _STRIDE - 1.
 
-    Horner's rule on `terms` terms of the Taylor series at za,
+    `terms` terms of the Taylor series at za,
 
         Ai(za + d)  = sum_j c_j d^j,           c_0 = Ai(za), c_1 = Ai'(za),
         Ai'(za + d) = sum_j (j + 1) c_{j+1} d^j,
         c_{j+2} = (za c_j + c_{j-1}) / ((j + 2)(j + 1))   (Ai'' = z Ai, DLMF 9.2.1),
 
-    for real steps.  A non-finite Ai or Ai' at an anchor makes every value
-    of its row non-finite: with terms >= 3 each sum reads both c_0 and
-    c_1 (Ai' through c_2 = za c_0 / 2), and the last Horner step adds one
-    of them, so a NaN or infinity reaches every step, 0 included.
+    summed for every anchor and step by one matrix product: the real and
+    imaginary parts of c_0 ... c_J, one row each per anchor, times the
+    (J + 1) x (2 _STRIDE) matrix of the powers d_s^j and (j + 1) d_s^j.
+    Every anchor shares that matrix, so the value at za[i] + d_s depends
+    on za[i], h, s and the anchor's own coefficients alone, and the
+    anchor, whose column is (1, 0, 0, ...), keeps its Ai and Ai'.
+    OpenBLAS (0.3.31 measured) gives a row of the product the same bits
+    whatever the count of rows; with the anchors as the product's columns
+    instead, the last few columns' bits depend on the count.  Each column
+    multiplies every coefficient, zeros included, and 0 times an infinity
+    is NaN, so a non-finite Ai or Ai' at an anchor makes every value of
+    its rows non-finite, and no other anchor's.
     """
     coef = np.empty((terms + 1, za.size), dtype=complex)
     coef[0], coef[1] = ai, aip
@@ -273,16 +283,16 @@ def _taylor_rows(za, ai, aip, steps, terms: int) -> tuple[np.ndarray, np.ndarray
         if j:
             coef[j + 2] += coef[j - 1]
         coef[j + 2] /= (j + 2) * (j + 1)
-    # rows[j] = (c_j, (j + 1) c_{j+1}), the j-th coefficients of both sums
-    rows = np.stack((coef[:-1], coef[1:] * np.arange(1.0, terms + 1.0)[:, None]), axis=1)
-    acc = np.empty((2,) + steps.shape, dtype=complex)
-    acc[...] = rows[-1, :, :, None]
-    # a real step scales the real and imaginary parts alike
-    parts, step2 = acc.view(float), np.repeat(steps, 2, axis=-1)
-    for row in rows[-2::-1, :, :, None]:
-        parts *= step2
-        acc += row
-    return acc[0], acc[1]
+    step = (np.arange(_STRIDE) - _STRIDE // 2) * h
+    power = step ** np.arange(terms)[:, None]
+    cols = np.zeros((terms + 1, 2, _STRIDE))
+    cols[:-1, 0] = power                                        # d^j on c_j
+    cols[1:, 1] = power * np.arange(1.0, terms + 1.0)[:, None]  # (j + 1) d^j on c_{j+1}
+    # rows (anchor, real or imaginary part); a real power scales both alike
+    sums = coef.view(float).T @ cols.reshape(terms + 1, -1)
+    sums = sums.reshape(za.size, 2, 2, _STRIDE).transpose(2, 0, 3, 1)
+    sums = np.ascontiguousarray(sums).view(complex)[..., 0]
+    return sums[0], sums[1]
 
 
 def airy_ai_and_prime_lattice(c: complex, h: float, ks: range) -> tuple[np.ndarray, np.ndarray]:
@@ -291,27 +301,27 @@ def airy_ai_and_prime_lattice(c: complex, h: float, ks: range) -> tuple[np.ndarr
     The values are those of `airy_ai_and_prime(c + np.arange(ks.start,
     ks.stop) * h)` to within the kernel's accuracy, and it refuses what
     that call refuses, NaN included.  The kernel is read only at the
-    anchors, the nodes k = 0 mod 8; each other node is summed from the
-    anchor at most 4 nodes away by `_taylor_rows`, over the exact step
-    z_k - z_anchor.  The remainder after J terms is bounded through a
-    majorant: the Taylor coefficients a_j = Ai^(j)(z) obey
-    a_{j+2} = z a_j + j a_{j-1}, so with R >= |z|, B_0 = |a_0|,
-    B_1 = |a_1| and B_{j+2} = R B_j + j B_{j-1}, every |a_j| <= B_j; the
-    B_j are the coefficients of Y'' = (R + d) Y, which stays below
-    B_0 cosh(kappa d) + (B_1/kappa) sinh(kappa d) for 0 <= d <= 1/kappa,
-    kappa = sqrt(1 + R).  So with q = 4 |h| kappa the remainder of Ai
-    after J terms, and that of Ai'/kappa, is at most
+    anchors, the nodes k = 0 mod 16; each other node is summed from the
+    anchor at most 8 nodes away by `_taylor_rows`, over the step
+    (k - k_anchor) h, in one matrix product for the whole range.  The
+    remainder after J terms is bounded through a majorant: the Taylor
+    coefficients a_j = Ai^(j)(z) obey a_{j+2} = z a_j + j a_{j-1}, so with
+    R >= |z|, B_0 = |a_0|, B_1 = |a_1| and B_{j+2} = R B_j + j B_{j-1},
+    every |a_j| <= B_j; the B_j are the coefficients of Y'' = (R + d) Y,
+    which stays below B_0 cosh(kappa d) + (B_1/kappa) sinh(kappa d) for
+    0 <= d <= 1/kappa, kappa = sqrt(1 + R).  So with q = 8 |h| kappa the
+    remainder of Ai after J terms, and that of Ai'/kappa, is at most
     cosh(1) q^J (|Ai| + |Ai'|/kappa) at the anchor.  R = 40 for every
     anchor in the disc, so J, the least count with cosh(1) q^J <= 2^-53,
-    depends on h alone: 19 at |h| = 0.005, 28 at 0.01.
+    depends on h alone: 28 at |h| = 0.005, 56 at 0.01, 77 at 0.012.
 
-    Where J would exceed 32 (|h| above about 0.0122; at 0.04, q > 1 and
-    the series diverges), the whole range is read directly.  So is the
-    block of an anchor outside |z| <= 40, which can happen within 4 nodes
-    past either end of a range whose nodes all lie inside.  Every node's
-    value depends on c, h and k alone, so two reads that share nodes of
-    one lattice give the same bits there, and an anchor's value is
-    bitwise the direct read's.
+    Where J would exceed 80 (|h| above about 0.0122; from 0.02 on, q > 1
+    and the series diverges), the whole range is read directly.  So is
+    the block of an anchor outside |z| <= 40, which can happen within 8
+    nodes past either end of a range whose nodes all lie inside.  Every
+    node's value depends on c, h and k alone, so two reads that share
+    nodes of one lattice give the same bits there, and an anchor's value
+    is the direct read's.
     """
     if ks.step != 1:
         raise ValueError("the lattice range must have step 1")
@@ -321,22 +331,19 @@ def airy_ai_and_prime_lattice(c: complex, h: float, ks: range) -> tuple[np.ndarr
         # an infinite or huge h gives NaN or infinite points, which are refused
         with np.errstate(over="ignore", invalid="ignore"):
             return airy_ai_and_prime(c + np.arange(ks.start, ks.stop) * h)
-    half = _STRIDE // 2
-    first = (ks.start + half) // _STRIDE        # the anchor of node k is 8 ((k + 4) // 8)
-    last = (ks.stop - 1 + half) // _STRIDE
-    nodes = np.arange(first * _STRIDE - half, last * _STRIDE + half)
-    block = c + nodes * h                       # the blocks of the anchors, one per row
-    lo = ks.start - nodes[0]
-    z = block[lo:lo + len(ks)]
+    z = c + np.arange(ks.start, ks.stop) * h
     _refuse_outside_disc(np.abs(z).max())       # NaN included
-    block = block.reshape(-1, _STRIDE)
-    za = block[:, half]
+    half = _STRIDE // 2
+    # the anchor of node k is 16 ((k + 8) // 16), and its block the nodes
+    # from 8 before it to 7 after it
+    first = (ks.start + half) // _STRIDE
+    anchors = np.arange(first, (ks.stop - 1 + half) // _STRIDE + 1)
+    za = c + anchors * _STRIDE * h
     inside = np.abs(za) <= MAX_ABS_Z
-    ai = np.empty(block.shape, dtype=complex)
-    aip = np.empty(block.shape, dtype=complex)
-    ai[inside], aip[inside] = _taylor_rows(
-        za[inside], *airy_ai_and_prime(za[inside]),
-        (block[inside] - za[inside, None]).real, terms)
+    ai = np.empty((anchors.size, _STRIDE), dtype=complex)
+    aip = np.empty((anchors.size, _STRIDE), dtype=complex)
+    ai[inside], aip[inside] = _taylor_rows(za[inside], *airy_ai_and_prime(za[inside]), h, terms)
+    lo = ks.start - (first * _STRIDE - half)
     ai = ai.reshape(-1)[lo:lo + len(ks)]
     aip = aip.reshape(-1)[lo:lo + len(ks)]
     if not inside.all():

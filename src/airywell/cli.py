@@ -409,7 +409,8 @@ def _out_dir(cfg: RunConfig) -> Path:
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:     # ValueError: a NUL or lone surrogate
-        raise ConfigError(f"out: cannot create directory {cfg.out_dir}: "
+        # the repr keeps a newline in the drawn name from splitting the error line
+        raise ConfigError(f"out: cannot create directory {str(cfg.out_dir)!r}: "
                           f"{getattr(exc, 'strerror', None) or exc}") from exc
     return cfg.out_dir
 

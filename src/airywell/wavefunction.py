@@ -42,7 +42,7 @@ alone, so by the chain rule
 On a grid x = k dx the kernel argument x + D - lambda_n is itself a
 lattice, so the residual checks read Ai and Ai' there with
 `airy.airy_ai_and_prime_lattice` (`wavefunction_branch_on_lattice` and
-`wavefunction_branch_and_dt`), which reads the kernel at every 8th node
+`wavefunction_branch_and_dt`), which reads the kernel at every 16th node
 and sums the others by a Taylor series.  The assembled states and
 densities read once per distinct |x|; when those are exactly k h,
 k = 0 ... K (every `Grid1D` grid), through the same lattice read, and

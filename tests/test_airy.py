@@ -492,9 +492,9 @@ def _lattice(c, h, ks):
 
 
 def test_lattice_term_counts():
-    # cosh(1) q^J <= 2^-53 with q = 4 |h| sqrt(41); past 32 terms, and
-    # wherever q >= 1 (|h| = 0.04), the read is direct
-    assert [airy._lattice_terms(h) for h in (0.005, -0.005, 0.01, 0.012)] == [19, 19, 28, 32]
+    # cosh(1) q^J <= 2^-53 with q = 8 |h| sqrt(41); past 80 terms, and
+    # wherever q >= 1 (|h| = 0.02 and 0.04), the read is direct
+    assert [airy._lattice_terms(h) for h in (0.005, -0.005, 0.01, 0.012)] == [28, 28, 56, 77]
     # never fewer than 3, so that both sums read Ai and Ai' at the anchor
     assert [airy._lattice_terms(h) for h in (1e-9, 1e-12)] == [3, 3]
     assert [airy._lattice_terms(h) for h in (0.0125, 0.02, 0.04, 0.0, np.nan, np.inf)] == [0] * 6
@@ -506,13 +506,13 @@ def test_lattice_term_counts():
 ], ids=["upper", "lower"])
 def test_lattice_read_matches_mpmath_across_the_far_sector(c, ks, every):
     # the series path at h = 0.005 on lines that cross arg z = +-2pi/3; the
-    # checked nodes (every 17th or 19th) fall on all 8 offsets from an anchor
+    # checked nodes (every 17th or 19th) fall on all 16 offsets from an anchor
     z = _lattice(c, 0.005, ks)
     ai, aip = airy_ai_and_prime_lattice(c, 0.005, ks)
     picked = np.arange(0, z.size, every)
     far = np.abs(np.angle(z[picked])) >= 2 * np.pi / 3
     assert far.any() and not far.all()
-    assert set((ks.start + picked) % 8) == set(range(8))
+    assert set((ks.start + picked) % 16) == set(range(16))
     for got, oracle in ((ai, _mp_ai), (aip, _mp_aip)):
         want = np.array([oracle(w) for w in z[picked]])
         err = np.abs(got[picked] - want) / np.abs(want)
@@ -592,11 +592,27 @@ def test_lattice_reads_agree_bitwise_on_shared_nodes(h):
     c = -5.0 + 1.0j
     a = airy_ai_and_prime_lattice(c, h, range(-37, 300))
     b = airy_ai_and_prime_lattice(c, h, range(101, 777))
-    anchors = np.arange(-32, 300, 8)
+    anchors = np.arange(-32, 300, 16)
     direct = airy_ai_and_prime(c + anchors * h)
     for ga, gb, d in zip(a, b, direct):
         assert np.array_equal(ga[101 + 37:], gb[:300 - 101])
         assert np.array_equal(ga[anchors + 37], d)
+
+
+@pytest.mark.parametrize("c", [2.0j, -0.75j], ids=["upper", "lower"])
+@pytest.mark.parametrize("h", [0.005, 0.01])
+def test_lattice_read_bits_do_not_depend_on_the_read_shape(h, c):
+    # one read of Re z from -39.5 to 39.5 on the far-sector lines of the
+    # mpmath test (15,800 nodes at h = 0.005), and 50 seeded sub-ranges of
+    # it: each sub-range's count of anchors makes a product of another
+    # shape, and every shared node must keep its bits
+    ks = range(-round(39.5 / h), round(39.5 / h))
+    whole = airy_ai_and_prime_lattice(c, h, ks)
+    rng = np.random.default_rng(2901)
+    for start, stop in np.sort(rng.integers(ks.start, ks.stop + 1, size=(50, 2)), axis=1):
+        part = airy_ai_and_prime_lattice(c, h, range(start, stop))
+        for w, p in zip(whole, part):
+            assert np.array_equal(w[start - ks.start:stop - ks.start], p), (start, stop)
 
 
 def test_lattice_read_refuses_a_strided_range():
@@ -604,7 +620,7 @@ def test_lattice_read_refuses_a_strided_range():
         airy_ai_and_prime_lattice(0.0, 0.005, range(0, 10, 2))
 
 
-@pytest.mark.parametrize("terms", [3, 19, 32])
+@pytest.mark.parametrize("terms", [3, 19, 32, 80])
 def test_nonfinite_anchor_gives_nonfinite_series_values(terms):
     # a NaN or infinity in Ai or Ai' at an anchor, the anchor z = 0 among
     # them, reaches every node of its block, the anchor itself included;
@@ -614,9 +630,9 @@ def test_nonfinite_anchor_gives_nonfinite_series_values(terms):
     ai = np.array([inf, 0.3, complex(0.0, inf), nan, 0.2, 0.1, 0.2], dtype=complex)
     aip = np.array([0.1, complex(-inf, 0.0), 0.2, 0.4, nan, complex(nan, 0.0), -0.1],
                    dtype=complex)
-    steps = np.tile(np.arange(-4, 4) * 0.005, (za.size, 1))
+    # every anchor reads the one step vector (s - 8) 0.005, s = 0 ... 15
     with np.errstate(all="ignore"):
-        vals, ders = airy._taylor_rows(za, ai, aip, steps, terms)
+        vals, ders = airy._taylor_rows(za, ai, aip, 0.005, terms)
     for out in (vals, ders):
         assert not np.isfinite(out[:-1]).any()
         assert np.isfinite(out[-1]).all()

@@ -1146,6 +1146,7 @@ def _working_directory(path):
 @example(key="out", value=["a", "b"])
 @example(key="out", value=True)
 @example(key="out", value="a\x00")
+@example(key="out", value="\n\U00010000")
 @example(key="format", value="xml")
 def test_out_and_format_values_end_in_a_table_or_one_line(key, value):
     """spectrum writes its table under the drawn out, in the drawn format,

@@ -682,11 +682,11 @@ def _count_kernel_reads(monkeypatch, cfg):
 
 def test_default_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp_path):
     # 6 levels x 3 times, each read once at t on the 3203 nodes k = -1 ...
-    # 3201, Ai and Ai' together, with the kernel read at the 401 anchors
-    # k = 0, 8, ..., 3200: 18 lattice reads of 57,654 nodes, 7,218 kernel points
+    # 3201, Ai and Ai' together, with the kernel read at the 201 anchors
+    # k = 0, 16, ..., 3200: 18 lattice reads of 57,654 nodes, 3,618 kernel points
     cfg = cli.RunConfig(profile=TimeProfile.from_config(cli._DEFAULT_PROFILE),
                         out_dir=tmp_path)
-    assert _count_kernel_reads(monkeypatch, cfg) == (0, [3203] * 18, [401] * 18)
+    assert _count_kernel_reads(monkeypatch, cfg) == (0, [3203] * 18, [201] * 18)
 
 
 def test_tiny_mass_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp_path):
@@ -697,7 +697,7 @@ def test_tiny_mass_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp
                                        "coupling": {"family": "constant", "f0": 1.0}})
     cfg = cli.RunConfig(profile=profile, levels=(0, 1), times=(0.002, 0.005, 0.01),
                         out_dir=tmp_path)
-    assert _count_kernel_reads(monkeypatch, cfg) == (1, [3203] * 6, [401] * 6)
+    assert _count_kernel_reads(monkeypatch, cfg) == (1, [3203] * 6, [201] * 6)
 
 
 def test_tdse_residual_wrong_coupling_sign_fails():

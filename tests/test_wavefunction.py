@@ -148,8 +148,8 @@ def test_readers_off_the_lattice_read_directly_bitwise(n):
 
 
 def test_readers_on_a_coarse_lattice_read_only_ai(monkeypatch):
-    # at dx = 0.02 the lattice read would need more than 32 series terms and
-    # read Ai' with Ai directly; the readers read Ai alone instead
+    # at dx = 0.02 the lattice read's series diverges (q = 8 dx sqrt(41) > 1),
+    # so it would read Ai' with Ai directly; the readers read Ai alone instead
     from airywell import airy, wavefunction
 
     def refuse(*args):
