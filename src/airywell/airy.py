@@ -4,20 +4,18 @@ The solver in this package needs Ai(z) at complex arguments with moduli
 up to about 40, Ai'(z) at the real zeros, and the negative real zeros a_k
 of Ai and a'_k of Ai'.  The evaluators share one input contract:
 
-  * `airy_ai_many` gives Ai alone through the modified Bessel function
-    K_{1/3} (`scipy.special.kv`; DLMF 9.6.1 and 9.2.12, see its
-    docstring).  The eigenfunctions read only Ai, so they use it, and so
-    do the assembled states and densities off a lattice or at a step too
-    coarse for the lattice read.  Against mpmath its relative error is
-    about 4e-14 on the working disc |z| <= 40, away from the zeros of Ai.
-    A 0-d input (one point, as the Crank-Nicolson boundary feed asks for
-    on every step) is read in Python scalars with the same formulas,
-    which costs a fraction of the same work on one-element arrays.
+  * `airy_ai_and_prime` gives Ai and Ai' through the modified Bessel
+    functions K_{1/3} and K_{2/3} (`scipy.special.kv`; DLMF 9.6.1, 9.6.2
+    and 9.2.12, see its docstring), from one kv call over both orders.
+    Against mpmath Ai is within about 4e-14 relative, and Ai' about
+    5e-14, on the working disc |z| <= 40, away from the zeros.
 
-  * `airy_ai_and_prime` gives Ai and Ai' from one kv call over the orders
-    1/3 and 2/3 (DLMF 9.6.1 and 9.6.2), with Ai' read in the same sectors
-    and its Ai column bitwise that of `airy_ai_many`.  Against mpmath Ai'
-    is within about 5e-14 relative on the same disc.
+  * `airy_ai_many` gives Ai alone: on an array, the Ai column of
+    `airy_ai_and_prime`.  The eigenfunctions read only Ai, so they use
+    it, and so do the assembled states and densities off a lattice.  A
+    0-d input (one point, as the Crank-Nicolson boundary feed asks for on
+    every step) is read in Python scalars with the same formulas, which
+    costs a fraction of the same work on one-element arrays.
 
   * `airy_ai_and_prime_lattice` gives Ai and Ai' on a lattice c + k h
     with a real step h.  It reads `airy_ai_and_prime` at the anchors,
@@ -26,13 +24,13 @@ of Ai and a'_k of Ai'.  The evaluators share one input contract:
     with a stated bound on its remainder (Gil, Segura and Temme,
     Numerical Methods for Special Functions, SIAM 2007, on Taylor methods
     for the ODEs of special functions); the sums of a whole read are one
-    matrix product.  A step too coarse for the series is read directly.
-    `verify` reads every state through it, once per state and time, and
-    takes the state's d/dt from Ai' by the chain rule (see
-    `wavefunction`); `solve`'s states and densities read it once each on
-    a grid's distinct |x|.  On the default grid it costs about an eighth
-    of the direct read, within 7e-14 of it in units of
-    |Ai| + |Ai'|/sqrt(41).
+    matrix product.  A step too coarse for the series is read directly,
+    by `airy_ai_and_prime`.  `verify` reads every state through it, once
+    per state and time, and takes the state's d/dt from Ai' by the chain
+    rule (see `wavefunction`); `solve`'s states and densities read it
+    once each on a grid's distinct |x|, at any step.  On the default grid
+    it costs about an eighth of the direct read, within 7e-14 of it in
+    units of |Ai| + |Ai'|/sqrt(41).
 
   * `airy_eval_many` gives Ai, Ai', Bi and Bi' from `scipy.special.airy`,
     which wraps D. E. Amos's complex Airy routines (ACM TOMS Algorithm
@@ -52,11 +50,11 @@ Three details are handled here rather than left to callers:
     `z.imag`: `z + 0.0` on a Python complex keeps -0.0 under the C99
     mixed-mode arithmetic of Python 3.14.
 
-  * The origin.  K_{1/3} is infinite at 0, so `airy_ai_many` returns
-    Ai(0) = 3^(-2/3)/Gamma(2/3) for |z| < 1e-17, where Ai(z) rounds to
-    Ai(0) in double precision; kv itself overflows below |z| ~ 1e-205.
-    `airy_ai_and_prime` returns Ai'(0) = -3^(-1/3)/Gamma(1/3) there too,
-    where z K_{2/3} would read 0 times infinity.
+  * The origin.  K_{1/3} is infinite at 0, so `airy_ai_and_prime`
+    returns Ai(0) = 3^(-2/3)/Gamma(2/3) for |z| < 1e-17, where Ai(z)
+    rounds to Ai(0) in double precision (kv itself overflows below
+    |z| ~ 1e-205), and Ai'(0) = -3^(-1/3)/Gamma(1/3) there too, where
+    z K_{2/3} would read 0 times infinity.
 
   * Zeros.  `scipy.special.ai_zeros` is off by up to 8e-12 in the first
     50 zeros, so each is polished by three Newton steps on real arguments:
@@ -145,48 +143,20 @@ def airy_ai_many(z) -> np.ndarray:
     """Evaluate Ai alone on an array of complex points.
 
     Same contract as `airy_eval_many`, whose first output this matches in
-    shape and dtype.  With K = K_{1/3}, c = 1/(pi sqrt 3) and
-    zeta = (2/3) z^(3/2), all on principal branches,
-
-        |arg z| <  2 pi/3:  Ai(z) = c sqrt(z) K(zeta)                (DLMF 9.6.1)
-        |arg z| >= 2 pi/3:  Ai(z) = c sqrt(z) [K(-zeta) - K(zeta)]
-
-    The second line is Ai(z) = -w Ai(w z) - w^2 Ai(w^2 z), w = e^(2 pi i/3)
-    (DLMF 9.2.12), with the rotations multiplied out: w z and w^2 z have
-    3/2 powers zeta and -zeta, and their square roots turn the factors -w
-    and -w^2 into -1 and +1.  So both rotations are one stacked kv call,
-    made together with the points of the first line.
-
-    The sector |arg z| >= 2 pi/3 (Re z <= -|z|/2) is where the 3/2 power
-    wraps onto the other side of K's branch cut, so it is read off the
-    computed zeta: its imaginary part has the sign opposite to Im z there.
-    A point on the boundary ray then always gets the formula that matches
-    the side of the cut kv sees.
-
-    A 0-d input (a Python or numpy number, or a 0-d array) is read by
-    `_ai_point` in Python scalars and gives an np.complex128.
+    shape and dtype.  An array is read by `airy_ai_and_prime`, whose Ai
+    column this is.  A 0-d input (a Python or numpy number, or a 0-d
+    array) is read by `_ai_point` in Python scalars and gives an
+    np.complex128.
     """
     if isinstance(z, (int, float, complex)) or np.ndim(z) == 0:
         return _ai_point(complex(z))
-    zarr, mod = _in_disc(z)
-    flat = zarr.reshape(-1)
-    root = np.sqrt(flat)
-    zeta = (2.0 / 3.0) * flat * root
-    # opposite signs as the sign of the product; Im z = +0.0 on the real
-    # axis, where the product keeps the sign of Im zeta
-    far = np.signbit(zeta.imag * flat.imag)
-    kval = kv(1.0 / 3.0, np.concatenate((zeta, -zeta[far])))
-    val = kval[:flat.size]
-    val[far] = kval[flat.size:] - val[far]
-    val *= _K_SCALE * root
-    if mod.min(initial=np.inf) < _NEAR_ZERO:
-        val[mod.reshape(-1) < _NEAR_ZERO] = _AI_AT_ZERO
-    return val.reshape(zarr.shape)
+    return airy_ai_and_prime(z)[0]
 
 
 def _ai_point(z: complex) -> np.complex128:
-    """`airy_ai_many` at one point: the same formulas, refusals and Ai(0)
-    rule, in Python scalars and one or two scalar kv calls."""
+    """`airy_ai_many` at one point: `airy_ai_and_prime`'s Ai formulas,
+    refusals and Ai(0) rule, in Python scalars and one or two scalar kv
+    calls."""
     # the float sum clears a -0.0 imaginary part; z + 0.0 need not
     z = complex(z.real, z.imag + 0.0)
     mod = abs(z)
@@ -205,21 +175,35 @@ def airy_ai_and_prime(z) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate Ai and Ai' on an array of complex points, from one kv call.
 
     Same contract as `airy_eval_many`, whose first two outputs these match
-    in shape and dtype; the Ai output is bitwise that of `airy_ai_many`,
-    whose formulas, sector read and refusals it shares.  With K = K_{2/3}
-    and c, zeta as there,
+    in shape and dtype.  With K_nu the modified Bessel function,
+    c = 1/(pi sqrt 3) and zeta = (2/3) z^(3/2), all on principal branches,
 
-        |arg z| <  2 pi/3:  Ai'(z) = -c z K(zeta)                    (DLMF 9.6.2)
-        |arg z| >= 2 pi/3:  Ai'(z) = c z [K(zeta) + K(-zeta)]
+        |arg z| <  2 pi/3:  Ai(z)  = c sqrt(z) K_{1/3}(zeta)          (DLMF 9.6.1)
+                            Ai'(z) = -c z K_{2/3}(zeta)               (DLMF 9.6.2)
+        |arg z| >= 2 pi/3:  Ai(z)  = c sqrt(z) [K_{1/3}(-zeta) - K_{1/3}(zeta)]
+                            Ai'(z) = c z [K_{2/3}(zeta) + K_{2/3}(-zeta)]
 
-    the second line being the derivative of DLMF 9.2.12 with the same
-    rotations multiplied out.  Both orders go into one kv call over the
-    same stacked arguments.  Below |z| = 1e-17 the pair is (Ai(0), Ai'(0)).
+    The Ai line of the far sector is Ai(z) = -w Ai(w z) - w^2 Ai(w^2 z),
+    w = e^(2 pi i/3) (DLMF 9.2.12), with the rotations multiplied out: w z
+    and w^2 z have 3/2 powers zeta and -zeta, and their square roots turn
+    the factors -w and -w^2 into -1 and +1; the Ai' line is its
+    derivative.  So both rotations and both orders are one kv call over
+    the stacked arguments, made together with the points of the first
+    sector.
+
+    The sector |arg z| >= 2 pi/3 (Re z <= -|z|/2) is where the 3/2 power
+    wraps onto the other side of K's branch cut, so it is read off the
+    computed zeta: its imaginary part has the sign opposite to Im z there.
+    A point on the boundary ray then always gets the formula that matches
+    the side of the cut kv sees.  Below |z| = 1e-17 the pair is
+    (Ai(0), Ai'(0)).
     """
     zarr, mod = _in_disc(z)
     flat = zarr.reshape(-1)
     root = np.sqrt(flat)
     zeta = (2.0 / 3.0) * flat * root
+    # opposite signs as the sign of the product; Im z = +0.0 on the real
+    # axis, where the product keeps the sign of Im zeta
     far = np.signbit(zeta.imag * flat.imag)
     kval = kv(_ORDERS, np.concatenate((zeta, -zeta[far])))
     val, der = kval[:, :flat.size]

@@ -25,8 +25,7 @@ from .airy import (MAX_ABS_Z, MAX_ZERO_INDEX, airy_derivative_zero, airy_eval,
                    airy_function_zero)
 from .profiles import TimeProfile, _finite_number, coefficients_at
 from .spectrum import MAX_LEVEL, density, level
-from .verify import (Grid1D, _stencil, level_residuals, pseudo_hermiticity_check,
-                     von_neumann_residual)
+from .verify import Grid1D, level_residuals, pseudo_hermiticity_check, von_neumann_residual
 # tdse_residual and invariant_eigen_residual are not called here, but the
 # benchmark tracer in bench/tracing.py rebinds them in this namespace
 from .verify import invariant_eigen_residual, tdse_residual  # noqa: F401
@@ -133,21 +132,21 @@ def _read_table_file(block, base: Path, label: str):
         return block
     path = base / block["table"]
     if not path.exists():
-        raise ConfigError(f"{label}: table file {path} does not exist")
+        raise ConfigError(f"{label}: table file {str(path)!r} does not exist")
     try:
         # utf-8-sig drops a leading byte order mark, as PyYAML does for the config
         with open(path, encoding="utf-8-sig", newline="") as fh:
             rows = [row for row in csv.reader(fh)
                     if row and not row[0].lstrip().startswith("#")]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"{label}: cannot read table file {path}: {exc}") from exc
+        raise ConfigError(f"{label}: cannot read table file {str(path)!r}: {exc}") from exc
     return dict(block, table=rows)
 
 
 def _read_config(path: Path) -> dict:
     """The YAML mapping of a run file."""
     if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
+        raise ConfigError(f"config file {str(path)!r} does not exist")
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -156,7 +155,7 @@ def _read_config(path: Path) -> dict:
         detail = "; ".join(line.strip() for line in str(exc).splitlines() if line.strip())
         raise ConfigError(f"config is not valid YAML: {detail}") from exc
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
     if raw is None:
         return {}
     if not isinstance(raw, dict):
@@ -259,22 +258,18 @@ def _require_tables(cfg: RunConfig):
         raise ConfigError(f"profile: {exc}") from exc
 
 
-def _branch_shifts(profile: TimeProfile, instants) -> list:
-    """S - i b at each instant, where the branches evaluate Ai(|x| + S - i b - lambda_n)."""
-    return [complex(c.shift, -c.b) for c in (coefficients_at(profile, s) for s in instants)]
-
-
-def _require_kernel_disc(cfg: RunConfig, u_lo: float, u_hi: float, shifts):
+def _require_kernel_disc(cfg: RunConfig, u_lo: float, u_hi: float, static=()):
     """Every Airy argument a grid command evaluates must lie in |z| <= 40.
 
-    For a configured time t the command evaluates Ai(u + s - lambda_n) for u = |x|
-    in [u_lo, u_hi] and s in shifts(t); a refusal names t.  The modulus of a
+    For a configured time t the command evaluates Ai(u + s - lambda_n) for
+    u = |x| in [u_lo, u_hi], with s = S - i b at t, where the branches read
+    the kernel, and each s in static; a refusal names t.  The modulus of a
     linear function on a segment peaks at an end, so the two ends decide.
     """
     for t in cfg.times:
-        at_t = shifts(t)
+        c = coefficients_at(cfg.profile, t)
         for n in cfg.levels:
-            for shift in at_t:
+            for shift in (complex(c.shift, -c.b), *static):
                 for u in (u_lo, u_hi):
                     size = abs(u + shift - level(n).eigenvalue)
                     if not size <= MAX_ABS_Z:
@@ -480,7 +475,7 @@ def run_solve(cfg: RunConfig, stdout=None) -> int:
     _require_tables(cfg)
     grid = Grid1D.centered(cfg.half_width, cfg.dx)
     # the branches at t, and the density reconstruction's static u - lambda_n
-    _require_kernel_disc(cfg, 0.0, grid.x_max, lambda t: _branch_shifts(cfg.profile, [t]) + [0j])
+    _require_kernel_disc(cfg, 0.0, grid.x_max, static=(0j,))
     # after the config checks, which leave no directory behind, and
     # before any state is computed
     _out_dir(cfg)
@@ -503,49 +498,6 @@ def run_solve(cfg: RunConfig, stdout=None) -> int:
     return 0
 
 
-def _verify_jobs(cfg: RunConfig, wrong_sign_k: bool):
-    """(rows, fn) per job: rows holds (check, params, threshold) of each
-    report row, and fn() returns one value per row."""
-    prof = cfg.profile
-    t_hi = min(0.9 * prof.window, 1.5)      # pseudo-hermiticity times lie in [0.01, t_hi]
-    if t_hi < 0.01:
-        raise ConfigError(f"profile: window {prof.window:g} is below verify's minimum 0.01/0.9")
-    _require_grid_reach(cfg)
-    tol = cfg.tolerances
-    full = Grid1D.centered(cfg.half_width, cfg.dx)
-    # the branches one node past each half-line, at t and its d/dt stencil's instants
-    _require_kernel_disc(cfg, -full.dx, full.x_max + full.dx, lambda t: _branch_shifts(
-        prof, [t] + [t + s for s, _ in _stencil(t, prof.window)]))
-    halves = {1: Grid1D.half_line(cfg.half_width, cfg.dx, 1),
-              2: Grid1D.half_line(cfg.half_width, cfg.dx, 2)}
-    jobs = []
-
-    def one(check, params, threshold, fn):
-        jobs.append((((check, params, threshold),), lambda: (fn(),)))
-
-    # one job per (n, t): the evolution row and both invariant rows read
-    # the same branch samples
-    for n in cfg.levels:
-        for t in cfg.times:
-            eigen = tol["invariant_eigen"]
-            rows = (("tdse_residual", {"n": n, "t": t}, tol["tdse"]),
-                    ("invariant_eigen_residual", {"n": n, "region": 1, "t": t}, eigen),
-                    ("invariant_eigen_residual", {"n": n, "region": 2, "t": t}, eigen))
-            jobs.append((rows, lambda n=n, t=t: level_residuals(
-                prof, n, t, full, flip_coupling_sign=wrong_sign_k)))
-    for region in (1, 2):
-        for t in cfg.times:
-            one("von_neumann_residual", {"region": region, "t": t}, tol["von_neumann"],
-                lambda r=region, t=t: von_neumann_residual(prof, r, t, halves[r]))
-    rng = np.random.default_rng(20230816)
-    for region in (1, 2):
-        for t in sorted(rng.uniform(0.01, t_hi, 10)):
-            one("pseudo_hermiticity_check", {"region": region, "t": round(float(t), 12)},
-                tol["pseudo_hermiticity"],
-                lambda r=region, t=float(t): pseudo_hermiticity_check(prof, t, r))
-    return jobs
-
-
 def _format_params(params: dict) -> str:
     return ",".join(f"{k}={v}" for k, v in sorted(params.items()))
 
@@ -553,25 +505,53 @@ def _format_params(params: dict) -> str:
 def run_verify(cfg: RunConfig, stdout=None, wrong_sign_k: bool = False) -> int:
     """Full residual suite; exit 0 only when every check passes."""
     _require_tables(cfg)
-    jobs = _verify_jobs(cfg, wrong_sign_k)
+    prof = cfg.profile
+    t_hi = min(0.9 * prof.window, 1.5)      # pseudo-hermiticity times lie in [0.01, t_hi]
+    if t_hi < 0.01:
+        raise ConfigError(f"profile: window {prof.window:g} is below verify's minimum 0.01/0.9")
+    _require_grid_reach(cfg)
+    tol = cfg.tolerances
+    full = Grid1D.centered(cfg.half_width, cfg.dx)
+    # the branches at t, one node past each half-line; d/dt is taken of
+    # the coefficient scalars alone, so no other instant reads the kernel
+    _require_kernel_disc(cfg, -full.dx, full.x_max + full.dx)
+    halves = {1: Grid1D.half_line(cfg.half_width, cfg.dx, 1),
+              2: Grid1D.half_line(cfg.half_width, cfg.dx, 2)}
     path = _out_dir(cfg) / "verify_report.json"
+    report = []
+
+    def add(check, params, threshold, value):
+        if not math.isfinite(value):
+            raise ConfigError(f"{check}({_format_params(params)}) is {value}: the "
+                              f"states leave double precision range")
+        report.append({
+            "check": check,
+            "params": params,
+            "value": _round12(value),
+            "threshold": threshold,
+            "pass": bool(value <= threshold),
+        })
+
     # overflow is reported by the finiteness check on each value instead
     with np.errstate(all="ignore"):
-        values = [fn() for _, fn in jobs]
-
-    report = []
-    for (rows, _), row_values in zip(jobs, values):
-        for (check, params, threshold), value in zip(rows, row_values):
-            if not math.isfinite(value):
-                raise ConfigError(f"{check}({_format_params(params)}) is {value}: the "
-                                  f"states leave double precision range")
-            report.append({
-                "check": check,
-                "params": params,
-                "value": _round12(value),
-                "threshold": threshold,
-                "pass": bool(value <= threshold),
-            })
+        # the evolution row and both invariant rows of each (n, t) read the
+        # same branch samples
+        for n in cfg.levels:
+            for t in cfg.times:
+                values = level_residuals(prof, n, t, full, flip_coupling_sign=wrong_sign_k)
+                add("tdse_residual", {"n": n, "t": t}, tol["tdse"], values[0])
+                for region, value in zip((1, 2), values[1:]):
+                    add("invariant_eigen_residual", {"n": n, "region": region, "t": t},
+                        tol["invariant_eigen"], value)
+        for region in (1, 2):
+            for t in cfg.times:
+                add("von_neumann_residual", {"region": region, "t": t}, tol["von_neumann"],
+                    von_neumann_residual(prof, region, t, halves[region]))
+        rng = np.random.default_rng(20230816)
+        for region in (1, 2):
+            for t in sorted(rng.uniform(0.01, t_hi, 10)):
+                add("pseudo_hermiticity_check", {"region": region, "t": round(float(t), 12)},
+                    tol["pseudo_hermiticity"], pseudo_hermiticity_check(prof, float(t), region))
     report.sort(key=lambda r: (r["check"], json.dumps(r["params"], sort_keys=True)))
 
     with open(path, "w") as fh:

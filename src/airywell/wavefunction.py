@@ -43,11 +43,12 @@ On a grid x = k dx the kernel argument x + D - lambda_n is itself a
 lattice, so the residual checks read Ai and Ai' there with
 `airy.airy_ai_and_prime_lattice` (`wavefunction_branch_on_lattice` and
 `wavefunction_branch_and_dt`), which reads the kernel at every 16th node
-and sums the others by a Taylor series.  The assembled states and
+and sums the others by a Taylor series (at a step too coarse for the
+series, it reads every node directly).  The assembled states and
 densities read once per distinct |x|; when those are exactly k h,
 k = 0 ... K (every `Grid1D` grid), through the same lattice read, and
-otherwise, or where the step is too coarse for its series, directly,
-Ai alone.  Arbitrary complex x reads the kernel directly.
+otherwise directly, Ai alone.  Arbitrary complex x reads the kernel
+directly.
 
 Region 2 (x <= 0) needs no formula of its own.  H(t) = -d^2/dx^2 / (2m)
 + i f |x| commutes with parity P, the region-2 invariant is P I_1 P, and
@@ -71,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import _lattice_terms, airy_ai_and_prime_lattice
+from .airy import airy_ai_and_prime_lattice
 from .profiles import CoefficientSet, TimeProfile, coefficients_at
 from .spectrum import _at_distinct_abs, eigenfunction_continued, level
 
@@ -220,10 +221,9 @@ def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):
 
 
 def _lattice_step(u: np.ndarray):
-    """h when the sorted distinct |x| u are exactly k h, k = 0 ... K, and
-    `airy_ai_and_prime_lattice` sums its series at that step; else None,
-    and the reader reads the kernel directly, Ai alone."""
-    if u.size > 1 and _lattice_terms(u[1]) and np.array_equal(u, np.arange(u.size) * u[1]):
+    """h when the sorted distinct |x| u are exactly k h, k = 0 ... K; else
+    None, and the reader reads the kernel directly, Ai alone."""
+    if u.size > 1 and np.array_equal(u, np.arange(u.size) * u[1]):
         return u[1]
     return None
 

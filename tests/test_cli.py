@@ -475,12 +475,15 @@ def test_kernel_argument_outside_disc_is_a_config_error(tmp_path, capsys, comman
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.startswith("error: level 0 at t = ") and err.count("\n") == 1
+    # the refused modulus prints above the bound it breaks
+    assert float(err.split("|z| = ")[1].split()[0]) > 40.0
     assert not out.exists()
 
 
-# m0 = 0.01: at t itself the branches reach |z| = 39.9999 at most, but the
-# d/dt stencil also reads them at t + 1e-5, where x = 0 needs |z| = 40.0011
+# m0 = 0.01: at t itself the branches reach |z| = 39.9999 at most, and
+# only at t + 1e-5 would x = 0 need |z| = 40.0011; the d/dt stencil's
+# instants read the coefficient scalars alone, never the kernel
 STENCIL_EDGE = """\
 profile: {window: 1.0, mass: {family: constant, m0: 0.01}, coupling: {family: zero}}
 levels: [0]
@@ -488,16 +491,16 @@ times: [0.124861694732]
 """
 
 
-def test_verify_checks_the_kernel_disc_at_its_stencil_instants(tmp_path, capsys):
+def test_verify_checks_the_kernel_disc_at_t_alone(tmp_path, capsys):
     cfg = _write_config(tmp_path, STENCIL_EDGE)
     out = tmp_path / "out"
-    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: level 0 at t = 0.124862 needs Ai at |z| = ")
-    assert err.count("\n") == 1 and not out.exists()
-    # the refused modulus prints above the bound it breaks
-    assert float(err.split("|z| = ")[1].split()[0]) > 40.0
-    # solve reads the branches at t alone
+    # verify runs as solve does; the grid is too coarse for this mass
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "verify_report.json").read_text())
+    assert len(report) == 25
+    assert sorted((r["check"], r["params"].get("region")) for r in report if not r["pass"]) == [
+        ("invariant_eigen_residual", 1), ("invariant_eigen_residual", 2), ("tdse_residual", None)]
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "solve_n0_t0.124862.csv").exists()
 
@@ -749,6 +752,9 @@ def test_load_config_builds_what_main_runs(tmp_path, monkeypatch):
     ("out-key", "out: cannot create directory"),
     ("config-directory", "cannot read config file"),
     ("config-not-utf8", "cannot read config file"),
+    # a newline in a named path stays inside the quoted name
+    ("config-newline", "config file"),
+    ("table-newline", "error: mass: table file"),
 ])
 def test_unusable_paths_are_one_line_config_errors(tmp_path, capsys, case, words):
     taken = tmp_path / "taken"
@@ -762,6 +768,11 @@ def test_unusable_paths_are_one_line_config_errors(tmp_path, capsys, case, words
         latin1 = tmp_path / "latin1.yaml"
         latin1.write_bytes((body + "# r\xe9sum\xe9\n").encode("latin-1"))
         args = ["solve", "--config", str(latin1)]
+    elif case == "config-newline":
+        args = ["solve", "--config", str(tmp_path / "x\ny.yaml")]
+    elif case == "table-newline":
+        args = ["solve", "--config", _write_config(tmp_path, SMALL_PROFILE.replace(
+            "mass: {family: constant, m0: 1.0}", 'mass: {family: sampled, table: "a\\nb.csv"}'))]
     else:
         args = [case, "--config", _write_config(tmp_path, body), "--out", str(taken)]
     assert main(args) == 2

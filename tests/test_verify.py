@@ -660,8 +660,11 @@ def _count_kernel_reads(monkeypatch, cfg):
 
     The anchored lattice read is counted, and so are both direct entries
     that read Ai for a state: `airy_ai_and_prime`, through which the
-    lattice read reads its anchors, and `airy_ai_many`.  So a test cannot
-    pass by moving the reads to an entry it does not watch.
+    lattice read reads its anchors, and `airy_ai_many`.  An array read
+    through `airy_ai_many` is read by `airy_ai_and_prime`, so it shows up
+    twice in the direct list; a one-point read shows up once, since it
+    bypasses `airy_ai_and_prime`.  So a test cannot pass by moving the
+    reads to an entry it does not watch.
     """
     lattice, direct = [], []
 

@@ -147,20 +147,25 @@ def test_readers_off_the_lattice_read_directly_bitwise(n):
         assert reconstructed_density(prof, n, t, xs).tobytes() == dens.tobytes()
 
 
-def test_readers_on_a_coarse_lattice_read_only_ai(monkeypatch):
+def test_readers_on_a_coarse_lattice_read_directly(monkeypatch):
     # at dx = 0.02 the lattice read's series diverges (q = 8 dx sqrt(41) > 1),
-    # so it would read Ai' with Ai directly; the readers read Ai alone instead
+    # so the lattice read the readers take reads every node directly
     from airywell import airy, wavefunction
+    assert airy._lattice_terms(0.02) == 0
+    steps = []
 
-    def refuse(*args):
-        raise AssertionError("a reader read Ai'")
-    monkeypatch.setattr(airy, "airy_ai_and_prime", refuse)
-    monkeypatch.setattr(wavefunction, "airy_ai_and_prime_lattice", refuse)
+    def spy(c, h, ks):
+        steps.append(h)
+        return airy.airy_ai_and_prime_lattice(c, h, ks)
+    monkeypatch.setattr(wavefunction, "airy_ai_and_prime_lattice", spy)
     xs = np.arange(-400, 401) * 0.02
     for n in (0, 1):
         state, dens = _per_node(WAVY, n, 0.7, xs)
-        assert assemble_wavefunction(WAVY, n, 0.7, xs).values.tobytes() == state.tobytes()
-        assert reconstructed_density(WAVY, n, 0.7, xs).tobytes() == dens.tobytes()
+        got = assemble_wavefunction(WAVY, n, 0.7, xs).values
+        assert np.max(np.abs(got - state)) <= 1e-12 * np.max(np.abs(state))
+        got = reconstructed_density(WAVY, n, 0.7, xs)
+        assert np.max(np.abs(got - dens)) <= 1e-12 * np.max(dens)
+    assert steps == [0.02] * 4
 
 
 def test_readers_refuse_a_non_finite_grid():
