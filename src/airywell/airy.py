@@ -11,11 +11,11 @@ of Ai and a'_k of Ai'.  The evaluators share one input contract:
     5e-14, on the working disc |z| <= 40, away from the zeros.
 
   * `airy_ai_many` gives Ai alone: on an array, the Ai column of
-    `airy_ai_and_prime`.  The eigenfunctions read only Ai, so they use
-    it, and so do the assembled states and densities off a lattice.  A
-    0-d input (one point, as the Crank-Nicolson boundary feed asks for on
-    every step) is read in Python scalars with the same formulas, which
-    costs a fraction of the same work on one-element arrays.
+    `airy_ai_and_prime`.  The eigenfunctions, states and densities off a
+    lattice read only Ai, so they use it.  A 0-d input (one point, as the
+    Crank-Nicolson boundary feed asks for on every step) is read in Python
+    scalars with the same formulas, which costs a fraction of the same
+    work on one-element arrays.
 
   * `airy_ai_and_prime_lattice` gives Ai and Ai' on a lattice c + k h
     with a real step h.  It reads `airy_ai_and_prime` at the anchors,
@@ -27,10 +27,11 @@ of Ai and a'_k of Ai'.  The evaluators share one input contract:
     matrix product.  A step too coarse for the series is read directly,
     by `airy_ai_and_prime`.  `verify` reads every state through it, once
     per state and time, and takes the state's d/dt from Ai' by the chain
-    rule (see `wavefunction`); `solve`'s states and densities read it
-    once each on a grid's distinct |x|, at any step.  On the default grid
-    it costs about an eighth of the direct read, within 7e-14 of it in
-    units of |Ai| + |Ai'|/sqrt(41).
+    rule (see `wavefunction`); `solve`'s states and densities, and the
+    eigenfunctions, read it once each on a lattice grid's distinct |x|,
+    at any step (see `spectrum`).  On the default grid it costs about an
+    eighth of the direct read, within 7e-14 of it in units of
+    |Ai| + |Ai'|/sqrt(41).
 
   * `airy_eval_many` gives Ai, Ai', Bi and Bi' from `scipy.special.airy`,
     which wraps D. E. Amos's complex Airy routines (ACM TOMS Algorithm

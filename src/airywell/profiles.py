@@ -236,10 +236,10 @@ class TimeProfile:
             if not callable(getattr(fam, "value", None)):
                 raise TypeError(f"{type(fam).__name__} lacks value()")
         probes = np.linspace(0.0, self.window, 65)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             m = np.asarray(self.mass.value(probes), dtype=float)
         if np.any(~np.isfinite(m)) or np.any(m <= 0.0):
-            raise ValueError("mass history must stay strictly positive on the window")
+            raise ValueError("mass history must stay finite and strictly positive on the window")
         for times in self._sampled_times():
             if times[0] > 1e-12 or times[-1] < self.window - 1e-12:
                 raise ValueError("sampled table must cover the whole window")

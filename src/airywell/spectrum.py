@@ -20,6 +20,9 @@ half-line carry exactly 1/2.  The analytic continuation used by the
 time-dependent solution is that of the x >= 0 branch, N Ai(z - lambda),
 because |.| of a complex argument would be meaningless; the x <= 0
 branch is sigma_n times it at -z (see `wavefunction`).
+
+Every real-grid reader, here and in `wavefunction`, reads N Ai once per
+distinct |x| through `_kernel_at_abs`, on a lattice by `_lattice_read`.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import numpy as np
 
 # airy_eval_many is not called here, but the benchmark tracer in
 # bench/tracing.py rebinds it in this namespace
-from .airy import (airy_ai_many, airy_derivative_zero, airy_eval, airy_eval_many,  # noqa: F401
-                   airy_function_zero)
+from .airy import (airy_ai_and_prime_lattice, airy_ai_many, airy_derivative_zero,  # noqa: F401
+                   airy_eval, airy_eval_many, airy_function_zero)
 
 __all__ = [
     "MAX_LEVEL",
@@ -73,21 +76,37 @@ def level(n: int) -> SpectralLevel:
     return SpectralLevel(n=n, parity="odd", eigenvalue=lam, norm_const=float(norm))
 
 
-def _at_distinct_abs(read, x):
-    """read(u) at the sorted distinct u = |x|, scattered back to x's shape:
-    K + 1 points on a centered grid of 2K + 1 nodes.  A 0-d x is read as is."""
-    if np.ndim(x) == 0:
-        return read(np.abs(x))
+def _lattice_read(n: int, shift: complex, h: float, ks: range) -> np.ndarray:
+    """The rows N Ai and N Ai' at shift + k h - lambda_n, k in ks, from one
+    anchored lattice read (`airy.airy_ai_and_prime_lattice`)."""
+    lev = level(n)
+    return np.stack(airy_ai_and_prime_lattice(shift - lev.eigenvalue, h, ks)) * lev.norm_const
+
+
+def _kernel_at_abs(n: int, shift: complex, x) -> tuple:
+    """(u, N Ai(u + shift - lambda_n), inv) at the sorted distinct u = |x|,
+    with u[inv] = |x| in x's shape; a ValueError unless x is finite.  The
+    kernel is `_lattice_read`'s when u is exactly k h, k = 0 ... K (every
+    `Grid1D` grid), and read directly otherwise.
+    """
+    xa = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xa)):
+        raise ValueError("grid must be finite")
     # raveled: numpy 2.x shapes the inverse of an N-d input differently
-    u, inv = np.unique(np.abs(x).ravel(), return_inverse=True)
-    return read(u)[inv].reshape(np.shape(x))
+    u, inv = np.unique(np.abs(xa).ravel(), return_inverse=True)
+    if u.size > 1 and np.array_equal(u, np.arange(u.size) * u[1]):
+        kernel = _lattice_read(n, shift, u[1], range(u.size))[0]
+    else:
+        kernel = eigenfunction_continued(n, u + shift)
+    return u, kernel, inv.reshape(xa.shape)
 
 
 def eigenfunction(n: int, x):
     """phi_n at real x (scalar or array): the continued branch once per
     distinct |x|, times sgn(x) for odd n."""
     xa = np.asarray(x, dtype=float)
-    vals = _at_distinct_abs(lambda u: eigenfunction_continued(n, u).real, xa)
+    _, kernel, inv = _kernel_at_abs(n, 0.0, xa)
+    vals = kernel.real[inv]
     if n % 2:
         vals = vals * np.sign(xa)        # sgn(0) = 0 zeroes the origin exactly
     return float(vals) if xa.ndim == 0 else vals

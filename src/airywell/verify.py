@@ -394,8 +394,20 @@ def _branch_samples(profile: TimeProfile, n: int, t: float, grid: Grid1D):
     return centre, dpsi[1:-1]
 
 
+def _tdse_rows(n: int, grid: Grid1D) -> np.ndarray:
+    """The rows the evolution residual keeps: all but three at each edge,
+    and but x = 0 for odd n.  A ValueError if that leaves none."""
+    keep = np.zeros(grid.n_points, dtype=bool)
+    keep[3:grid.n_points - 3] = True
+    if n % 2 == 1:
+        keep &= np.abs(grid.nodes) > 1e-12
+    if not keep.any():
+        raise ValueError("tdse residual needs a node 3 nodes in from each end, off x = 0 for odd n")
+    return keep
+
+
 def _tdse(profile: TimeProfile, n: int, t: float, grid: Grid1D, centre: np.ndarray,
-          dpsi: np.ndarray, flip_coupling_sign: bool) -> float:
+          dpsi: np.ndarray, flip_coupling_sign: bool, keep: np.ndarray) -> float:
     """The evolution residual on grid from `_branch_samples` (see `tdse_residual`)."""
     xs = grid.nodes
     dx = grid.dx
@@ -418,11 +430,6 @@ def _tdse(profile: TimeProfile, n: int, t: float, grid: Grid1D, centre: np.ndarr
         psi_mid.append(mid)
     res = np.concatenate(res)
     psi_mid = np.concatenate(psi_mid)
-
-    keep = np.zeros(grid.n_points, dtype=bool)
-    keep[3:grid.n_points - 3] = True
-    if n % 2 == 1:
-        keep &= np.abs(xs) > 1e-12
     return float(np.linalg.norm(res[keep]) / np.linalg.norm(psi_mid[keep]))
 
 
@@ -443,8 +450,9 @@ def tdse_residual(profile: TimeProfile, n: int, t: float, grid: Grid1D,
     flip_coupling_sign builds H with -f while the state keeps +f: a
     negative control that must fail loudly.
     """
+    keep = _tdse_rows(n, grid)
     centre, dpsi = _branch_samples(profile, n, t, grid)
-    return _tdse(profile, n, t, grid, centre, dpsi, flip_coupling_sign)
+    return _tdse(profile, n, t, grid, centre, dpsi, flip_coupling_sign, keep)
 
 
 def _invariant_eigen(profile: TimeProfile, n: int, region: int, t: float, grid: Grid1D,
@@ -485,12 +493,15 @@ def level_residuals(profile: TimeProfile, n: int, t: float, grid: Grid1D,
     `centered` grid each value equals its standalone call (on the
     `half_line` grids for the invariant rows) bitwise.
     """
-    centre, dpsi = _branch_samples(profile, n, t, grid)
     n_neg = -grid.first_index
+    if min(n_neg, grid.n_points - 1 - n_neg) < 4:
+        raise ValueError("level residuals need at least 4 grid nodes on each side of x = 0")
+    keep = _tdse_rows(n, grid)
+    centre, dpsi = _branch_samples(profile, n, t, grid)
     sigma = -1.0 if n % 2 else 1.0
     half1 = Grid1D(0.0, grid.x_max, grid.n_points - n_neg)
     half2 = Grid1D(grid.x_min, 0.0, n_neg + 1)
-    return (_tdse(profile, n, t, grid, centre, dpsi, flip_coupling_sign),
+    return (_tdse(profile, n, t, grid, centre, dpsi, flip_coupling_sign, keep),
             _invariant_eigen(profile, n, 1, t, half1, centre[1:half1.n_points + 1]),
             _invariant_eigen(profile, n, 2, t, half2, sigma * centre[n_neg + 1:0:-1]))
 

@@ -39,16 +39,15 @@ alone, so by the chain rule
 
   d/dt Psi_n,1 = Psi_n,1 (i phi' + a' + sigma' x) + E N_n Ai'(x + D - lambda_n) D'.
 
-On a grid x = k dx the kernel argument x + D - lambda_n is itself a
-lattice, so the residual checks read Ai and Ai' there with
-`airy.airy_ai_and_prime_lattice` (`wavefunction_branch_on_lattice` and
-`wavefunction_branch_and_dt`), which reads the kernel at every 16th node
-and sums the others by a Taylor series (at a step too coarse for the
-series, it reads every node directly).  The assembled states and
-densities read once per distinct |x|; when those are exactly k h,
-k = 0 ... K (every `Grid1D` grid), through the same lattice read, and
-otherwise directly, Ai alone.  Arbitrary complex x reads the kernel
-directly.
+The kernel N_n Ai is read only through `spectrum`.  On a grid x = k dx
+its argument x + D - lambda_n is itself a lattice, so the residual
+checks read N_n Ai and N_n Ai' there with `spectrum._lattice_read`
+(`wavefunction_branch_on_lattice`, `wavefunction_branch_and_dt`), which
+reads the kernel at every 16th node and sums the others by a Taylor
+series.  The assembled state and the density read it once per distinct
+|x| with `spectrum._kernel_at_abs`: by the same lattice read when those
+are k h, k = 0 ... K (every `Grid1D` grid), else Ai alone directly, as
+at arbitrary complex x.
 
 Region 2 (x <= 0) needs no formula of its own.  H(t) = -d^2/dx^2 / (2m)
 + i f |x| commutes with parity P, the region-2 invariant is P I_1 P, and
@@ -72,9 +71,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import airy_ai_and_prime_lattice
 from .profiles import CoefficientSet, TimeProfile, coefficients_at
-from .spectrum import _at_distinct_abs, eigenfunction_continued, level
+from .spectrum import _kernel_at_abs, _lattice_read, eigenfunction_continued, level
 
 __all__ = [
     "WavefunctionSample",
@@ -145,18 +143,16 @@ def _on_lattice(n: int, region: int, c: CoefficientSet, ks: range, dx: float) ->
 
     x is the region-1 coordinate of each node, k dx in region 1 and -k dx
     in region 2, in the order of ks; Psi_n,1 and the Ai' term of its d/dt
-    (see the module docstring) come from one `airy_ai_and_prime_lattice`
-    read on the region-1 nodes, so two reads that share nodes of one
-    lattice give the same bits there.
+    (see the module docstring) come from one `spectrum._lattice_read` on
+    the region-1 nodes, so two reads that share nodes of one lattice give
+    the same bits there.
     """
     if region not in (1, 2):
         raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
     if region == 2:
         ks = range(1 - ks.stop, 1 - ks.start)       # the region-1 nodes -k, ascending
-    lev = level(n)
-    kernel = np.stack(airy_ai_and_prime_lattice(_exponents(n, c)[3] - lev.eigenvalue, dx, ks))
     x = np.arange(ks.start, ks.stop) * dx
-    psi, edge = _branch1(n, c, x, kernel * lev.norm_const)
+    psi, edge = _branch1(n, c, x, _lattice_read(n, _exponents(n, c)[3], dx, ks))
     if region == 2:
         return x[::-1], psi[::-1], edge[::-1]
     return x, psi, edge
@@ -220,45 +216,23 @@ def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):
     return vals
 
 
-def _lattice_step(u: np.ndarray):
-    """h when the sorted distinct |x| u are exactly k h, k = 0 ... K; else
-    None, and the reader reads the kernel directly, Ai alone."""
-    if u.size > 1 and np.array_equal(u, np.arange(u.size) * u[1]):
-        return u[1]
-    return None
-
-
-def _finite_grid(grid) -> np.ndarray:
-    """grid as a float array; a ValueError unless every node is finite."""
-    xs = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("grid must be finite")
-    return xs
-
-
 def assemble_wavefunction(profile: TimeProfile, n: int, t: float, grid) -> WavefunctionSample:
     """Piecewise state on a real grid: Psi_n,1(x) for x >= 0, sigma_n Psi_n,1(|x|) for x < 0.
 
     One region-1 read per distinct |x|, negated at x < 0 for odd n.  The
     grid must contain the origin, the boundary the two regions share.
     When the distinct |x| are a lattice k h (every `Grid1D` grid), the
-    read is `_on_lattice`'s, so the state is bitwise
-    `wavefunction_branch_on_lattice` in both regions.
+    kernel is `spectrum._lattice_read`'s, as in `_on_lattice`, so the
+    state is bitwise `wavefunction_branch_on_lattice` in both regions.
     """
-    xs = _finite_grid(grid)
+    xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size < 2:
         raise ValueError("grid must be a 1-d array with at least two points")
     if np.min(np.abs(xs)) > 1e-12:
         raise ValueError("grid must include x = 0 (the region boundary)")
     c = coefficients_at(profile, t)
-
-    def read(u):
-        h = _lattice_step(u)
-        if h is None:
-            return _branch1(n, c, u.astype(complex))
-        _, psi, _ = _on_lattice(n, 1, c, range(u.size), h)
-        return psi
-    values = _at_distinct_abs(read, xs)
+    u, kernel, inv = _kernel_at_abs(n, _exponents(n, c)[3], xs)
+    values = _branch1(n, c, u, kernel)[inv]
     if n % 2:
         values[xs < 0.0] *= -1.0
     return WavefunctionSample(grid=xs, values=values)
@@ -277,23 +251,12 @@ def reconstructed_density(profile: TimeProfile, n: int, t: float, grid):
     The unit-modulus factors of the round trip and of the assembly (eps,
     zeta, g S/4, the plane wave) drop out of the modulus, so this pins only
     the real factors; the evolution residual and the phase checks
-    (acceptance criteria 6 and 8) pin the phases.  The kernel argument is
-    ((u - S + ib) + (S - ib)) - lambda_n, exactly -lambda_n at u = 0, so
-    on a lattice u = k h the kernel is read at -lambda_n + k h by
-    `airy_ai_and_prime_lattice`.
+    (acceptance criteria 6 and 8) pin the phases.  The kernel factor of
+    Psi_n,1(u - S + ib) is read as what it is, N_n Ai(u - lambda_n).
     """
-    xs = _finite_grid(grid)
     c = coefficients_at(profile, t)
-
-    def modulus2(u):
-        inner = u.astype(complex) - c.shift
-        h = _lattice_step(u)
-        kernel = None
-        if h is not None:
-            lev = level(n)
-            ai, _ = airy_ai_and_prime_lattice(complex(-lev.eigenvalue), h, range(u.size))
-            kernel = ai * lev.norm_const
-        rec = np.exp((-c.k / 2.0) * inner) * _branch1(n, c, inner + 1j * c.b, kernel)
-        return np.abs(rec) ** 2
-    out = _at_distinct_abs(modulus2, np.atleast_1d(xs))
-    return float(out[0]) if xs.ndim == 0 else out
+    u, kernel, inv = _kernel_at_abs(n, 0.0, grid)
+    inner = u.astype(complex) - c.shift
+    rec = np.exp((-c.k / 2.0) * inner) * _branch1(n, c, inner + 1j * c.b, kernel)
+    out = (np.abs(rec) ** 2)[inv]
+    return float(out) if out.ndim == 0 else out

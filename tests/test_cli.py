@@ -369,8 +369,8 @@ def test_solve_and_density_read_the_kernel_once_per_distinct_abs_x(tmp_path, mon
     for module in (spectrum, wavefunction):
         monkeypatch.setattr(module, "eigenfunction_continued",
                             counted(module.eigenfunction_continued))
-    lattice = wavefunction.airy_ai_and_prime_lattice
-    monkeypatch.setattr(wavefunction, "airy_ai_and_prime_lattice", counted_lattice)
+    lattice = spectrum.airy_ai_and_prime_lattice
+    monkeypatch.setattr(spectrum, "airy_ai_and_prime_lattice", counted_lattice)
     cfg = _write_config(tmp_path, SMALL_PROFILE + "grid: {half_width: 13.0, dx: 0.01}\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")]) == 0
     assert nodes == [1301] * 4            # K = 1300; levels 0 and 1 at one time

@@ -8,6 +8,8 @@ all starting from 0, so an adaptive Runge-Kutta run is an independent
 oracle for every quantity the module's tables give, s = -k^2/4 included.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,6 +314,15 @@ def test_mass_positivity_enforced():
         TimeProfile(mass=PowerMass(1.0, -0.4, 1.0), coupling=ZeroCoupling(), window=3.0)
     with pytest.raises(ValueError):
         TimeProfile(mass=ConstantMass(-2.0), coupling=ZeroCoupling(), window=1.0)
+
+
+def test_overflowing_mass_is_refused_without_a_warning():
+    # m0 e^{300 t} on a window of 3 reads e^900 = inf at the window's end
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^mass history must stay finite and strictly"
+                                             " positive on the window$"):
+            TimeProfile(mass=ExponentialMass(1.0, 300.0), coupling=ZeroCoupling(), window=3.0)
 
 
 @pytest.mark.parametrize("window", [float("inf"), float("nan"), 1e300, 1.01 * MAX_WINDOW, 0.0])

@@ -1,13 +1,14 @@
 """Grid-operator and propagation checks for the verifier module."""
 
 import dataclasses
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from airywell import airy, cli, spectrum, verify, wavefunction
+from airywell import airy, cli, spectrum, verify
 from airywell.profiles import TimeProfile, coefficients_at
 from airywell.quadrature import CumulativeTable
 from airywell.verify import (
@@ -592,6 +593,30 @@ def test_level_residuals_equal_the_standalone_checks(profile):
                 assert got == want, (n, t, flip)
 
 
+@pytest.mark.parametrize("read, n, grid, need", [
+    (tdse_residual, 0, Grid1D(-0.02, 0.02, 5), "tdse residual needs"),
+    (tdse_residual, 1, Grid1D(-0.03, 0.03, 7), "tdse residual needs"),
+    (level_residuals, 0, Grid1D.half_line(12.0, 0.01, 1), "at least 4 grid nodes"),
+    (level_residuals, 0, Grid1D.half_line(12.0, 0.01, 2), "at least 4 grid nodes"),
+    (level_residuals, 1, Grid1D(-0.03, 12.0, 1204), "at least 4 grid nodes"),
+    (level_residuals, 1, Grid1D(-12.0, 0.03, 1204), "at least 4 grid nodes"),
+], ids=["tdse-5-nodes", "tdse-odd-7-nodes", "level-half-line-1", "level-half-line-2",
+        "level-3-left", "level-3-right"])
+def test_residuals_refuse_a_grid_too_small_for_their_rows(read, n, grid, need):
+    # 5 nodes keep no evolution row, nor 7 for odd n, whose middle row is
+    # x = 0; level_residuals' invariant halves need 5 nodes each
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=need):
+            read(UNIT, n, 0.5, grid)
+
+
+def test_residuals_accept_the_smallest_grids_with_rows():
+    assert np.isfinite(tdse_residual(UNIT, 0, 0.5, Grid1D(-0.03, 0.03, 7)))
+    assert np.isfinite(tdse_residual(UNIT, 1, 0.5, Grid1D(-0.02, 0.04, 7)))
+    assert all(np.isfinite(level_residuals(UNIT, 1, 0.5, Grid1D(-0.04, 0.04, 9))))
+
+
 def _unit_tables(t):
     """(g, k, w, int chi2) of m = f = 1, which are polynomials in t."""
     return -t, 2 * t, -t**2 / 2, -5 * t**3 / 48
@@ -674,8 +699,8 @@ def _count_kernel_reads(monkeypatch, cfg):
             return real(*args)
         return read
 
-    monkeypatch.setattr(wavefunction, "airy_ai_and_prime_lattice",
-                        counting(lattice, wavefunction.airy_ai_and_prime_lattice,
+    monkeypatch.setattr(spectrum, "airy_ai_and_prime_lattice",
+                        counting(lattice, spectrum.airy_ai_and_prime_lattice,
                                  lambda c, h, ks: len(ks)))
     monkeypatch.setattr(airy, "airy_ai_and_prime",
                         counting(direct, airy.airy_ai_and_prime, np.size))
@@ -717,16 +742,15 @@ def test_tdse_residual_monotone_under_refinement():
 def test_residuals_are_second_order_in_dx(profile):
     # residual(2 dx)/residual(dx) over dx = 0.02 -> 0.01 -> 0.005 on
     # half-width 12: a stencil weight that loses an order gives 2 or 1.
-    # Measured 3.992 to 4.0005 for the evolution, region-1 invariant and
+    # Measured 3.992 to 4.0005 for the evolution, both invariant and both
     # von Neumann rows
     dxs = (0.02, 0.01, 0.005)
     for t in (0.1, 0.5):
-        rows = [[von_neumann_residual(profile, 1, t, Grid1D.half_line(12.0, dx, 1))
-                 for dx in dxs]]
+        rows = [[von_neumann_residual(profile, region, t, Grid1D.half_line(12.0, dx, region))
+                 for dx in dxs] for region in (1, 2)]
         for n in (0, 3):
-            tdse, inv1, _ = zip(*(level_residuals(profile, n, t, Grid1D.centered(12.0, dx))
-                                  for dx in dxs))
-            rows += [tdse, inv1]
+            rows += zip(*(level_residuals(profile, n, t, Grid1D.centered(12.0, dx))
+                          for dx in dxs))
         for row in rows:
             for coarse, fine in zip(row, row[1:]):
                 assert coarse / fine == pytest.approx(4.0, abs=0.02), (t, row)

@@ -100,7 +100,8 @@ def test_readers_scatter_one_read_per_abs_x_bitwise(n):
             want[xs < 0.0] *= -1.0
         assert assemble_wavefunction(prof, n, t, xs).values.tobytes() == want.tobytes()
         inner = u - c.shift
-        rec = np.exp((-c.k / 2.0) * inner) * _branch1(n, c, inner + 1j * c.b)
+        rec = np.exp((-c.k / 2.0) * inner) * _branch1(n, c, inner + 1j * c.b,
+                                                      eigenfunction_continued(n, u))
         want = np.abs(rec) ** 2
         assert reconstructed_density(prof, n, t, xs).tobytes() == want.tobytes()
     want = eigenfunction_continued(n, np.abs(xs)).real
@@ -130,7 +131,8 @@ def _per_node(prof, n, t, xs):
     if n % 2:
         state[xs < 0.0] *= -1.0
     inner = u - c.shift
-    rec = np.exp((-c.k / 2.0) * inner) * _branch1(n, c, inner + 1j * c.b)
+    rec = np.exp((-c.k / 2.0) * inner) * _branch1(n, c, inner + 1j * c.b,
+                                                  eigenfunction_continued(n, u))
     return state, np.abs(rec) ** 2
 
 
@@ -150,14 +152,14 @@ def test_readers_off_the_lattice_read_directly_bitwise(n):
 def test_readers_on_a_coarse_lattice_read_directly(monkeypatch):
     # at dx = 0.02 the lattice read's series diverges (q = 8 dx sqrt(41) > 1),
     # so the lattice read the readers take reads every node directly
-    from airywell import airy, wavefunction
+    from airywell import airy, spectrum
     assert airy._lattice_terms(0.02) == 0
     steps = []
 
     def spy(c, h, ks):
         steps.append(h)
         return airy.airy_ai_and_prime_lattice(c, h, ks)
-    monkeypatch.setattr(wavefunction, "airy_ai_and_prime_lattice", spy)
+    monkeypatch.setattr(spectrum, "airy_ai_and_prime_lattice", spy)
     xs = np.arange(-400, 401) * 0.02
     for n in (0, 1):
         state, dens = _per_node(WAVY, n, 0.7, xs)
@@ -173,9 +175,11 @@ def test_readers_refuse_a_non_finite_grid():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^grid must be finite$"):
             assemble_wavefunction(UNIT, 0, 0.5, [0.0, np.nan, 1.0])
-        for grid in ([0.0, np.inf], [0.0, np.nan, 1.0], -np.inf):
-            with pytest.raises(ValueError, match="^grid must be finite$"):
-                reconstructed_density(UNIT, 1, 0.5, grid)
+        for grid in ([0.0, np.inf], [0.0, np.nan, 1.0], -np.inf, np.nan):
+            for read in (lambda x: reconstructed_density(UNIT, 1, 0.5, x),
+                         lambda x: eigenfunction(2, x), lambda x: density(3, x)):
+                with pytest.raises(ValueError, match="^grid must be finite$"):
+                    read(grid)
 
 
 def test_assemble_grid_validation():
