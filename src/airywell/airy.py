@@ -19,18 +19,19 @@ of Ai and a'_k of Ai'.  The evaluators share one input contract:
 
   * `airy_ai_and_prime_lattice` gives Ai and Ai' on a lattice c + k h
     with a real step h.  It reads `airy_ai_and_prime` at the anchors,
-    the nodes k = 0 mod 16, and sums every other node from the anchor at
-    most 8 nodes away by the Taylor series that Ai'' = z Ai supplies,
+    the nodes k = 0 mod 64, and sums every other node from the anchor at
+    most 32 nodes away by the Taylor series that Ai'' = z Ai supplies,
     with a stated bound on its remainder (Gil, Segura and Temme,
     Numerical Methods for Special Functions, SIAM 2007, on Taylor methods
     for the ODEs of special functions); the sums of a whole read are one
-    matrix product.  A step too coarse for the series is read directly,
-    by `airy_ai_and_prime`.  `verify` reads every state through it, once
-    per state and time, and takes the state's d/dt from Ai' by the chain
-    rule (see `wavefunction`); `solve`'s states and densities, and the
+    matrix product with a step matrix built once per h.  A step too
+    coarse for the series is read directly, by `airy_ai_and_prime`.
+    `verify` reads every state through it, once per state and time, and
+    takes the state's d/dt from Ai' by the chain rule (see
+    `wavefunction`); `solve`'s states and densities, and the
     eigenfunctions, read it once each on a lattice grid's distinct |x|,
-    at any step (see `spectrum`).  On the default grid it costs about an
-    eighth of the direct read, within 7e-14 of it in units of
+    at any step (see `spectrum`).  On the default grid it costs about a
+    twentieth of the direct read, within 9e-14 of it in units of
     |Ai| + |Ai'|/sqrt(41).
 
   * `airy_eval_many` gives Ai, Ai', Bi and Bi' from `scipy.special.airy`,
@@ -219,23 +220,59 @@ def airy_ai_and_prime(z) -> tuple[np.ndarray, np.ndarray]:
     return val.reshape(zarr.shape)[()], der.reshape(zarr.shape)[()]
 
 
-# the anchor spacing of `airy_ai_and_prime_lattice`, and the terms of its
-# series: J with cosh(1) q^J <= 2^-53, q = (_STRIDE/2) |h| _KAPPA, at most
-# _MAX_TERMS (see its docstring for the bound)
-_STRIDE = 16
+# the anchor spacing of `airy_ai_and_prime_lattice`, the longest step
+# D = (_STRIDE/2) |h| for which it takes the series, and the log of
+# 2^-53 / cosh(_KAPPA): its J terms are the least count with
+# cosh(_KAPPA) D^J / (1 - D) <= 2^-53 (see its docstring for the bound)
+_STRIDE = 64
 _KAPPA = math.sqrt(1.0 + MAX_ABS_Z)
-_LOG_TOL = math.log(2.0 ** -53 / math.cosh(1.0))
-_MAX_TERMS = 80
+_MAX_REACH = 2.5 / _KAPPA
+_LOG_TOL = math.log(2.0 ** -53 / math.cosh(_KAPPA))
 
 
 def _lattice_terms(h: float) -> int:
     """Series terms J for the lattice step h, or 0 if h needs the direct read."""
-    q = _STRIDE // 2 * abs(h) * _KAPPA
-    if not 0.0 < q < 1.0:               # h = 0, or |h| too coarse or not finite
+    reach = _STRIDE // 2 * abs(h)
+    if not 0.0 < reach <= _MAX_REACH:   # h = 0, or |h| too coarse or not finite
         return 0
-    # at least 3, so that each sum of `_taylor_rows` reads both Ai and Ai'
-    terms = max(3, math.ceil(_LOG_TOL / math.log(q)))
-    return terms if terms <= _MAX_TERMS else 0
+    return math.ceil((_LOG_TOL + math.log1p(-reach)) / math.log(reach))
+
+
+@functools.lru_cache(maxsize=16)
+def _step_matrix(h: float, terms: int) -> np.ndarray:
+    """The two real (4 W) x (2 _STRIDE) matrices, for Ai and for Ai', that
+    sum `terms` terms of the Taylor series at the steps
+    d_s = (s - _STRIDE/2) h, s = 0 ... _STRIDE - 1, with W = terms // 2 + 1;
+    read-only, and built once per (h, terms).
+
+    The coefficients of the series at an anchor za are
+    c_j = P_j(za) Ai(za) + Q_j(za) Ai'(za), with P_0 = 1, Q_0 = 0, P_1 = 0,
+    Q_1 = 1 and c_{j+2} = (za c_j + c_{j-1}) / ((j + 2)(j + 1)), so P_j and
+    Q_j are fixed polynomials of degree at most j/2, with non-negative
+    coefficients.  The rows are (P or Q, power k of za, real or imaginary
+    part) and the columns (s, real or imaginary part), and an entry is
+    non-zero only where both parts agree.  There it holds, for the P rows,
+    the sum over j < terms of the coefficient of za^k in P_j times d_s^j
+    (for Ai), or of that in P_{j+1} times (j + 1) d_s^j (for Ai'); the Q
+    rows hold the same for Q.
+    """
+    width = terms // 2 + 1
+    poly = np.zeros((terms + 1, 2, width))           # (j, P or Q, power of za)
+    poly[0, 0, 0] = poly[1, 1, 0] = 1.0
+    for j in range(terms - 1):
+        poly[j + 2, :, 1:] = poly[j, :, :-1]
+        if j:
+            poly[j + 2] += poly[j - 1]
+        poly[j + 2] /= (j + 2) * (j + 1)
+    step = (np.arange(_STRIDE) - _STRIDE // 2) * h
+    power = step ** np.arange(terms)[:, None]                    # d_s^j, j < terms
+    coef = np.stack((poly[:-1], poly[1:] * np.arange(1.0, terms + 1.0)[:, None, None]))
+    sums = np.einsum("ojpk,js->opks", coef, power).reshape(2, 2 * width, _STRIDE)
+    # a row's real part sums into the outputs' real parts, its imaginary part
+    # into their imaginary parts
+    steps = np.stack([np.kron(m, np.eye(2)) for m in sums])
+    steps.flags.writeable = False
+    return steps
 
 
 def _taylor_rows(za, ai, aip, h: float, terms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -248,35 +285,31 @@ def _taylor_rows(za, ai, aip, h: float, terms: int) -> tuple[np.ndarray, np.ndar
         Ai'(za + d) = sum_j (j + 1) c_{j+1} d^j,
         c_{j+2} = (za c_j + c_{j-1}) / ((j + 2)(j + 1))   (Ai'' = z Ai, DLMF 9.2.1),
 
-    summed for every anchor and step by one matrix product: the real and
-    imaginary parts of c_0 ... c_J, one row each per anchor, times the
-    (J + 1) x (2 _STRIDE) matrix of the powers d_s^j and (j + 1) d_s^j.
-    Every anchor shares that matrix, so the value at za[i] + d_s depends
-    on za[i], h, s and the anchor's own coefficients alone, and the
-    anchor, whose column is (1, 0, 0, ...), keeps its Ai and Ai'.
-    OpenBLAS (0.3.31 measured) gives a row of the product the same bits
-    whatever the count of rows; with the anchors as the product's columns
-    instead, the last few columns' bits depend on the count.  Each column
-    multiplies every coefficient, zeros included, and 0 times an infinity
-    is NaN, so a non-finite Ai or Ai' at an anchor makes every value of
-    its rows non-finite, and no other anchor's.
+    with each c_j written as P_j(za) Ai(za) + Q_j(za) Ai'(za), so that
+    Ai(za + d_s) is the sum over k of Ai(za) za^k and Ai'(za) za^k, each
+    times a real number that depends on h, s and k alone, and the same for
+    Ai'.  One cumulative product gives Ai(za) za^k and Ai'(za) za^k, and
+    one matrix product per output sums every anchor and step: their real
+    and imaginary parts, one row per anchor, times `_step_matrix`, whose
+    columns give the outputs' real and imaginary parts side by side.  Every
+    anchor shares that matrix, so the value at za[i] + d_s depends on
+    za[i], h, s and the anchor's own Ai and Ai' alone, and the anchor,
+    whose column takes Ai (or Ai') times za^0 and nothing else, keeps its
+    Ai and Ai'.  OpenBLAS (0.3.31 measured) gives a row of the product the
+    same bits whatever the count of rows; with the anchors as the
+    product's columns instead, the last few columns' bits depend on the
+    count.  Each column multiplies every entry of a row, zeros included,
+    and 0 times an infinity is NaN, so a non-finite Ai or Ai' at an anchor
+    makes every value of its row non-finite, and no other anchor's.
     """
-    coef = np.empty((terms + 1, za.size), dtype=complex)
-    coef[0], coef[1] = ai, aip
-    for j in range(terms - 1):
-        np.multiply(za, coef[j], out=coef[j + 2])
-        if j:
-            coef[j + 2] += coef[j - 1]
-        coef[j + 2] /= (j + 2) * (j + 1)
-    step = (np.arange(_STRIDE) - _STRIDE // 2) * h
-    power = step ** np.arange(terms)[:, None]
-    cols = np.zeros((terms + 1, 2, _STRIDE))
-    cols[:-1, 0] = power                                        # d^j on c_j
-    cols[1:, 1] = power * np.arange(1.0, terms + 1.0)[:, None]  # (j + 1) d^j on c_{j+1}
-    # rows (anchor, real or imaginary part); a real power scales both alike
-    sums = coef.view(float).T @ cols.reshape(terms + 1, -1)
-    sums = sums.reshape(za.size, 2, 2, _STRIDE).transpose(2, 0, 3, 1)
-    sums = np.ascontiguousarray(sums).view(complex)[..., 0]
+    steps = _step_matrix(h, terms)
+    width = steps.shape[1] // 4
+    # rows (Ai or Ai', za, za, ...) whose running products are Ai za^k, Ai' za^k
+    seq = np.empty((za.size, 2, width), dtype=complex)
+    seq[:, 0, 0], seq[:, 1, 0] = ai, aip
+    seq[:, :, 1:] = za[:, None, None]
+    np.cumprod(seq, axis=2, out=seq)
+    sums = (seq.view(float).reshape(za.size, 4 * width) @ steps).view(complex)
     return sums[0], sums[1]
 
 
@@ -286,27 +319,34 @@ def airy_ai_and_prime_lattice(c: complex, h: float, ks: range) -> tuple[np.ndarr
     The values are those of `airy_ai_and_prime(c + np.arange(ks.start,
     ks.stop) * h)` to within the kernel's accuracy, and it refuses what
     that call refuses, NaN included.  The kernel is read only at the
-    anchors, the nodes k = 0 mod 16; each other node is summed from the
-    anchor at most 8 nodes away by `_taylor_rows`, over the step
+    anchors, the nodes k = 0 mod 64; each other node is summed from the
+    anchor at most 32 nodes away by `_taylor_rows`, over the step
     (k - k_anchor) h, in one matrix product for the whole range.  The
     remainder after J terms is bounded through a majorant: the Taylor
     coefficients a_j = Ai^(j)(z) obey a_{j+2} = z a_j + j a_{j-1}, so with
     R >= |z|, B_0 = |a_0|, B_1 = |a_1| and B_{j+2} = R B_j + j B_{j-1},
-    every |a_j| <= B_j; the B_j are the coefficients of Y'' = (R + d) Y,
-    which stays below B_0 cosh(kappa d) + (B_1/kappa) sinh(kappa d) for
-    0 <= d <= 1/kappa, kappa = sqrt(1 + R).  So with q = 8 |h| kappa the
-    remainder of Ai after J terms, and that of Ai'/kappa, is at most
-    cosh(1) q^J (|Ai| + |Ai'|/kappa) at the anchor.  R = 40 for every
-    anchor in the disc, so J, the least count with cosh(1) q^J <= 2^-53,
-    depends on h alone: 28 at |h| = 0.005, 56 at 0.01, 77 at 0.012.
+    every |a_j| <= B_j; the B_j are the derivatives at 0 of the solution
+    Y of Y'' = (R + d) Y, which for 0 <= d <= 1 stays below
+    Z = B_0 cosh(kappa d) + (B_1/kappa) sinh(kappa d), kappa = sqrt(1 + R),
+    and Y' below Z'.  The B_j are non-negative, so B_j/j! <= Y(1) and
+    B_{j+1}/j! <= Y'(1), and both Y(1) and Y'(1)/kappa are at most
+    cosh(kappa) (B_0 + B_1/kappa).  So with D = 32 |h| < 1, the longest
+    step, the remainder of Ai after J terms, and that of Ai'/kappa, is at
+    most cosh(kappa) D^J / (1 - D) (|Ai| + |Ai'|/kappa) at the anchor.
+    R = 40 for every anchor in the disc, so J, the least count with
+    cosh(kappa) D^J / (1 - D) <= 2^-53, depends on h alone: 24 at
+    |h| = 0.005, 38 at 0.01, 45 at 0.012.  It sets only the step matrix,
+    built once per h (`_step_matrix`).
 
-    Where J would exceed 80 (|h| above about 0.0122; from 0.02 on, q > 1
-    and the series diverges), the whole range is read directly.  So is
-    the block of an anchor outside |z| <= 40, which can happen within 8
-    nodes past either end of a range whose nodes all lie inside.  Every
-    node's value depends on c, h and k alone, so two reads that share
-    nodes of one lattice give the same bits there, and an anchor's value
-    is the direct read's.
+    The same majorant at reach D bounds the sum of the terms' moduli,
+    which sets the rounding, by cosh(kappa D) (|Ai| + |Ai'|/kappa).  The
+    series is taken while kappa D <= 2.5, so that factor stays below
+    cosh(2.5) = 6.1: |h| up to about 0.0122.  A coarser step is read
+    directly over the whole range.  So is the block of an anchor outside
+    |z| <= 40, which can happen within 32 nodes past either end of a
+    range whose nodes all lie inside.  Every node's value depends on c, h
+    and k alone, so two reads that share nodes of one lattice give the
+    same bits there, and an anchor's value is the direct read's.
     """
     if ks.step != 1:
         raise ValueError("the lattice range must have step 1")
@@ -319,8 +359,8 @@ def airy_ai_and_prime_lattice(c: complex, h: float, ks: range) -> tuple[np.ndarr
     z = c + np.arange(ks.start, ks.stop) * h
     _refuse_outside_disc(np.abs(z).max())       # NaN included
     half = _STRIDE // 2
-    # the anchor of node k is 16 ((k + 8) // 16), and its block the nodes
-    # from 8 before it to 7 after it
+    # the anchor of node k is 64 ((k + 32) // 64), and its block the nodes
+    # from 32 before it to 31 after it
     first = (ks.start + half) // _STRIDE
     anchors = np.arange(first, (ks.stop - 1 + half) // _STRIDE + 1)
     za = c + anchors * _STRIDE * h

@@ -554,9 +554,7 @@ def run_verify(cfg: RunConfig, stdout=None, wrong_sign_k: bool = False) -> int:
                     tol["pseudo_hermiticity"], pseudo_hermiticity_check(prof, float(t), region))
     report.sort(key=lambda r: (r["check"], json.dumps(r["params"], sort_keys=True)))
 
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     ok = all(r["pass"] for r in report)
     if stdout:

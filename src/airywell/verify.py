@@ -21,7 +21,7 @@ The time derivatives are finite differences over the instants of
 scalars alone, and the chain rule on one read of Ai and Ai' at t gives
 the state's d/dt (`wavefunction.wavefunction_branch_and_dt`).  Every
 residual reads the state on the grid's lattice x = k dx through
-`airy.airy_ai_and_prime_lattice`, which reads the kernel at every 16th
+`airy.airy_ai_and_prime_lattice`, which reads the kernel at every 64th
 node and sums the others from it; reads that share nodes give the same
 bits there, so a residual computed from shared samples equals its
 standalone call bitwise.

@@ -43,7 +43,7 @@ The kernel N_n Ai is read only through `spectrum`.  On a grid x = k dx
 its argument x + D - lambda_n is itself a lattice, so the residual
 checks read N_n Ai and N_n Ai' there with `spectrum._lattice_read`
 (`wavefunction_branch_on_lattice`, `wavefunction_branch_and_dt`), which
-reads the kernel at every 16th node and sums the others by a Taylor
+reads the kernel at every 64th node and sums the others by a Taylor
 series.  The assembled state and the density read it once per distinct
 |x| with `spectrum._kernel_at_abs`: by the same lattice read when those
 are k h, k = 0 ... K (every `Grid1D` grid), else Ai alone directly, as

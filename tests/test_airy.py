@@ -492,27 +492,31 @@ def _lattice(c, h, ks):
 
 
 def test_lattice_term_counts():
-    # cosh(1) q^J <= 2^-53 with q = 8 |h| sqrt(41); past 80 terms, and
-    # wherever q >= 1 (|h| = 0.02 and 0.04), the read is direct
-    assert [airy._lattice_terms(h) for h in (0.005, -0.005, 0.01, 0.012)] == [28, 28, 56, 77]
-    # never fewer than 3, so that both sums read Ai and Ai' at the anchor
-    assert [airy._lattice_terms(h) for h in (1e-9, 1e-12)] == [3, 3]
-    assert [airy._lattice_terms(h) for h in (0.0125, 0.02, 0.04, 0.0, np.nan, np.inf)] == [0] * 6
+    # cosh(sqrt(41)) D^J / (1 - D) <= 2^-53 with D = 32 |h|, the longest step
+    assert [airy._lattice_terms(h) for h in (0.005, -0.005, 0.01, 0.012)] == [24, 24, 38, 45]
+    assert [airy._lattice_terms(h) for h in (1e-9, 1e-12)] == [3, 2]
+    # the series up to D sqrt(41) = 2.5, |h| = 0.012201; past it the read is direct
+    assert [airy._lattice_terms(h) for h in (0.0122, -0.0122)] == [46, 46]
+    assert [airy._lattice_terms(h) for h in (0.01221, 0.0125, 0.02, 0.04, 0.0, np.nan, np.inf)] \
+        == [0] * 7
 
 
-@pytest.mark.parametrize("c, ks, every", [
-    (2.0j, range(-6000, 1000), 17),          # Re z from -30 to 5, Im z = 2
-    (-0.75j, range(-7000, 600), 19),         # Re z from -35 to 3, Im z = -0.75
-], ids=["upper", "lower"])
-def test_lattice_read_matches_mpmath_across_the_far_sector(c, ks, every):
-    # the series path at h = 0.005 on lines that cross arg z = +-2pi/3; the
-    # checked nodes (every 17th or 19th) fall on all 16 offsets from an anchor
-    z = _lattice(c, 0.005, ks)
-    ai, aip = airy_ai_and_prime_lattice(c, 0.005, ks)
+@pytest.mark.parametrize("c, h, ks, every", [
+    (2.0j, 0.005, range(-6000, 1000), 17),       # Re z from -30 to 5, Im z = 2
+    (-0.75j, 0.005, range(-7000, 600), 19),      # Re z from -35 to 3, Im z = -0.75
+    (1.0j, 0.012, range(-2500, 420), 17),        # Re z from -30 to 5, Im z = 1
+], ids=["upper", "lower", "coarse"])
+def test_lattice_read_matches_mpmath_across_the_far_sector(c, h, ks, every):
+    # the series path on lines that cross arg z = +-2pi/3, at h = 0.005 and
+    # at the coarse h = 0.012, whose blocks reach 0.384 from the anchor; the
+    # checked nodes (every 17th or 19th) fall on all 64 offsets from an anchor
+    assert airy._lattice_terms(h)
+    z = _lattice(c, h, ks)
+    ai, aip = airy_ai_and_prime_lattice(c, h, ks)
     picked = np.arange(0, z.size, every)
     far = np.abs(np.angle(z[picked])) >= 2 * np.pi / 3
     assert far.any() and not far.all()
-    assert set((ks.start + picked) % 16) == set(range(16))
+    assert set((ks.start + picked) % 64) == set(range(64))
     for got, oracle in ((ai, _mp_ai), (aip, _mp_aip)):
         want = np.array([oracle(w) for w in z[picked]])
         err = np.abs(got[picked] - want) / np.abs(want)
@@ -592,7 +596,7 @@ def test_lattice_reads_agree_bitwise_on_shared_nodes(h):
     c = -5.0 + 1.0j
     a = airy_ai_and_prime_lattice(c, h, range(-37, 300))
     b = airy_ai_and_prime_lattice(c, h, range(101, 777))
-    anchors = np.arange(-32, 300, 16)
+    anchors = np.arange(0, 300, 64)
     direct = airy_ai_and_prime(c + anchors * h)
     for ga, gb, d in zip(a, b, direct):
         assert np.array_equal(ga[101 + 37:], gb[:300 - 101])
@@ -630,7 +634,7 @@ def test_nonfinite_anchor_gives_nonfinite_series_values(terms):
     ai = np.array([inf, 0.3, complex(0.0, inf), nan, 0.2, 0.1, 0.2], dtype=complex)
     aip = np.array([0.1, complex(-inf, 0.0), 0.2, 0.4, nan, complex(nan, 0.0), -0.1],
                    dtype=complex)
-    # every anchor reads the one step vector (s - 8) 0.005, s = 0 ... 15
+    # every anchor reads the one step vector (s - 32) 0.005, s = 0 ... 63
     with np.errstate(all="ignore"):
         vals, ders = airy._taylor_rows(za, ai, aip, 0.005, terms)
     for out in (vals, ders):

@@ -710,11 +710,27 @@ def _count_kernel_reads(monkeypatch, cfg):
 
 def test_default_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp_path):
     # 6 levels x 3 times, each read once at t on the 3203 nodes k = -1 ...
-    # 3201, Ai and Ai' together, with the kernel read at the 201 anchors
-    # k = 0, 16, ..., 3200: 18 lattice reads of 57,654 nodes, 3,618 kernel points
+    # 3201, Ai and Ai' together, with the kernel read at the 51 anchors
+    # k = 0, 64, ..., 3200: 18 lattice reads of 57,654 nodes, 918 kernel points
     cfg = cli.RunConfig(profile=TimeProfile.from_config(cli._DEFAULT_PROFILE),
                         out_dir=tmp_path)
-    assert _count_kernel_reads(monkeypatch, cfg) == (0, [3203] * 18, [201] * 18)
+    assert _count_kernel_reads(monkeypatch, cfg) == (0, [3203] * 18, [51] * 18)
+
+
+def test_verify_and_solve_at_one_dx_build_one_step_matrix(tmp_path):
+    # the lattice read's step matrix is cached per step h: a default verify,
+    # then a solve on the same grid, build it once (its cache's misses count
+    # the builds), and a further read at that h builds nothing
+    airy._step_matrix.cache_clear()
+    cfg = cli.RunConfig(profile=TimeProfile.from_config(cli._DEFAULT_PROFILE),
+                        out_dir=tmp_path)
+    assert cli.run_verify(cfg) == 0
+    assert cli.run_solve(dataclasses.replace(cfg, levels=(0, 3), times=(0.3,))) == 0
+    built = airy._step_matrix.cache_info()
+    assert built.misses == 1 and built.hits >= 19
+    airy.airy_ai_and_prime_lattice(-2.0 + 0.5j, cfg.dx, range(-100, 900))
+    again = airy._step_matrix.cache_info()
+    assert (again.misses, again.hits) == (1, built.hits + 1)
 
 
 def test_tiny_mass_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp_path):
@@ -725,7 +741,7 @@ def test_tiny_mass_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp
                                        "coupling": {"family": "constant", "f0": 1.0}})
     cfg = cli.RunConfig(profile=profile, levels=(0, 1), times=(0.002, 0.005, 0.01),
                         out_dir=tmp_path)
-    assert _count_kernel_reads(monkeypatch, cfg) == (1, [3203] * 6, [201] * 6)
+    assert _count_kernel_reads(monkeypatch, cfg) == (1, [3203] * 6, [51] * 6)
 
 
 def test_tdse_residual_wrong_coupling_sign_fails():

@@ -150,8 +150,9 @@ def test_readers_off_the_lattice_read_directly_bitwise(n):
 
 
 def test_readers_on_a_coarse_lattice_read_directly(monkeypatch):
-    # at dx = 0.02 the lattice read's series diverges (q = 8 dx sqrt(41) > 1),
-    # so the lattice read the readers take reads every node directly
+    # at dx = 0.02 the lattice read's longest step, 32 dx, is past the
+    # series' reach 2.5 / sqrt(41), so the lattice read the readers take
+    # reads every node directly
     from airywell import airy, spectrum
     assert airy._lattice_terms(0.02) == 0
     steps = []
