@@ -8,11 +8,12 @@ checked at the level of operator coefficients where it is exact algebra.
 Grid conventions: 3-point stencil for the second derivative, central
 difference for the first, diagonal multiplication for the potential.
 The |x| kink makes full-line residuals of region formulas meaningless
-near the origin, so residual stencils are fed branch-consistently: every
-stencil value for a node in one region comes from that region's branch
+near the origin, so every residual stencil reads one region's branch
 (the branches are entire, so evaluating them slightly across x = 0 is
-legitimate).  Only the Crank-Nicolson propagator works with the glued
-state on both half-lines, because that is the point of the cross-check;
+legitimate).  Region 2's state is sigma_n times the mirrored region-1
+state (H commutes with parity), so region 2 is read by parity from
+region 1's samples.  Only the Crank-Nicolson propagator works with the
+glued state on both half-lines, because that is the point of the cross-check;
 an unfed run of a mirror-symmetric state steps x >= 0 alone and unfolds
 by parity, which the full-line scheme commutes with.
 
@@ -385,7 +386,8 @@ def _branch_samples(profile: TimeProfile, n: int, t: float, grid: Grid1D):
     by the chain rule, with `_time_derivative` taken of the coefficient
     scalars alone.  Region 2 is read from these by parity: its value at
     k dx, k < 0, is sigma_n times the region-1 value at |k| dx, which is
-    bitwise what `wavefunction_branch_on_lattice(..., 2, ...)` gives there.
+    bitwise what `wavefunction_branch_on_lattice(..., 2, ...)` gives there,
+    and the evolution residual's rows there are region 1's at |k|.
     """
     k_max = max(-grid.first_index, grid.first_index + grid.n_points - 1)
     centre, dpsi = wavefunction_branch_and_dt(
@@ -395,64 +397,50 @@ def _branch_samples(profile: TimeProfile, n: int, t: float, grid: Grid1D):
 
 
 def _tdse_rows(n: int, grid: Grid1D) -> np.ndarray:
-    """The rows the evolution residual keeps: all but three at each edge,
-    and but x = 0 for odd n.  A ValueError if that leaves none."""
-    keep = np.zeros(grid.n_points, dtype=bool)
-    keep[3:grid.n_points - 3] = True
+    """The sorted |k| of the rows the evolution residual keeps: all but three
+    at each edge, and but x = 0 for odd n.  A ValueError if that leaves none."""
+    ks = np.arange(grid.first_index + 3, grid.first_index + grid.n_points - 3)
     if n % 2 == 1:
-        keep &= np.abs(grid.nodes) > 1e-12
-    if not keep.any():
+        ks = ks[ks != 0]
+    if not ks.size:
         raise ValueError("tdse residual needs a node 3 nodes in from each end, off x = 0 for odd n")
-    return keep
+    return np.sort(np.abs(ks))
 
 
-def _tdse(profile: TimeProfile, n: int, t: float, grid: Grid1D, centre: np.ndarray,
-          dpsi: np.ndarray, flip_coupling_sign: bool, keep: np.ndarray) -> float:
-    """The evolution residual on grid from `_branch_samples` (see `tdse_residual`)."""
-    xs = grid.nodes
-    dx = grid.dx
+def _tdse(profile: TimeProfile, t: float, dx: float, centre: np.ndarray, dpsi: np.ndarray,
+          flip_coupling_sign: bool, rows: np.ndarray) -> float:
+    """The evolution residual at the rows |k| of `_tdse_rows`, from the
+    region-1 samples of `_branch_samples` (see `tdse_residual`)."""
     m = float(profile.mass.value(t))
     f = float(profile.coupling.value(t))
     if flip_coupling_sign:
         f = -f
-    sigma = -1.0 if n % 2 else 1.0
-    n_neg = -grid.first_index                 # region-2 nodes, k = -n_neg ... -1
-    # per region: the branch at its nodes plus one beyond each end (the
-    # branch is entire, crossing x = 0 is fine), its d/dt at its nodes
-    regions = ((sigma * centre[n_neg + 2:0:-1], sigma * dpsi[n_neg:0:-1], xs[:n_neg]),
-               (centre[:grid.n_points - n_neg + 2], dpsi[:grid.n_points - n_neg], xs[n_neg:]))
-    res = []
-    psi_mid = []
-    for ext, d, x in regions:
-        mid = ext[1:-1]
-        lap = (ext[2:] - 2.0 * mid + ext[:-2]) / dx**2
-        res.append(1j * d - (-lap / (2.0 * m) + 1j * f * np.abs(x) * mid))
-        psi_mid.append(mid)
-    res = np.concatenate(res)
-    psi_mid = np.concatenate(psi_mid)
-    return float(np.linalg.norm(res[keep]) / np.linalg.norm(psi_mid[keep]))
+    # the branch is entire, so the stencil at k = 0 may read k = -1
+    mid = centre[1:-1]
+    lap = (centre[2:] - 2.0 * mid + centre[:-2]) / dx**2
+    res = 1j * dpsi - (-lap / (2.0 * m) + 1j * f * (np.arange(mid.size) * dx) * mid)
+    return float(np.linalg.norm(res[rows]) / np.linalg.norm(mid[rows]))
 
 
 def tdse_residual(profile: TimeProfile, n: int, t: float, grid: Grid1D,
                   flip_coupling_sign: bool = False) -> float:
     """Relative L2 residual of i d(psi)/dt = H psi for the closed form.
 
-    Stencils are branch-consistent: rows at x > 0 use region-1 branch
-    values everywhere in the stencil (likewise x < 0 / region 2), so the
-    |x| kink of the glued state never contaminates the difference.  The
-    x = 0 row comes from region 1 and is dropped for odd n, where the two
-    branches genuinely disagree there; three rows at each edge are dropped
-    because the Dirichlet stencil is wrong for a non-vanishing tail.
-    Region 2's values are read by parity from region 1's, and the d/dt
-    is the chain rule on the same read (`_branch_samples`), so the kernel
-    is read once.
+    One stencil, on region 1's branch at |x| = k dx (`_branch_samples`), so
+    the |x| kink of the glued state never enters a difference.  The row of
+    a node k dx < 0 is sigma_n times region 1's row at |k| by parity, and
+    the norms, taken over the sorted |k| of the kept rows, do not see
+    sigma_n: a grid and its mirror image give the same bits.  The x = 0
+    row is dropped for odd n, where the two branches genuinely disagree;
+    three rows at each edge are dropped because the Dirichlet stencil is
+    wrong for a non-vanishing tail.
 
     flip_coupling_sign builds H with -f while the state keeps +f: a
     negative control that must fail loudly.
     """
-    keep = _tdse_rows(n, grid)
+    rows = _tdse_rows(n, grid)
     centre, dpsi = _branch_samples(profile, n, t, grid)
-    return _tdse(profile, n, t, grid, centre, dpsi, flip_coupling_sign, keep)
+    return _tdse(profile, t, grid.dx, centre, dpsi, flip_coupling_sign, rows)
 
 
 def _invariant_eigen(profile: TimeProfile, n: int, region: int, t: float, grid: Grid1D,
@@ -488,20 +476,20 @@ def level_residuals(profile: TimeProfile, n: int, t: float, grid: Grid1D,
 
     Returns (`tdse_residual` on grid, `invariant_eigen_residual` of region
     1 on grid's x >= 0 half, that of region 2 on its x <= 0 half), all
-    read from one `_branch_samples`, one Airy read at t: the region-2
-    state is sigma_n times the mirrored region-1 samples.  On a
-    `centered` grid each value equals its standalone call (on the
-    `half_line` grids for the invariant rows) bitwise.
+    read from one `_branch_samples`, one Airy read at t, with region 2 read
+    by parity: the region-2 invariant row reads sigma_n times the mirrored
+    samples.  On a `centered` grid each value equals its standalone call
+    (on the `half_line` grids for the invariant rows) bitwise.
     """
     n_neg = -grid.first_index
     if min(n_neg, grid.n_points - 1 - n_neg) < 4:
         raise ValueError("level residuals need at least 4 grid nodes on each side of x = 0")
-    keep = _tdse_rows(n, grid)
+    rows = _tdse_rows(n, grid)
     centre, dpsi = _branch_samples(profile, n, t, grid)
     sigma = -1.0 if n % 2 else 1.0
     half1 = Grid1D(0.0, grid.x_max, grid.n_points - n_neg)
     half2 = Grid1D(grid.x_min, 0.0, n_neg + 1)
-    return (_tdse(profile, n, t, grid, centre, dpsi, flip_coupling_sign, keep),
+    return (_tdse(profile, t, grid.dx, centre, dpsi, flip_coupling_sign, rows),
             _invariant_eigen(profile, n, 1, t, half1, centre[1:half1.n_points + 1]),
             _invariant_eigen(profile, n, 2, t, half2, sigma * centre[n_neg + 1:0:-1]))
 
