@@ -15,7 +15,6 @@ from .airy import (
     AiryPair,
     airy_eval,
     airy_eval_many,
-    airy_ai_many,
     airy_ai_and_prime,
     airy_ai_and_prime_lattice,
     airy_function_zero,
@@ -38,7 +37,6 @@ from .spectrum import (
 from .wavefunction import (
     WavefunctionSample,
     wavefunction_branch,
-    wavefunction_branch_on_lattice,
     wavefunction_branch_and_dt,
     assemble_wavefunction,
     reconstructed_density,
@@ -63,7 +61,6 @@ __all__ = [
     "AiryPair",
     "airy_eval",
     "airy_eval_many",
-    "airy_ai_many",
     "airy_ai_and_prime",
     "airy_ai_and_prime_lattice",
     "airy_function_zero",
@@ -80,7 +77,6 @@ __all__ = [
     "density",
     "WavefunctionSample",
     "wavefunction_branch",
-    "wavefunction_branch_on_lattice",
     "wavefunction_branch_and_dt",
     "assemble_wavefunction",
     "reconstructed_density",

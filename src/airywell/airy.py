@@ -10,12 +10,12 @@ of Ai and a'_k of Ai'.  The evaluators share one input contract:
     Against mpmath Ai is within about 4e-14 relative, and Ai' about
     5e-14, on the working disc |z| <= 40, away from the zeros.
 
-  * `airy_ai_many` gives Ai alone: on an array, the Ai column of
-    `airy_ai_and_prime`.  The eigenfunctions, states and densities off a
-    lattice read only Ai, so they use it.  A 0-d input (one point, as the
-    Crank-Nicolson boundary feed asks for on every step) is read in Python
-    scalars with the same formulas, which costs a fraction of the same
-    work on one-element arrays.
+  * `_ai_point` gives Ai alone at one point (as the Crank-Nicolson
+    boundary feed asks for on every step), in Python scalars with
+    `airy_ai_and_prime`'s formulas, which costs a fraction of the same
+    work on a one-element array.  The eigenfunctions, states and densities
+    off a lattice read Ai through it, or through `airy_ai_and_prime`'s Ai
+    column on an array (see `spectrum`).
 
   * `airy_ai_and_prime_lattice` gives Ai and Ai' on a lattice c + k h
     with a real step h.  It reads `airy_ai_and_prime` at the anchors,
@@ -78,7 +78,6 @@ __all__ = [
     "AiryPair",
     "airy_eval",
     "airy_eval_many",
-    "airy_ai_many",
     "airy_ai_and_prime",
     "airy_ai_and_prime_lattice",
     "airy_function_zero",
@@ -141,24 +140,9 @@ def airy_eval_many(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return airy(_in_disc(z)[0])
 
 
-def airy_ai_many(z) -> np.ndarray:
-    """Evaluate Ai alone on an array of complex points.
-
-    Same contract as `airy_eval_many`, whose first output this matches in
-    shape and dtype.  An array is read by `airy_ai_and_prime`, whose Ai
-    column this is.  A 0-d input (a Python or numpy number, or a 0-d
-    array) is read by `_ai_point` in Python scalars and gives an
-    np.complex128.
-    """
-    if isinstance(z, (int, float, complex)) or np.ndim(z) == 0:
-        return _ai_point(complex(z))
-    return airy_ai_and_prime(z)[0]
-
-
 def _ai_point(z: complex) -> np.complex128:
-    """`airy_ai_many` at one point: `airy_ai_and_prime`'s Ai formulas,
-    refusals and Ai(0) rule, in Python scalars and one or two scalar kv
-    calls."""
+    """Ai at one point: `airy_ai_and_prime`'s Ai formulas, refusals and
+    Ai(0) rule, in Python scalars and one or two scalar kv calls."""
     # the float sum clears a -0.0 imaginary part; z + 0.0 need not
     z = complex(z.real, z.imag + 0.0)
     mod = abs(z)
@@ -356,8 +340,8 @@ def airy_ai_and_prime_lattice(c: complex, h: float, ks: range) -> tuple[np.ndarr
         # an infinite or huge h gives NaN or infinite points, which are refused
         with np.errstate(over="ignore", invalid="ignore"):
             return airy_ai_and_prime(c + np.arange(ks.start, ks.stop) * h)
-    z = c + np.arange(ks.start, ks.stop) * h
-    _refuse_outside_disc(np.abs(z).max())       # NaN included
+    # |c + k h| is convex in k, so the end nodes hold its largest value; NaN included
+    _refuse_outside_disc(np.abs(c + np.array((ks.start, ks.stop - 1)) * h).max())
     half = _STRIDE // 2
     # the anchor of node k is 64 ((k + 32) // 64), and its block the nodes
     # from 32 before it to 31 after it
@@ -373,7 +357,7 @@ def airy_ai_and_prime_lattice(c: complex, h: float, ks: range) -> tuple[np.ndarr
     aip = aip.reshape(-1)[lo:lo + len(ks)]
     if not inside.all():
         direct = ~np.repeat(inside, _STRIDE)[lo:lo + len(ks)]
-        ai[direct], aip[direct] = airy_ai_and_prime(z[direct])
+        ai[direct], aip[direct] = airy_ai_and_prime(c + np.arange(ks.start, ks.stop)[direct] * h)
     return ai, aip
 
 

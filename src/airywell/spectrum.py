@@ -23,6 +23,9 @@ branch is sigma_n times it at -z (see `wavefunction`).
 
 Every real-grid reader, here and in `wavefunction`, reads N Ai once per
 distinct |x| through `_kernel_at_abs`, on a lattice by `_lattice_read`.
+Off a lattice, `eigenfunction_continued` reads Ai directly: the Ai
+column of `airy.airy_ai_and_prime` on an array, `airy._ai_point` at one
+point.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import numpy as np
 
 # airy_eval_many is not called here, but the benchmark tracer in
 # bench/tracing.py rebinds it in this namespace
-from .airy import (airy_ai_and_prime_lattice, airy_ai_many, airy_derivative_zero,  # noqa: F401
-                   airy_eval, airy_eval_many, airy_function_zero)
+from .airy import (_ai_point, airy_ai_and_prime, airy_ai_and_prime_lattice,  # noqa: F401
+                   airy_derivative_zero, airy_eval, airy_eval_many, airy_function_zero)
 
 __all__ = [
     "MAX_LEVEL",
@@ -115,12 +118,14 @@ def eigenfunction(n: int, x):
 def eigenfunction_continued(n: int, z):
     """Analytic continuation N Ai(z - lambda) of phi_n's x >= 0 branch.
 
-    A 0-d z is read in Python scalars and gives a Python complex.
+    An array z is read by `airy_ai_and_prime`, whose Ai column this
+    takes; a 0-d z by `_ai_point` in Python scalars, giving a Python
+    complex.
     """
     lev = level(n)
     if isinstance(z, (int, float, complex)) or np.ndim(z) == 0:
-        return complex(airy_ai_many(z - lev.eigenvalue) * lev.norm_const)
-    return airy_ai_many(np.asarray(z, dtype=complex) - lev.eigenvalue) * lev.norm_const
+        return complex(_ai_point(complex(z - lev.eigenvalue)) * lev.norm_const)
+    return airy_ai_and_prime(np.asarray(z, dtype=complex) - lev.eigenvalue)[0] * lev.norm_const
 
 
 def density(n: int, x):

@@ -11,8 +11,9 @@ The |x| kink makes full-line residuals of region formulas meaningless
 near the origin, so every residual stencil reads one region's branch
 (the branches are entire, so evaluating them slightly across x = 0 is
 legitimate).  Region 2's state is sigma_n times the mirrored region-1
-state (H commutes with parity), so region 2 is read by parity from
-region 1's samples.  Only the Crank-Nicolson propagator works with the
+state (H commutes with parity), so each residual reads region 1's
+branch once per (n, t) (`_branch_samples`) and region 2 by parity from
+those samples.  Only the Crank-Nicolson propagator works with the
 glued state on both half-lines, because that is the point of the cross-check;
 an unfed run of a mirror-symmetric state steps x >= 0 alone and unfolds
 by parity, which the full-line scheme commutes with.
@@ -41,7 +42,7 @@ from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .profiles import TimeProfile, coefficients_at, invariant_coefficients
 from .spectrum import level
-from .wavefunction import wavefunction_branch_and_dt, wavefunction_branch_on_lattice
+from .wavefunction import wavefunction_branch_and_dt
 # wavefunction_branch is not called here, but the benchmark tracer in
 # bench/tracing.py rebinds it in this namespace
 from .wavefunction import wavefunction_branch  # noqa: F401
@@ -385,13 +386,13 @@ def _branch_samples(profile: TimeProfile, n: int, t: float, grid: Grid1D):
     Ai' at t: `wavefunction_branch_and_dt` gives the branch and its d/dt
     by the chain rule, with `_time_derivative` taken of the coefficient
     scalars alone.  Region 2 is read from these by parity: its value at
-    k dx, k < 0, is sigma_n times the region-1 value at |k| dx, which is
-    bitwise what `wavefunction_branch_on_lattice(..., 2, ...)` gives there,
-    and the evolution residual's rows there are region 1's at |k|.
+    k dx, k < 0, is sigma_n times the region-1 value at |k| dx
+    (`_invariant_eigen`), and the evolution residual's rows there are
+    region 1's at |k|.
     """
     k_max = max(-grid.first_index, grid.first_index + grid.n_points - 1)
     centre, dpsi = wavefunction_branch_and_dt(
-        profile, n, 1, range(-1, k_max + 2), grid.dx, t,
+        profile, n, range(-1, k_max + 2), grid.dx, t,
         lambda fn: _time_derivative(fn, t, profile.window))
     return centre, dpsi[1:-1]
 
@@ -444,8 +445,15 @@ def tdse_residual(profile: TimeProfile, n: int, t: float, grid: Grid1D,
 
 
 def _invariant_eigen(profile: TimeProfile, n: int, region: int, t: float, grid: Grid1D,
-                     psi: np.ndarray) -> float:
-    """The invariant residual of the state psi on grid (see `invariant_eigen_residual`)."""
+                     centre: np.ndarray) -> float:
+    """The invariant residual on region's half-line grid (see
+    `invariant_eigen_residual`), from the samples centre of
+    `_branch_samples`: region 1's k = 0 ... N - 1, with N grid's node
+    count, or for region 2 sigma_n times them mirrored (parity)."""
+    if region == 1:
+        psi = centre[1:grid.n_points + 1]
+    else:
+        psi = (-1.0 if n % 2 else 1.0) * centre[grid.n_points:0:-1]
     lam = level(n).eigenvalue
     op = build_invariant(profile, region, t, grid)
     res = op.apply(psi) - lam * psi
@@ -458,16 +466,15 @@ def invariant_eigen_residual(profile: TimeProfile, n: int, region: int, t: float
 
     The grid must live in the region's half-line; interior rows only (the
     end rows of a tridiagonal operator see truncated stencils).  The
-    branch is read on the grid's lattice (`wavefunction_branch_on_lattice`).
+    state is read as `level_residuals` reads it: region 1's branch on the
+    grid's lattice (`_branch_samples`), and region 2 by parity from it.
     """
     xs = grid.nodes
     if region == 1 and xs[0] < -1e-12:
         raise ValueError("region 1 residual needs a grid on x >= 0")
     if region == 2 and xs[-1] > 1e-12:
         raise ValueError("region 2 residual needs a grid on x <= 0")
-    psi = wavefunction_branch_on_lattice(
-        profile, n, region, range(grid.first_index, grid.first_index + grid.n_points), grid.dx, t)
-    return _invariant_eigen(profile, n, region, t, grid, psi)
+    return _invariant_eigen(profile, n, region, t, grid, _branch_samples(profile, n, t, grid)[0])
 
 
 def level_residuals(profile: TimeProfile, n: int, t: float, grid: Grid1D,
@@ -477,21 +484,18 @@ def level_residuals(profile: TimeProfile, n: int, t: float, grid: Grid1D,
     Returns (`tdse_residual` on grid, `invariant_eigen_residual` of region
     1 on grid's x >= 0 half, that of region 2 on its x <= 0 half), all
     read from one `_branch_samples`, one Airy read at t, with region 2 read
-    by parity: the region-2 invariant row reads sigma_n times the mirrored
-    samples.  On a `centered` grid each value equals its standalone call
-    (on the `half_line` grids for the invariant rows) bitwise.
+    by parity (`_invariant_eigen`).  Each value equals its standalone
+    call (on grid's two halves for the invariant rows) bitwise.
     """
     n_neg = -grid.first_index
     if min(n_neg, grid.n_points - 1 - n_neg) < 4:
         raise ValueError("level residuals need at least 4 grid nodes on each side of x = 0")
     rows = _tdse_rows(n, grid)
     centre, dpsi = _branch_samples(profile, n, t, grid)
-    sigma = -1.0 if n % 2 else 1.0
-    half1 = Grid1D(0.0, grid.x_max, grid.n_points - n_neg)
-    half2 = Grid1D(grid.x_min, 0.0, n_neg + 1)
     return (_tdse(profile, t, grid.dx, centre, dpsi, flip_coupling_sign, rows),
-            _invariant_eigen(profile, n, 1, t, half1, centre[1:half1.n_points + 1]),
-            _invariant_eigen(profile, n, 2, t, half2, sigma * centre[n_neg + 1:0:-1]))
+            _invariant_eigen(profile, n, 1, t, Grid1D(0.0, grid.x_max, grid.n_points - n_neg),
+                             centre),
+            _invariant_eigen(profile, n, 2, t, Grid1D(grid.x_min, 0.0, n_neg + 1), centre))
 
 
 def _commutator_bands(a: DiscretizedOperator, b: DiscretizedOperator):

@@ -41,13 +41,13 @@ alone, so by the chain rule
 
 The kernel N_n Ai is read only through `spectrum`.  On a grid x = k dx
 its argument x + D - lambda_n is itself a lattice, so the residual
-checks read N_n Ai and N_n Ai' there with `spectrum._lattice_read`
-(`wavefunction_branch_on_lattice`, `wavefunction_branch_and_dt`), which
-reads the kernel at every 64th node and sums the others by a Taylor
-series.  The assembled state and the density read it once per distinct
-|x| with `spectrum._kernel_at_abs`: by the same lattice read when those
-are k h, k = 0 ... K (every `Grid1D` grid), else Ai alone directly, as
-at arbitrary complex x.
+checks read region 1's N_n Ai and N_n Ai' there with
+`spectrum._lattice_read` (`wavefunction_branch_and_dt`), which reads the
+kernel at every 64th node and sums the others by a Taylor series, and
+take region 2 from those samples by parity.  The assembled state and the
+density read it once per distinct |x| with `spectrum._kernel_at_abs`: by
+the same lattice read when those are k h, k = 0 ... K (every `Grid1D`
+grid), else Ai alone directly, as at arbitrary complex x.
 
 Region 2 (x <= 0) needs no formula of its own.  H(t) = -d^2/dx^2 / (2m)
 + i f |x| commutes with parity P, the region-2 invariant is P I_1 P, and
@@ -77,7 +77,6 @@ from .spectrum import _kernel_at_abs, _lattice_read, eigenfunction_continued, le
 __all__ = [
     "WavefunctionSample",
     "wavefunction_branch",
-    "wavefunction_branch_on_lattice",
     "wavefunction_branch_and_dt",
     "assemble_wavefunction",
     "reconstructed_density",
@@ -138,55 +137,23 @@ def _branch1(n: int, c: CoefficientSet, x, continued=None):
     return exp(1j * phi) * exp(a) * exp(slope * x) * continued
 
 
-def _on_lattice(n: int, region: int, c: CoefficientSet, ks: range, dx: float) -> tuple:
-    """(x, Psi_n,1, E N_n Ai'(x + D - lambda_n)) at one region's nodes k dx, k in ks.
+def wavefunction_branch_and_dt(profile: TimeProfile, n: int, ks: range, dx: float, t: float,
+                               d_dt) -> tuple:
+    """Region 1's branch at t on the grid nodes k dx, k in ks (a range of
+    step 1), and its d/dt by the module docstring's chain rule, from one
+    `spectrum._lattice_read` of N_n Ai and N_n Ai' at t.
 
-    x is the region-1 coordinate of each node, k dx in region 1 and -k dx
-    in region 2, in the order of ks; Psi_n,1 and the Ai' term of its d/dt
-    (see the module docstring) come from one `spectrum._lattice_read` on
-    the region-1 nodes, so two reads that share nodes of one lattice give
-    the same bits there.
+    k < 0 is allowed, since the branch is entire.  Each node's value
+    depends on its k alone, so two reads that share nodes of one lattice
+    give the same bits there.  d_dt(fn) returns the derivative at t of fn,
+    a function of time with array values; it is taken of the scalars phi,
+    a, sigma and D alone.
     """
-    if region not in (1, 2):
-        raise ValueError("region must be 1 (x >= 0) or 2 (x <= 0)")
-    if region == 2:
-        ks = range(1 - ks.stop, 1 - ks.start)       # the region-1 nodes -k, ascending
+    c = coefficients_at(profile, t)
     x = np.arange(ks.start, ks.stop) * dx
     psi, edge = _branch1(n, c, x, _lattice_read(n, _exponents(n, c)[3], dx, ks))
-    if region == 2:
-        return x[::-1], psi[::-1], edge[::-1]
-    return x, psi, edge
-
-
-def wavefunction_branch_on_lattice(profile: TimeProfile, n: int, region: int, ks: range,
-                                   dx: float, t: float) -> np.ndarray:
-    """One region's branch at t on the grid nodes k dx, k in ks (a range of step 1).
-
-    It agrees with `wavefunction_branch` on the same nodes to within the
-    kernel's accuracy, and bitwise with `wavefunction_branch_and_dt`'s
-    branch and `assemble_wavefunction`'s state on the nodes they share.
-    Region 2 of an odd level is region 1 times -1.0, a complex multiply
-    as in `wavefunction_branch` and `assemble_wavefunction`; a negation
-    would differ from it in the sign of a zero part.
-    """
-    _, psi, _ = _on_lattice(n, region, coefficients_at(profile, t), ks, dx)
-    return -1.0 * psi if region == 2 and n % 2 else psi
-
-
-def wavefunction_branch_and_dt(profile: TimeProfile, n: int, region: int, ks: range,
-                               dx: float, t: float, d_dt) -> tuple:
-    """`wavefunction_branch_on_lattice` and its d/dt by the module
-    docstring's chain rule, from the same one kernel read at t.
-
-    d_dt(fn) returns the derivative at t of fn, a function of time with
-    array values; it is taken of the scalars phi, a, sigma and D alone.
-    """
-    x, psi, edge = _on_lattice(n, region, coefficients_at(profile, t), ks, dx)
     d = d_dt(lambda s: np.array(_exponents(n, coefficients_at(profile, s))))
-    dpsi = psi * (1j * d[0] + d[1] + d[2] * x) + edge * d[3]
-    if region == 2 and n % 2:
-        return -1.0 * psi, -1.0 * dpsi
-    return psi, dpsi
+    return psi, psi * (1j * d[0] + d[1] + d[2] * x) + edge * d[3]
 
 
 def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):
@@ -222,8 +189,9 @@ def assemble_wavefunction(profile: TimeProfile, n: int, t: float, grid) -> Wavef
     One region-1 read per distinct |x|, negated at x < 0 for odd n.  The
     grid must contain the origin, the boundary the two regions share.
     When the distinct |x| are a lattice k h (every `Grid1D` grid), the
-    kernel is `spectrum._lattice_read`'s, as in `_on_lattice`, so the
-    state is bitwise `wavefunction_branch_on_lattice` in both regions.
+    kernel is `spectrum._lattice_read`'s, as in `wavefunction_branch_and_dt`,
+    so the state is bitwise that read's branch on x >= 0, and sigma_n
+    times it mirrored on x < 0.
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size < 2:

@@ -49,7 +49,8 @@ def _unused_imports(path: Path) -> set:
 
 def test_every_import_is_used_exported_or_traced():
     """An import a module neither reads nor exports is dead, unless the tracer
-    rebinds that name in the module's namespace."""
+    rebinds that name in the module's namespace; and every name a module
+    exports resolves in it, so a deleted name cannot linger in `__all__`."""
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     try:
@@ -58,10 +59,13 @@ def test_every_import_is_used_exported_or_traced():
     finally:
         tracer.restore()
     package = TRACING.parents[1] / "src" / "airywell"
-    dead = []
+    dead, dangling = [], []
     for path in sorted(package.glob("*.py")):
         name = "airywell" if path.stem == "__init__" else f"airywell.{path.stem}"
-        exported = set(getattr(importlib.import_module(name), "__all__", ()))
+        module = importlib.import_module(name)
+        exported = set(getattr(module, "__all__", ()))
         dead += [f"{name}.{attr}" for attr in sorted(_unused_imports(path))
                  if attr not in exported and (name, attr) not in traced]
+        dangling += [f"{name}.{attr}" for attr in sorted(exported) if not hasattr(module, attr)]
     assert not dead
+    assert not dangling

@@ -540,7 +540,7 @@ def test_tdse_residual_examples():
 
 def _two_region_tdse(profile, n, t, grid, flip_coupling_sign):
     """The evolution residual with each region's branch read on its own
-    nodes: region 2 through wavefunction_branch_and_dt(..., 2, ...)."""
+    nodes: region 2's as sigma_n times region 1's read at -k, reversed."""
     xs = grid.nodes
     dx = grid.dx
     m = float(profile.mass.value(t))
@@ -554,9 +554,13 @@ def _two_region_tdse(profile, n, t, grid, flip_coupling_sign):
         lo, hi = idx[0], idx[-1]
         # the region's nodes plus one beyond each end
         ks = range(grid.first_index + lo - 1, grid.first_index + hi + 2)
+        if region == 2:
+            ks = range(1 - ks.stop, 1 - ks.start)       # the region-1 nodes -k, ascending
         psi, dpsi = wavefunction_branch_and_dt(
-            profile, n, region, ks, dx, t,
-            lambda fn: verify._time_derivative(fn, t, profile.window))
+            profile, n, ks, dx, t, lambda fn: verify._time_derivative(fn, t, profile.window))
+        if region == 2:
+            sigma = -1.0 if n % 2 else 1.0
+            psi, dpsi = sigma * psi[::-1], sigma * dpsi[::-1]
         lap = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / dx**2
         mid = psi[1:-1]
         res[idx] = 1j * dpsi[1:-1] - (-lap / (2.0 * m) + 1j * f * np.abs(xs[idx]) * mid)
@@ -598,15 +602,19 @@ def test_tdse_residual_is_bitwise_equal_on_a_mirrored_grid(profile):
 
 @pytest.mark.parametrize("profile", [UNIT, WAVY], ids=["unit", "wavy"])
 def test_level_residuals_equal_the_standalone_checks(profile):
-    halves = (Grid1D.half_line(16.0, 0.005, 1), Grid1D.half_line(16.0, 0.005, 2))
-    for n in (0, 1, 2):
-        for t in (0.0, 0.3, profile.window):
-            for flip in (False, True):
-                want = (tdse_residual(profile, n, t, GRID, flip_coupling_sign=flip),
-                        invariant_eigen_residual(profile, n, 1, t, halves[0]),
-                        invariant_eigen_residual(profile, n, 2, t, halves[1]))
-                got = level_residuals(profile, n, t, GRID, flip_coupling_sign=flip)
-                assert got == want, (n, t, flip)
+    # the second grid's halves have 601 and 401 nodes, so both invariant
+    # rows read a half-line slice of samples that run past their own half
+    cases = ((GRID, Grid1D.half_line(16.0, 0.005, 1), Grid1D.half_line(16.0, 0.005, 2)),
+             (Grid1D(-4.0, 6.0, 1001), Grid1D(0.0, 6.0, 601), Grid1D(-4.0, 0.0, 401)))
+    for grid, half1, half2 in cases:
+        for n in (0, 1, 2):
+            for t in (0.0, 0.3, profile.window):
+                for flip in (False, True):
+                    want = (tdse_residual(profile, n, t, grid, flip_coupling_sign=flip),
+                            invariant_eigen_residual(profile, n, 1, t, half1),
+                            invariant_eigen_residual(profile, n, 2, t, half2))
+                    got = level_residuals(profile, n, t, grid, flip_coupling_sign=flip)
+                    assert got == want, (grid, n, t, flip)
 
 
 @pytest.mark.parametrize("read, n, grid, need", [
@@ -685,7 +693,7 @@ def test_branch_time_derivative_matches_mpmath(profile, tables, times, bound):
         for t in times:
             for n in (0, 1, 4):
                 _, got = wavefunction_branch_and_dt(
-                    profile, n, 1, range(80), 0.1, t,
+                    profile, n, range(80), 0.1, t,
                     lambda fn: verify._time_derivative(fn, t, profile.window))
                 got = got[picks]
                 want = np.array([complex(mp.diff(lambda s: _mp_branch(at, n, mp.mpf(xi), s),
@@ -699,12 +707,11 @@ def _count_kernel_reads(monkeypatch, cfg):
     """(exit code, nodes of each lattice read, points of each direct kernel call)
     of one `run_verify`.
 
-    The anchored lattice read is counted, and so are both direct entries
-    that read Ai for a state: `airy_ai_and_prime`, through which the
-    lattice read reads its anchors, and `airy_ai_many`.  An array read
-    through `airy_ai_many` is read by `airy_ai_and_prime`, so it shows up
-    twice in the direct list; a one-point read shows up once, since it
-    bypasses `airy_ai_and_prime`.  So a test cannot pass by moving the
+    The anchored lattice read is counted, and so is every direct entry
+    that reads Ai for a state: `airy_ai_and_prime`, through which the
+    lattice read reads its anchors, and `spectrum`'s own names for it (an
+    array read) and for `_ai_point` (a one-point read).  Each direct read
+    shows up once in the direct list.  So a test cannot pass by moving the
     reads to an entry it does not watch.
     """
     lattice, direct = [], []
@@ -720,7 +727,8 @@ def _count_kernel_reads(monkeypatch, cfg):
                                  lambda c, h, ks: len(ks)))
     monkeypatch.setattr(airy, "airy_ai_and_prime",
                         counting(direct, airy.airy_ai_and_prime, np.size))
-    monkeypatch.setattr(spectrum, "airy_ai_many", counting(direct, spectrum.airy_ai_many, np.size))
+    for name in ("airy_ai_and_prime", "_ai_point"):
+        monkeypatch.setattr(spectrum, name, counting(direct, getattr(spectrum, name), np.size))
     return cli.run_verify(cfg), lattice, direct
 
 

@@ -24,7 +24,7 @@ from airywell.profiles import (
     ZeroCoupling,
     coefficients_at,
 )
-from airywell.airy import airy_ai_many
+from airywell.airy import airy_ai_and_prime
 from airywell.spectrum import density, eigenfunction, eigenfunction_continued, level
 from airywell.wavefunction import (
     _branch1,
@@ -33,7 +33,6 @@ from airywell.wavefunction import (
     reconstructed_density,
     wavefunction_branch,
     wavefunction_branch_and_dt,
-    wavefunction_branch_on_lattice,
 )
 
 UNIT = TimeProfile(mass=ConstantMass(1.0), coupling=ConstantCoupling(1.0), window=3.0)
@@ -65,16 +64,21 @@ def test_assemble_identity_at_zero_time():
 def test_assemble_is_the_two_region_construction_bitwise(profile, ks, dx):
     # the distinct |x| are the lattice k dx, k = 0 ... K, so one lattice
     # read at |x|, sign-flipped at x < 0 for odd n, is the region-1 lattice
-    # branch on x >= 0 and the region-2 one on x < 0, to the bit; the
-    # direct per-node branch agrees within the kernel's accuracy (4.2e-14
-    # of max |psi| measured for n <= 10 and t <= 1.9 on these grids)
+    # branch on x >= 0 and that branch mirrored, times sigma_n, on x < 0, to
+    # the bit; the direct per-node branch agrees within the kernel's
+    # accuracy (4.2e-14 of max |psi| measured for n <= 10 and t <= 1.9 on
+    # these grids)
     grid = np.arange(ks.start, ks.stop) * dx
     pos = grid >= 0.0
     for n in range(4):
         for t in (0.0, 0.5):
+            branch, _ = wavefunction_branch_and_dt(profile, n, range(0, max(ks.stop, 1 - ks.start)),
+                                                   dx, t, lambda fn: fn(t))
             want = np.empty(grid.size, dtype=complex)
-            want[pos] = wavefunction_branch_on_lattice(profile, n, 1, range(0, ks.stop), dx, t)
-            want[~pos] = wavefunction_branch_on_lattice(profile, n, 2, range(ks.start, 0), dx, t)
+            want[pos] = branch[:ks.stop]
+            want[~pos] = branch[-ks.start:0:-1]
+            if n % 2:
+                want[~pos] *= -1.0
             got = assemble_wavefunction(profile, n, t, grid).values
             assert got.tobytes() == want.tobytes(), (n, t)
             direct = np.empty(grid.size, dtype=complex)
@@ -203,7 +207,7 @@ def test_branch_composition_consistency():
             sigma = 1.0 if n % 2 == 0 else -1.0
             want = (np.exp(1j * (eps + c.zeta + weyl)) * np.exp(-c.g * c.b / 2.0)
                     * np.exp((-c.k + 1j * c.g) * xs / 2.0) * sigma * lev.norm_const
-                    * airy_ai_many(-xs + c.shift - 1j * c.b - lev.eigenvalue))
+                    * airy_ai_and_prime(-xs + c.shift - 1j * c.b - lev.eigenvalue)[0])
             got = wavefunction_branch(prof, n, 2, xs, t)
             np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=f"n={n}")
 
@@ -229,10 +233,6 @@ def test_branch_region_validation():
     for region in (0, 3):
         with pytest.raises(ValueError):
             wavefunction_branch(UNIT, 0, region, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            wavefunction_branch_and_dt(UNIT, 0, region, range(3), 0.1, 0.5, lambda fn: fn(0.5))
-        with pytest.raises(ValueError):
-            wavefunction_branch_on_lattice(UNIT, 0, region, range(3), 0.1, 0.5)
 
 
 def test_branch_satisfies_equation_of_motion():
