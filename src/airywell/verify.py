@@ -35,10 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-# solve_banded is not called here, but the benchmark tracer in
-# bench/tracing.py rebinds it in this namespace
-from scipy.linalg import solve_banded  # noqa: F401
-from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .profiles import TimeProfile, coefficients_at, invariant_coefficients
 from .spectrum import level
@@ -253,8 +249,11 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     one takes one `zgtsv` call per step.
 
     The run must lie inside the profile window: t0 >= 0 and t1 <= window,
-    with the 1e-12 slack of the profile's table reads.
+    with the 1e-12 slack of the profile's table reads.  LAPACK is imported
+    here, on the first run, so that no other command loads scipy.
     """
+    from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
+
     if not (np.isfinite(dt) and 0.0 < dt <= 1e-3):
         raise ValueError("dt must be finite and in (0, 1e-3]")
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 <= t1):
@@ -354,6 +353,15 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
         full[:origin] = sigma * full[:origin:-1]
     return PropagationResult(grid=grid, t_final=t0 + n_steps * dt, values=full, steps=n_steps,
                              boundary_probe=probe)
+
+
+def solve_banded(*args, **kwargs):
+    """`scipy.linalg.solve_banded`, imported on the first call.  Nothing in
+    the package calls it; the benchmark tracer in bench/tracing.py rebinds
+    this name."""
+    from scipy.linalg import solve_banded as solve
+
+    return solve(*args, **kwargs)
 
 
 # time step of the residuals' d/dt stencils

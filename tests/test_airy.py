@@ -295,6 +295,37 @@ def test_package_import_leaves_mpmath_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_verify_and_solve_leave_scipy_unloaded(tmp_path):
+    # the Airy kernel is numpy alone; scipy serves the Crank-Nicolson run,
+    # which imports LAPACK on its first call
+    import airywell
+
+    root = os.path.dirname(os.path.dirname(airywell.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
+    code = f"""
+import sys
+from pathlib import Path
+from airywell import cli
+from airywell.verify import Grid1D, crank_nicolson_propagate
+from airywell.wavefunction import assemble_wavefunction
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+after_import = scipy_modules()
+cfg = cli._run_config({{"out": {str(tmp_path)!r}}}, Path("."))
+codes = cli.run_verify(cfg), cli.run_solve(cfg)
+after_runs = scipy_modules()
+state = assemble_wavefunction(cfg.profile, 0, 0.0, Grid1D.centered(10.0, 0.1).nodes)
+crank_nicolson_propagate(cfg.profile, state, 0.0, 0.01, 1e-3)
+print(repr((after_import, codes, after_runs, "scipy.linalg.lapack" in sys.modules)))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=300, env=env)
+    assert out.stdout.strip().splitlines()[-1] == repr(([], (0, 0), [], True))
+
+
 def test_airy_pair_wronskian_property():
     v = airy_eval(2.0 - 1.0j)
     assert isinstance(v, AiryPair)
@@ -480,6 +511,95 @@ def test_ai_prime_kernel_shape_and_dtype_match_airy_eval_many(z):
 def test_ai_prime_kernel_rejects_points_outside_the_disc(z):
     with pytest.raises(ValueError):
         airy_ai_and_prime(z)
+
+
+# ---------------------------------------------------- the kernel's seams
+
+
+def _both_sides(radius):
+    """Radii a relative 1e-3 and one ulp inside the circle |z| = radius, on
+    it, and one ulp and 1e-3 outside it."""
+    return (radius * (1.0 - 1e-3), np.nextafter(radius, 0.0), radius,
+            np.nextafter(radius, np.inf), radius * (1.0 + 1e-3))
+
+
+@pytest.mark.parametrize("radius", [1.5, 9.5], ids=["maclaurin-table", "table-poincare"])
+def test_kernel_matches_mpmath_across_its_circles(radius):
+    # the Maclaurin disc meets the Taylor table at |z| = 1.5, and the table
+    # meets the Poincare expansions at 9.5
+    th = np.random.default_rng(3601).uniform(-np.pi, np.pi, 24)
+    z = np.concatenate([r * np.exp(1j * th) for r in _both_sides(radius)])
+    _assert_ai_matches_mpmath(z, 1e-12)
+    _assert_aip_matches_mpmath(z, 1e-12)
+
+
+def test_kernel_matches_mpmath_at_and_between_base_points():
+    # seeded base points 0.5 (m + i n) of the ring 1.5 < |z| < 9.5, read on
+    # the point (a zero step), an eighth off it, on the half-way lines to
+    # the next base point (ties of the rounding to the nearest one), and at
+    # the corners 0.25 (+-1 +- i) off it, the farthest from any base point
+    m, n = np.random.default_rng(3602).integers(-19, 20, size=(2, 400))
+    base = 0.5 * (m + 1j * n)
+    base = base[(np.abs(base) > 2.0) & (np.abs(base) < 9.0)][:40]
+    z = np.concatenate([base + d for d in (0.0, 0.125 - 0.125j, 0.25, -0.25j,
+                                           0.25 + 0.25j, -0.25 - 0.25j, 0.25 - 0.25j)])
+    _assert_ai_matches_mpmath(z, 1e-12)
+    _assert_aip_matches_mpmath(z, 1e-12)
+
+
+@pytest.mark.parametrize("angle", [np.pi / 3, -np.pi / 3, 2 * np.pi / 3, -2 * np.pi / 3],
+                         ids=["pi/3", "-pi/3", "2pi/3", "-2pi/3"])
+def test_kernel_matches_mpmath_along_the_sector_rays(angle):
+    # arg z = +-pi/3 parts the table's inward steps from its outward ones,
+    # and +-2pi/3 the Poincare expansions from their rotated images; radii
+    # through all three regions, on the ray and 1e-6 off it on either side
+    r = np.linspace(0.25, 39.75, 80)
+    z = np.concatenate([r * np.exp(1j * (angle + d)) for d in (0.0, 1e-6, -1e-6)])
+    _assert_ai_matches_mpmath(z, 1e-12)
+    _assert_aip_matches_mpmath(z, 1e-12)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus-zero", "minus-zero"])
+def test_kernel_along_negative_real_axis_across_its_circles(zero):
+    # z = -x on both sides of x = 1.5 and 9.5, and at seeded x over the
+    # disc, scaled by the modulus functions as in the sweeps above
+    xs = np.concatenate([_both_sides(1.5), _both_sides(9.5),
+                         np.random.default_rng(3603).uniform(0.0, 40.0, 60)])
+    ai, aip = airy_ai_and_prime(np.array([complex(-x, zero) for x in xs]))
+    for got, d in ((ai, 0), (aip, 1)):
+        want = np.array([float(mp.airyai(-x, derivative=d)) for x in xs])
+        scale = np.array([float(mp.sqrt(mp.airyai(-x, derivative=d) ** 2
+                                         + mp.airybi(-x, derivative=d) ** 2)) for x in xs])
+        assert float(np.max(np.abs(got - want) / scale)) <= 1e-13
+
+
+def test_one_point_read_agrees_with_the_array_read():
+    # both read the same table row or expansion at the same step; the
+    # one-point read sums it by Horner's rule in Python scalars, the array
+    # read by power sums in numpy's complex arithmetic, so they agree to
+    # rounding, not bitwise.  In units of 2^-52 (|Ai| + |Ai'|/sqrt(41)) the
+    # gap is at most 64 for |z| < 9.5 (24 measured), and at most 4 |zeta|
+    # beyond (1.7 |zeta| measured), where e^(-zeta) turns one ulp of zeta
+    # into |zeta| ulps of Ai
+    rng = np.random.default_rng(3604)
+    z = 40.0 * np.sqrt(rng.uniform(0.0, 1.0, 4000)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 4000))
+    th = rng.uniform(-np.pi, np.pi, 100)
+    z = np.concatenate([z, -np.linspace(0.0, 40.0, 801) + 0j]
+                       + [r * np.exp(1j * th) for c in (1.5, 9.5) for r in _both_sides(c)])
+    ai, aip = airy_ai_and_prime(z)
+    one = np.array([airy._ai_point(complex(w)) for w in z])
+    gap = np.abs(one - ai) / (np.finfo(float).eps * (np.abs(ai) + np.abs(aip) / np.sqrt(41.0)))
+    mod = np.abs(z)
+    inside = mod < 9.5
+    assert float(np.max(gap[inside])) <= 64.0
+    assert float(np.max(gap[~inside] / (2.0 / 3.0 * mod[~inside] ** 1.5))) <= 4.0
+
+
+def test_every_zero_against_mpmath():
+    for k in range(1, MAX_ZERO_INDEX + 1):
+        assert airy_function_zero(k) == pytest.approx(float(mp.airyaizero(k)), abs=5e-13)
+        assert airy_derivative_zero(k) == pytest.approx(
+            float(mp.airyaizero(k, derivative=1)), abs=5e-13)
 
 
 # ------------------------------------------------ anchored lattice read

@@ -6,7 +6,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
 from airywell import airy, cli, spectrum, verify
 from airywell.profiles import TimeProfile, coefficients_at
@@ -264,11 +264,13 @@ def test_cn_matches_reference_stepping():
 
 def _factored_rows(monkeypatch, entries=None):
     """Record the number of rows of every matrix `zgttrf` or `zgtsv` factors,
-    and which of the two did in `entries` when it is given."""
+    and which of the two did in `entries` when it is given.  The CN run
+    imports both from `scipy.linalg.lapack` on every call, so they are
+    watched there."""
     rows = []
 
     def counting(name):
-        real = getattr(verify, name)
+        real = getattr(lapack, name)
 
         def call(lower, main, *args, **kwargs):
             rows.append(main.size)
@@ -279,7 +281,7 @@ def _factored_rows(monkeypatch, entries=None):
         return call
 
     for name in ("zgttrf", "zgtsv"):
-        monkeypatch.setattr(verify, name, counting(name))
+        monkeypatch.setattr(lapack, name, counting(name))
     return rows
 
 
@@ -370,14 +372,14 @@ def test_cn_reports_a_singular_pivot_with_step_index(monkeypatch):
     xs = Grid1D.centered(8.0, 0.01).nodes
     psi = np.exp(-xs**2).astype(complex)
     for profile, entry in ((FREE, "zgttrf"), (WAVY, "zgtsv")):
-        real = getattr(verify, entry)
+        real = getattr(lapack, entry)
 
         def singular(*args, real=real, **kwargs):
             *factors, _ = real(*args, **kwargs)
             return (*factors, 1)
 
         with monkeypatch.context() as patch:
-            patch.setattr(verify, entry, singular)
+            patch.setattr(lapack, entry, singular)
             with pytest.raises(RuntimeError, match="tridiagonal solve broke down at step 0"):
                 crank_nicolson_propagate(profile, _State(xs, psi), 0.0, 0.01, 1e-3)
 
