@@ -61,6 +61,9 @@ _TABLE_TOL = 1e-10
 # the relative floor of the convergence test, in units of eps
 _TABLE_ULPS = 64
 _MAX_TOTAL_PANELS = 2**17
+# the most panels a table's first grid holds before its panels per segment
+# fall below 16: every profile of at most 256 segments starts at 16
+_START_PANELS = 4096
 # the longest window: at 1e6 the panel budget leaves panels no finer than
 # 7.6 time units, and at 1e300 the table arithmetic overflows
 MAX_WINDOW = 1e6
@@ -337,6 +340,15 @@ class _ProfileTables:
     """The cumulative integrals of one profile, stacked on a shared Simpson grid.
 
     The rows of `table` are g, k, w and int chi2, in that order.
+
+    The first grid takes 16 panels per segment, halved down to 2 while it
+    would hold more than _START_PANELS panels.  A profile with many
+    segments is a sampled one, whose m and f are linear inside each
+    segment, so its integrands are smooth there and a coarse start
+    suffices; the refinement test below still decides when to stop.  On
+    2000 segments this converges at 8,000 panels where a start at 16 per
+    segment built 32,000 and then 64,000.  Every profile of at most 256
+    segments keeps the start of 16, and so its table bits.
     """
 
     table: CumulativeTable
@@ -346,12 +358,12 @@ class _ProfileTables:
     def build(profile: TimeProfile) -> "_ProfileTables":
         knots = np.concatenate([[], *profile._sampled_times()])
         grid = SimpsonGrid.build(profile.window, knots=knots, panels_per_segment=2)
-        # start as fine as 16 panels per segment allows while the first
-        # refinement still fits the budget
+        # coarser on many segments: see the class docstring
         panels = 16
-        while 2 * panels * grid.segments > _MAX_TOTAL_PANELS:
+        while panels > 2 and panels * grid.segments > _START_PANELS:
             panels //= 2
-        if panels < 2:
+        # the start grid must leave room for one refinement
+        if 2 * panels * grid.segments > _MAX_TOTAL_PANELS:
             raise ValueError(f"{grid.segments} sample intervals exceed the quadrature "
                              f"budget of {_MAX_TOTAL_PANELS // 4}")
         prev = _ProfileTables._assemble(profile, replace(grid, panels_per_segment=panels))

@@ -57,7 +57,10 @@ class SimpsonGrid:
             raise ValueError("integration window must have positive length")
         k = np.asarray([] if knots is None else knots, dtype=float)
         k = k[(k > 0.0) & (k < span)]
-        edges = np.unique(np.concatenate(([0.0, span], k)))
+        # the distinct values by a sort: on numpy 2.4 np.unique imports
+        # numpy.ma, which costs about 8 ms of a fresh process
+        edges = np.sort(np.concatenate(([0.0, span], k)))
+        edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
         return SimpsonGrid(edges=edges, panels_per_segment=panels_per_segment)
 
     @property

@@ -95,8 +95,17 @@ def _kernel_at_abs(n: int, shift: complex, x) -> tuple:
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)):
         raise ValueError("grid must be finite")
-    # raveled: numpy 2.x shapes the inverse of an N-d input differently
-    u, inv = np.unique(np.abs(xa).ravel(), return_inverse=True)
+    # the distinct values and their inverse by np.unique's own sort; on
+    # numpy 2.4 some np.unique calls import numpy.ma, which costs about 8 ms
+    a = np.abs(xa).ravel()
+    order = a.argsort()
+    sorted_a = a[order]
+    first = np.empty(a.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_a[1:], sorted_a[:-1], out=first[1:])
+    u = sorted_a[first]
+    inv = np.empty(a.shape, dtype=np.intp)
+    inv[order] = np.cumsum(first) - 1
     if u.size > 1 and np.array_equal(u, np.arange(u.size) * u[1]):
         kernel = _lattice_read(n, shift, u[1], range(u.size))[0]
     else:

@@ -9,6 +9,7 @@ oracle for every quantity the module's tables give, s = -k^2/4 included.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from airywell.profiles import (
     coefficients_at,
     invariant_coefficients,
 )
-from airywell.quadrature import CumulativeTable
+from airywell.profiles import _ProfileTables
+from airywell.quadrature import CumulativeTable, SimpsonGrid
 from airywell.wavefunction import phase, shift_reorder_phase
 
 
@@ -482,6 +484,56 @@ def test_quadrature_budget_overflow_raises():
     prof = TimeProfile(mass=ConstantMass(1.0), coupling=Nasty(), window=1.0)
     with pytest.raises(RuntimeError):
         prof.tables
+
+
+def _built_panels(monkeypatch, prof):
+    """The panels per segment of every grid the table build assembles."""
+    built = []
+    assemble = _ProfileTables._assemble
+
+    def spy(profile, grid):
+        built.append(grid.panels_per_segment)
+        return assemble(profile, grid)
+
+    monkeypatch.setattr(_ProfileTables, "_assemble", staticmethod(spy))
+    prof.tables
+    return built
+
+
+def _sampled_on(knots):
+    return TimeProfile(mass=SampledMass(times=knots, samples=1.5 + np.sin(3.0 * knots)),
+                       coupling=SampledCoupling(times=knots, samples=np.cos(2.0 * knots)),
+                       window=float(knots[-1]))
+
+
+def test_many_knot_table_starts_at_two_panels_per_segment(monkeypatch):
+    # the shape of the benchmark's sampled histories, at the largest rates
+    # and amplitudes it draws: 2000 segments on [0, 2]
+    t = np.arange(2001) / 1000.0
+    mass = 0.9 * (1.0 + 0.3 * np.sin(2.0 * t + 0.3) + 0.15 * np.sin(4.0 * t + 1.9))
+    coupling = 0.7 + 0.4 * np.cos(3.0 * t + 4.1)
+    prof = TimeProfile(mass=SampledMass(times=t, samples=mass),
+                       coupling=SampledCoupling(times=t, samples=coupling), window=2.0)
+    assert _built_panels(monkeypatch, prof) == [2, 4]
+    table = prof.tables.table
+    assert table.grid.nodes.size <= 8001
+    sixteen = _ProfileTables._assemble(
+        prof, SimpsonGrid.build(2.0, knots=t, panels_per_segment=16))
+    for when in (0.5, 1.25):
+        assert np.max(np.abs(table.value(when) - sixteen.value(when))) <= 1e-14
+
+
+@pytest.mark.parametrize("prof, built", [
+    (UNIT, [16, 32]),
+    (_sampled_on(np.linspace(0.0, 2.0, 31)), [16, 32, 64, 128]),
+    (_sampled_on(np.linspace(0.0, 2.0, 257)), [16, 32]),     # 256 segments
+    (_sampled_on(np.linspace(0.0, 2.0, 258)), [8, 16]),
+    (_sampled_on(np.linspace(0.0, 2.0, 2050)), [2, 4]),
+], ids=["default", "30-segments", "256-segments", "257-segments", "2049-segments"])
+def test_table_start_rule(monkeypatch, prof, built):
+    # every profile of at most 256 segments starts at 16 panels per segment
+    # and so refines through the grids, and to the table, of a start at 16
+    assert _built_panels(monkeypatch, replace(prof, _cache={})) == built
 
 
 @settings(max_examples=12, deadline=None)
