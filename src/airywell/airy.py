@@ -46,13 +46,14 @@ e^(-zeta)) in units of |Ai| + |Ai'|/sqrt(41).  The evaluators share one input co
     own row and variable, elementwise, so a value does not depend on the
     array it is read in.
 
-  * `_ai_point` gives Ai alone at one point (as the Crank-Nicolson
-    boundary feed asks for on every step), in Python scalars with
-    `airy_ai_and_prime`'s regions, table and coefficients, which costs a
-    fraction of the same work on a one-element array.  The
-    eigenfunctions, states and densities off a lattice read Ai through
-    it, or through `airy_ai_and_prime`'s Ai column on an array (see
-    `spectrum`).
+  * `_ai_scalar` gives Ai alone at one point (as the Crank-Nicolson
+    boundary feed asks for on every step) as a Python complex, in Python
+    scalars with `airy_ai_and_prime`'s regions, table and coefficients,
+    which costs a fraction of the same work on a one-element array;
+    `_ai_point` gives the same value typed as the array reads type it,
+    an np.complex128.  The eigenfunctions, states and densities off a
+    lattice read Ai through `_ai_scalar`, or through
+    `airy_ai_and_prime`'s Ai column on an array (see `spectrum`).
 
   * `airy_ai_and_prime_lattice` gives Ai and Ai' on a lattice c + k h
     with a real step h.  It reads `airy_ai_and_prime` at the anchors,
@@ -387,24 +388,31 @@ def _poincare_point(w: complex) -> complex:
 
 
 def _ai_point(z: complex) -> np.complex128:
-    """Ai at one point: `airy_ai_and_prime`'s regions, table, refusals and
-    Ai(0) rule, in Python scalars, its power sums taken by Horner's rule."""
+    """Ai at one point typed as `airy_ai_and_prime` types it: `_ai_scalar`'s
+    value as an np.complex128."""
+    return np.complex128(_ai_scalar(z))
+
+
+def _ai_scalar(z: complex) -> complex:
+    """Ai at one point as a Python complex: `airy_ai_and_prime`'s regions,
+    table, refusals and Ai(0) rule, in Python scalars, its power sums taken
+    by Horner's rule."""
     # the float sum clears a -0.0 imaginary part; z + 0.0 need not
     z = complex(z.real, z.imag + 0.0)
     mod = abs(z)
     _refuse_outside_disc(mod)
     if mod < _NEAR_ZERO:
-        return np.complex128(_AI_AT_ZERO)
+        return complex(_AI_AT_ZERO)
     if mod >= _OUTER:
         if z.real > -0.5 * mod:
-            return np.complex128(_poincare_point(z))
-        return np.complex128(_E_PI_3 * _poincare_point(z * _OMEGA.conjugate())
-                             + _E_PI_3.conjugate() * _poincare_point(z * _OMEGA))
+            return _poincare_point(z)
+        return (_E_PI_3 * _poincare_point(z * _OMEGA.conjugate())
+                + _E_PI_3.conjugate() * _poincare_point(z * _OMEGA))
     if mod <= _INNER:
-        return np.complex128(_horner(_python_row(_MACLAURIN_ROW), z))
+        return _horner(_python_row(_MACLAURIN_ROW), z)
     m, n = round(2.0 * z.real), round(2.0 * z.imag)
     row = (m + _SIDE) * (2 * _SIDE + 1) + (n + _SIDE)
-    return np.complex128(_horner(_python_row(row), z - complex(0.5 * m, 0.5 * n)))
+    return _horner(_python_row(row), z - complex(0.5 * m, 0.5 * n))
 
 
 def airy_ai_and_prime(z) -> tuple[np.ndarray, np.ndarray]:

@@ -113,9 +113,12 @@ class CumulativeTable:
         """Cubic Hermite read of F at scalar or array t inside the window.
 
         A stacked table returns its rows along the leading axes.  A float
-        t is located in Python floats: the 0-d numpy operations of the
-        array path cost more than the Hermite formula on one query, and
-        the result is bitwise the same.
+        t (the Crank-Nicolson feed reads the coefficients once per step) is
+        located, and the formula taken, in Python floats read from the two
+        bracketing nodes, in the array path's order of operations: on one
+        query the 0-d numpy operations and small temporaries of the array
+        path cost more than the formula itself, and the result is bitwise
+        the same.
         """
         nodes = self.grid.nodes
         if isinstance(t, float):
@@ -123,11 +126,20 @@ class CumulativeTable:
             # written so that a NaN query fails the test
             if not (lo - 1e-12 <= t <= hi + 1e-12):
                 raise ValueError("query time outside the configured window")
-            t = min(max(t, lo), hi)
+            # an np.float64 t is a float too; float(t) keeps every value below
+            # a Python float, not an np.float64
+            t = min(max(float(t), lo), hi)
             i = min(int(nodes.searchsorted(t, side="right")) - 1, nodes.size - 2)
-            x0 = float(nodes[i])
-            h = float(nodes[i + 1]) - x0
-            return self._hermite(i, (t - x0) / h, h)
+            x0, x1 = nodes[i:i + 2].tolist()
+            h = x1 - x0
+            h00, h10, h01, h11 = _hermite_basis((t - x0) / h)
+            values = self.values[..., i:i + 2].reshape(-1, 2).tolist()
+            slopes = self.integrand[..., i:i + 2].reshape(-1, 2).tolist()
+            rows = [h00 * v0 + h01 * v1 + h * (h10 * y0 + h11 * y1)
+                    for (v0, v1), (y0, y1) in zip(values, slopes)]
+            if self.values.ndim == 1:
+                return rows[0]
+            return np.array(rows).reshape(self.values.shape[:-1])
         tq = np.asarray(t, dtype=float)
         # written so that a NaN query fails the test
         if tq.size and not (tq.min() >= nodes[0] - 1e-12 and tq.max() <= nodes[-1] + 1e-12):
@@ -137,19 +149,18 @@ class CumulativeTable:
         tq = np.minimum(np.maximum(tq, nodes[0]), nodes[-1])
         i = np.minimum(nodes.searchsorted(tq, side="right") - 1, nodes.size - 2)
         h = nodes[i + 1] - nodes[i]
-        return self._hermite(i, (tq - nodes[i]) / h, h)
-
-    def _hermite(self, i, u, h):
-        """The Hermite formula on panel i at offset u (in panel widths h)."""
-        u2 = u * u
-        u3 = u2 * u
-        h00 = 2 * u3 - 3 * u2 + 1
-        h10 = u3 - 2 * u2 + u
-        h01 = -2 * u3 + 3 * u2
-        h11 = u3 - u2
+        h00, h10, h01, h11 = _hermite_basis((tq - nodes[i]) / h)
         out = (
             h00 * self.values[..., i]
             + h01 * self.values[..., i + 1]
             + h * (h10 * self.integrand[..., i] + h11 * self.integrand[..., i + 1])
         )
         return float(out) if out.ndim == 0 else out
+
+
+def _hermite_basis(u):
+    """The cubic Hermite basis (h00, h10, h01, h11) at offset u, in panel
+    widths, for float or array u."""
+    u2 = u * u
+    u3 = u2 * u
+    return 2 * u3 - 3 * u2 + 1, u3 - 2 * u2 + u, -2 * u3 + 3 * u2, u3 - u2

@@ -24,7 +24,7 @@ branch is sigma_n times it at -z (see `wavefunction`).
 Every real-grid reader, here and in `wavefunction`, reads N Ai once per
 distinct |x| through `_kernel_at_abs`, on a lattice by `_lattice_read`.
 Off a lattice, `eigenfunction_continued` reads Ai directly: the Ai
-column of `airy.airy_ai_and_prime` on an array, `airy._ai_point` at one
+column of `airy.airy_ai_and_prime` on an array, `airy._ai_scalar` at one
 point.
 """
 
@@ -37,7 +37,7 @@ import numpy as np
 
 # airy_eval_many is not called here, but the benchmark tracer in
 # bench/tracing.py rebinds it in this namespace
-from .airy import (_ai_point, airy_ai_and_prime, airy_ai_and_prime_lattice,  # noqa: F401
+from .airy import (_ai_scalar, airy_ai_and_prime, airy_ai_and_prime_lattice,  # noqa: F401
                    airy_derivative_zero, airy_eval, airy_eval_many, airy_function_zero)
 
 __all__ = [
@@ -128,12 +128,14 @@ def eigenfunction_continued(n: int, z):
     """Analytic continuation N Ai(z - lambda) of phi_n's x >= 0 branch.
 
     An array z is read by `airy_ai_and_prime`, whose Ai column this
-    takes; a 0-d z by `_ai_point` in Python scalars, giving a Python
-    complex.
+    takes; a 0-d z by `_ai_scalar` in Python scalars, giving a Python
+    complex.  It is scaled by N as a complex, which rounds as numpy's
+    complex product does on every Python (3.14 multiplies a complex by a
+    float part by part, which can flip the sign of a zero).
     """
     lev = level(n)
     if isinstance(z, (int, float, complex)) or np.ndim(z) == 0:
-        return complex(_ai_point(complex(z - lev.eigenvalue)) * lev.norm_const)
+        return _ai_scalar(complex(z - lev.eigenvalue)) * complex(lev.norm_const)
     return airy_ai_and_prime(np.asarray(z, dtype=complex) - lev.eigenvalue)[0] * lev.norm_const
 
 

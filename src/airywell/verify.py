@@ -31,6 +31,7 @@ standalone call bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -132,28 +133,17 @@ class DiscretizedOperator:
         return float(np.max(rows))
 
 
-def _hamiltonian_bands(m: float, f: float, abs_x: np.ndarray, dx: float,
-                       diag: np.ndarray, off: np.ndarray) -> None:
-    """Write H's bands for mass m and coupling f into diag and off.
-
-    diag = 2 kin + i f|x| and off = -kin, with kin = 1/(2 m dx^2).  Both
-    `build_hamiltonian` and the Crank-Nicolson step fill H here.
-    """
-    kin = 1.0 / (2.0 * m * dx * dx)
-    diag.real = 2.0 * kin
-    np.multiply(f, abs_x, out=diag.imag)
-    off.fill(-kin)
-
-
 def build_hamiltonian(profile: TimeProfile, t: float, grid: Grid1D) -> DiscretizedOperator:
     """H = -(1/2m) d^2/dx^2 + i f |x| on the grid (Dirichlet ends)."""
     m = float(profile.mass.value(t))
     if m <= 0.0:
         raise ValueError("mass must stay positive")
     f = float(profile.coupling.value(t))
+    kin = 1.0 / (2.0 * m * grid.dx * grid.dx)
     diag = np.empty(grid.n_points, dtype=complex)
-    off = np.empty(grid.n_points - 1, dtype=complex)
-    _hamiltonian_bands(m, f, np.abs(grid.nodes), grid.dx, diag, off)
+    diag.real = 2.0 * kin
+    np.multiply(f, np.abs(grid.nodes), out=diag.imag)
+    off = np.full(grid.n_points - 1, complex(-kin))
     return DiscretizedOperator(diag=diag, upper=off, lower=off)
 
 
@@ -236,21 +226,27 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     an odd state with psi(0) above rounding level among them, is stepped
     on the full line.
 
-    H(t_mid) is the operator `build_hamiltonian` gives, its bands filled by
-    the same helper straight into A's band arrays, allocated once per run.
-    m and f are read at every step midpoint in one call each before the
-    first step: these masses, the only ones the run reads, must be positive
-    and their least bounds dt/dx^2.  A is refilled only on steps where the
-    pair (m(t_mid), f(t_mid)) differs from the previous step's.  A pair the
-    next step shares is factored once by `zgttrf` and every step of it
-    solves with `zgttrs`; a pair the next step does not share is solved by
-    one `zgtsv` call, which skips storing factors no step reads.  So a
-    constant-coefficient profile factors once per run, and a time-dependent
-    one takes one `zgtsv` call per step.
+    A's bands are written straight into their final form, in arrays
+    allocated once per run, with no pass over H and no complex product:
+    with kin = 1/(2 m dx^2), the main band is 1 - (f|x|) tau + i (2 kin) tau
+    and both off-diagonals are -0.0 - i (kin tau).  These are the bits of
+    numpy's complex products for 1 + (i tau) H on `build_hamiltonian`'s
+    bands, the -0.0 real parts included; a test pins every A handed to
+    LAPACK to that product.  m and f are read at every step midpoint in one
+    call each before the first step: these masses, the only ones the run
+    reads, must be positive and their least bounds dt/dx^2.  A is refilled
+    only on steps where the pair (m(t_mid), f(t_mid)) differs from the
+    previous step's.  A pair the next step shares is factored once by
+    `zgttrf` and every step of it solves with `zgttrs`; a pair the next
+    step does not share is solved by one `zgtsv` call, which skips storing
+    factors no step reads.  So a constant-coefficient profile factors once
+    per run, and a time-dependent one takes one `zgtsv` call per step.
 
-    The run must lie inside the profile window: t0 >= 0 and t1 <= window,
-    with the 1e-12 slack of the profile's table reads.  LAPACK is imported
-    here, on the first run, so that no other command loads scipy.
+    initial carries .values and .grid: the nodes, which must be uniform,
+    or a `Grid1D`, so a run can start from another run's result.  The run
+    must lie inside the profile window: t0 >= 0 and t1 <= window, with the
+    1e-12 slack of the profile's table reads.  LAPACK is imported here, on
+    the first run, so that no other command loads scipy.
     """
     from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
@@ -263,15 +259,19 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     if not (hasattr(initial, "values") and hasattr(initial, "grid")):
         raise ValueError("initial state must carry .grid and .values")
     full = np.asarray(initial.values, dtype=complex).copy()
-    xs = np.asarray(initial.grid, dtype=float)
-    if xs.ndim != 1 or xs.size != full.size:
+    grid = initial.grid
+    if not isinstance(grid, Grid1D):    # nodes, which must be uniform
+        xs = np.asarray(grid, dtype=float)
+        if xs.ndim != 1 or xs.size != full.size:
+            raise ValueError("initial state grid/values shape mismatch")
+        if xs.size < 5:                 # Grid1D's own floor, before the spacing is read
+            raise ValueError("grid needs at least 5 points")
+        dxs = np.diff(xs)
+        if not np.allclose(dxs, dxs[0], rtol=1e-9, atol=0):
+            raise ValueError("propagation grid must be uniform")
+        grid = Grid1D(float(xs[0]), float(xs[-1]), xs.size)
+    if full.shape != (grid.n_points,):
         raise ValueError("initial state grid/values shape mismatch")
-    if xs.size < 5:                     # Grid1D's own floor, before the spacing is read
-        raise ValueError("grid needs at least 5 points")
-    dxs = np.diff(xs)
-    if not np.allclose(dxs, dxs[0], rtol=1e-9, atol=0):
-        raise ValueError("propagation grid must be uniform")
-    grid = Grid1D(float(xs[0]), float(xs[-1]), xs.size)
 
     n_steps = int(round((t1 - t0) / dt))
     if abs(t0 + n_steps * dt - t1) > 1e-9:
@@ -292,21 +292,28 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
     near_left = 2 if sigma is None else -3   # the left probe node, or its mirror
     reflect = sigma == 1                     # row 0 sees the ghost psi(-dx) = psi(dx)
     dx = grid.dx
-    half_step = 0.5j * dt
+    tau = 0.5 * dt
     n = psi.size
-    lower = np.empty(n - 1, dtype=complex)   # A = 1 + i dt/2 H, then its LU factors
+    lower = np.empty(n - 1, dtype=complex)   # A = 1 + i tau H, then its LU factors
     main = np.empty(n, dtype=complex)
     upper = np.empty(n - 1, dtype=complex)
     b = np.empty(n, dtype=complex)
+    # the real and imaginary parts of psi and b, interleaved
+    psi_parts, b_parts = psi.view(float), b.view(float)
+    potential = np.empty(n)                  # (f |x|) tau, off the real main band
     factored_for = None                      # the (m, f) the factors belong to
     probe = 0.0
     for step, (m, f) in enumerate(pairs):
         if (m, f) != factored_for:
-            _hamiltonian_bands(m, f, abs_x, dx, main, upper)
-            main *= half_step
-            main += 1.0
-            upper *= half_step
-            lower[:] = upper
+            # A's bands in final form (see the docstring)
+            kin = 1.0 / (2.0 * m * dx * dx)
+            np.multiply(f, abs_x, out=potential)
+            potential *= tau
+            np.subtract(1.0, potential, out=main.real)
+            main.imag = (2.0 * kin) * tau
+            off = complex(-0.0, -(kin * tau))
+            upper.fill(off)
+            lower.fill(off)
             # Dirichlet rows (the edge values are set, not solved for),
             # or the mirror row at x = 0 of an even folded run
             if reflect:
@@ -326,25 +333,27 @@ def crank_nicolson_propagate(profile: TimeProfile, initial, t0: float, t1: float
                     raise RuntimeError(f"tridiagonal solve broke down at step {step}")
 
         left, right = (0.0, 0.0) if boundary is None else boundary((t0 + step * dt) + dt)
-        np.add(psi, psi, out=b)
+        np.multiply(psi_parts, 2.0, out=b_parts)    # 2 psi: psi + psi, bit for bit
         if not reflect:
             b[0] = left + psi[0]
         b[-1] = right + psi[-1]
+        # the solution y is b itself, solved in place; b is not rebound to
+        # it, so b_parts stays b's view whatever LAPACK hands back
         if factored_for is None:
             # zgtsv overwrites the bands, which the next step refills
-            _, _, _, b, info = zgtsv(lower, main, upper, b, overwrite_dl=True,
+            _, _, _, y, info = zgtsv(lower, main, upper, b, overwrite_dl=True,
                                      overwrite_d=True, overwrite_du=True, overwrite_b=True)
             if info > 0:
                 raise RuntimeError(f"tridiagonal solve broke down at step {step}")
         else:
-            b, _ = zgttrs(lower, main, upper, upper2, pivots, b, overwrite_b=True)
-        np.subtract(b, psi, out=psi)
+            y, _ = zgttrs(lower, main, upper, upper2, pivots, b, overwrite_b=True)
+        np.subtract(y, psi, out=psi)
         if not reflect:
             psi[0] = left
         psi[-1] = right
         # a NaN or infinity anywhere (or an overflowing state) makes the
         # squared norm non-finite
-        if not np.isfinite(np.vdot(psi, psi).real):
+        if not math.isfinite(np.vdot(psi, psi).real):
             raise RuntimeError(f"propagation diverged at step {step}")
 
         probe = max(probe, float(abs(psi[near_left])), float(abs(psi[-3])))

@@ -179,7 +179,7 @@ def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):
     else:
         vals = (-1.0 if n % 2 else 1.0) * _branch1(n, c, -points)
     if xa.size == 1 and xa.ndim:
-        return np.full(xa.shape, vals)
+        return np.array(vals, ndmin=xa.ndim)
     return vals
 
 

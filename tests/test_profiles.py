@@ -202,6 +202,30 @@ def test_coefficients_at_is_one_table_read(monkeypatch):
     assert calls == ["table"]
 
 
+@pytest.mark.parametrize("prof", [
+    SAMPLED,
+    TimeProfile(mass=ExponentialMass(1.0, 1.0), coupling=SinusoidalCoupling(1.0, 1.0), window=3.0),
+], ids=["sampled", "exp-cos"])
+def test_scalar_coefficients_are_the_array_read_field_by_field(prof):
+    # a float t is read in Python floats (the Crank-Nicolson feed's path);
+    # each field must be the bits of its formula on the array read's rows,
+    # at nodes, knots, mid-panel points, both ends and the 1e-12 slack
+    nodes = prof.tables.table.grid.nodes
+    end = prof.window
+    ts = np.concatenate((nodes[::7], _KNOTS[1:-1] if prof is SAMPLED else [],
+                         0.5 * (nodes[:-1] + nodes[1:])[::7],
+                         [0.0, end, -1e-12, end + 1e-12, 1e-12, end - 1e-12]))
+    rows = prof.tables.table.value(ts)
+    for t, (g, k, w, cum_chi2) in zip(ts.tolist(), rows.T.tolist()):
+        b = 0.5 * g * k - w
+        want = {"g": g, "k": k, "s": -0.25 * k * k, "w": w, "zeta": -0.25 * k * b,
+                "shift": -0.25 * g * g, "b": b, "cum_chi1": cum_chi2 + g**3 / 24.0,
+                "cum_chi2": cum_chi2}
+        got = coefficients_at(prof, t)
+        for name, value in want.items():
+            assert getattr(got, name).hex() == value.hex(), (t, name)
+
+
 def test_invariant_coefficients_frozen_point():
     r1 = invariant_coefficients(UNIT, 1.0, 1)
     assert r1.x == 1.0 + 0.0j

@@ -262,21 +262,24 @@ def test_cn_matches_reference_stepping():
         assert np.max(np.abs(res.values - psi)) > 1e-3     # the state did move
 
 
-def _factored_rows(monkeypatch, entries=None):
+def _factored_rows(monkeypatch, entries=None, bands=None):
     """Record the number of rows of every matrix `zgttrf` or `zgtsv` factors,
-    and which of the two did in `entries` when it is given.  The CN run
-    imports both from `scipy.linalg.lapack` on every call, so they are
-    watched there."""
+    which of the two did in `entries` when it is given, and copies of the
+    bands (lower, main, upper) it was handed in `bands` when that is given.
+    The CN run imports both from `scipy.linalg.lapack` on every call, so
+    they are watched there."""
     rows = []
 
     def counting(name):
         real = getattr(lapack, name)
 
-        def call(lower, main, *args, **kwargs):
+        def call(lower, main, upper, *args, **kwargs):
             rows.append(main.size)
             if entries is not None:
                 entries.append(name)
-            return real(lower, main, *args, **kwargs)
+            if bands is not None:
+                bands.append((lower.copy(), main.copy(), upper.copy()))
+            return real(lower, main, upper, *args, **kwargs)
 
         return call
 
@@ -314,6 +317,67 @@ def test_cn_folds_a_mirror_symmetric_run_onto_the_half_line(monkeypatch, profile
     assert np.max(np.abs(res.values - init.values)) > 1e-4      # the state did move
     sigma = -1.0 if n % 2 else 1.0
     assert np.array_equal(res.values[:100], sigma * res.values[:100:-1])
+
+
+@pytest.mark.parametrize("case", ["fed-half-line", "full-line", "folded-even", "folded-odd"])
+def test_cn_hands_lapack_the_bands_of_build_hamiltonian(monkeypatch, case):
+    # the step loop writes A = 1 + i (dt/2) H(t_mid) straight into its
+    # final form, not through build_hamiltonian; every A handed to LAPACK
+    # must still be the bits of that product on build_hamiltonian's bands,
+    # with the Dirichlet rows, or an even folded run's mirror row, in place
+    bands = []
+    rows = _factored_rows(monkeypatch, bands=bands)
+    xs = Grid1D.centered(10.0, 0.1).nodes
+    boundary, origin, dt = None, 0, 1e-3
+    if case == "fed-half-line":
+        xs = Grid1D.half_line(20.0, 0.1, 1).nodes
+        psi = wavefunction_branch(WAVY, 1, 1, xs.astype(complex), 0.0)
+
+        def boundary(t):
+            return complex(wavefunction_branch(WAVY, 1, 1, np.array([0j]), t)[0]), 0.0
+    elif case == "full-line":
+        psi = np.exp(-(xs - 0.5)**2).astype(complex)
+    else:
+        psi = assemble_wavefunction(WAVY, 0 if case == "folded-even" else 1, 0.0, xs).values
+        origin = xs.size // 2
+    res = crank_nicolson_propagate(WAVY, _State(xs, psi), 0.0, 0.01, dt, boundary=boundary)
+    # WAVY's (m, f) changes on every step, so each step hands over a fresh A
+    assert res.steps == 10 and rows == [xs.size - origin] * 10
+    grid = Grid1D(float(xs[0]), float(xs[-1]), xs.size)
+    for step, got in enumerate(bands):
+        ham = build_hamiltonian(WAVY, (0.0 + step * dt) + 0.5 * dt, grid)
+        lower = (0.5j * dt) * ham.lower[origin:]
+        main = 1.0 + (0.5j * dt) * ham.diag[origin:]
+        upper = (0.5j * dt) * ham.upper[origin:]
+        if case == "folded-even":
+            upper[0] *= 2.0                  # the ghost node psi(-dx) = psi(dx)
+        else:
+            upper[0], main[0] = 0.0, 1.0
+        lower[-1], main[-1] = 0.0, 1.0
+        for part, have, want in zip(("lower", "main", "upper"), got, (lower, main, upper)):
+            assert have.tobytes() == want.tobytes(), (step, part)
+
+
+@pytest.mark.parametrize("folded", [False, True], ids=["full-line", "folded"])
+def test_cn_continues_from_its_own_result(folded):
+    # a result carries its Grid1D, and a run started from it takes up where
+    # the first left off: on a constant profile, 0 -> 0.01 -> 0.02 is the
+    # single run 0 -> 0.02 to the bit, and its probe is the larger of the two
+    xs = Grid1D.centered(10.0, 0.1).nodes
+    if folded:
+        init = assemble_wavefunction(FREE, 0, 0.0, xs)
+    else:
+        init = _State(xs, np.exp(-(xs - 0.5)**2).astype(complex))
+    whole = crank_nicolson_propagate(FREE, init, 0.0, 0.02, 1e-3)
+    first = crank_nicolson_propagate(FREE, init, 0.0, 0.01, 1e-3)
+    second = crank_nicolson_propagate(FREE, first, first.t_final, 0.02, 1e-3)
+    assert isinstance(first.grid, Grid1D) and second.grid == whole.grid
+    assert (first.steps, second.steps, whole.steps) == (10, 10, 20)
+    assert second.values.tobytes() == whole.values.tobytes()
+    assert second.boundary_probe == whole.boundary_probe
+    assert whole.boundary_probe == max(first.boundary_probe, second.boundary_probe)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        crank_nicolson_propagate(FREE, _State(first.grid, first.values[1:]), 0.01, 0.02, 1e-3)
 
 
 @pytest.mark.parametrize("case", ["fed", "half-line", "one-ulp-off", "odd-at-t0.3"])
@@ -712,7 +776,7 @@ def _count_kernel_reads(monkeypatch, cfg):
     The anchored lattice read is counted, and so is every direct entry
     that reads Ai for a state: `airy_ai_and_prime`, through which the
     lattice read reads its anchors, and `spectrum`'s own names for it (an
-    array read) and for `_ai_point` (a one-point read).  Each direct read
+    array read) and for `_ai_scalar` (a one-point read).  Each direct read
     shows up once in the direct list.  So a test cannot pass by moving the
     reads to an entry it does not watch.
     """
@@ -729,7 +793,7 @@ def _count_kernel_reads(monkeypatch, cfg):
                                  lambda c, h, ks: len(ks)))
     monkeypatch.setattr(airy, "airy_ai_and_prime",
                         counting(direct, airy.airy_ai_and_prime, np.size))
-    for name in ("airy_ai_and_prime", "_ai_point"):
+    for name in ("airy_ai_and_prime", "_ai_scalar"):
         monkeypatch.setattr(spectrum, name, counting(direct, getattr(spectrum, name), np.size))
     return cli.run_verify(cfg), lattice, direct
 
