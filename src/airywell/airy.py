@@ -62,11 +62,11 @@ e^(-zeta)) in units of |Ai| + |Ai'|/sqrt(41).  The evaluators share one input co
     with a stated bound on its remainder; the sums of a whole read are
     one matrix product with a step matrix built once per h.  A step too
     coarse for the series is read directly, by `airy_ai_and_prime`.
-    `verify` reads every state through it, once per state and time, and
-    takes the state's d/dt from Ai' by the chain rule (see
-    `wavefunction`); `solve`'s states and densities, and the
-    eigenfunctions, read it once each on a lattice grid's distinct |x|,
-    at any step (see `spectrum`).  On the default grid it costs about a
+    `verify` reads every state through it, all levels' states at one
+    time in one read of an array of starts, and takes each state's d/dt
+    from Ai' by the chain rule (see `wavefunction`); `solve`'s states
+    and densities, and the eigenfunctions, read it once each on a
+    lattice grid's distinct |x|, at any step (see `spectrum`).  On the default grid it costs about a
     twentieth of the direct read, within 9e-14 of it in units of
     |Ai| + |Ai'|/sqrt(41).
 
@@ -524,15 +524,18 @@ def _taylor_rows(za, ai, aip, h: float, terms: int) -> tuple[np.ndarray, np.ndar
     return sums[0], sums[1]
 
 
-def airy_ai_and_prime_lattice(c: complex, h: float, ks: range) -> tuple[np.ndarray, np.ndarray]:
+def airy_ai_and_prime_lattice(c, h: float, ks: range) -> tuple[np.ndarray, np.ndarray]:
     """Ai and Ai' at the lattice nodes z_k = c + k h, k in ks, for a real step h.
 
-    The values are those of `airy_ai_and_prime(c + np.arange(ks.start,
-    ks.stop) * h)` to within the kernel's accuracy, and it refuses what
-    that call refuses, NaN included.  The kernel is read only at the
-    anchors, the nodes k = 0 mod 64; each other node is summed from the
-    anchor at most 32 nodes away by `_taylor_rows`, over the step
-    (k - k_anchor) h, in one matrix product for the whole range.  The
+    c is one complex start, or a 1-d array of starts that share h and ks;
+    then each output has one row per start, and a row is bitwise the read
+    of its start alone.  The values are those of `airy_ai_and_prime(c +
+    np.arange(ks.start, ks.stop) * h)` to within the kernel's accuracy,
+    and it refuses what that call refuses, NaN included.  The kernel is
+    read only at the anchors, the nodes k = 0 mod 64; each other node is
+    summed from the anchor at most 32 nodes away by `_taylor_rows`, over
+    the step (k - k_anchor) h, in one kernel call and one matrix product
+    for the whole range and every start.  The
     remainder after J terms is bounded through a majorant: the Taylor
     coefficients a_j = Ai^(j)(z) obey a_{j+2} = z a_j + j a_{j-1}, so with
     R >= |z|, B_0 = |a_0|, B_1 = |a_1| and B_{j+2} = R B_j + j B_{j-1},
@@ -555,18 +558,25 @@ def airy_ai_and_prime_lattice(c: complex, h: float, ks: range) -> tuple[np.ndarr
     cosh(2.5) = 6.1: |h| up to about 0.0122.  A coarser step is read
     directly over the whole range.  So is the block of an anchor outside
     |z| <= 40, which can happen within 32 nodes past either end of a
-    range whose nodes all lie inside.  Every node's value depends on c, h
-    and k alone, so two reads that share nodes of one lattice give the
-    same bits there, and an anchor's value is the direct read's.
+    range whose nodes all lie inside.  Every node's value depends on its
+    start, h and k alone, so two reads that share nodes of one lattice
+    give the same bits there, and an anchor's value is the direct read's.
     """
     if ks.step != 1:
         raise ValueError("the lattice range must have step 1")
-    c = complex(c)
+    starts = np.asarray(c, dtype=complex)
+    if starts.ndim > 1:
+        raise ValueError("the lattice starts must be one complex or a 1-d array")
+    shape = starts.shape + (len(ks),)
+    # one row per start; the kernel is elementwise, so a row's bits do not
+    # depend on the other rows
+    c = starts.reshape(-1, 1)
     terms = _lattice_terms(h)
     if not terms or not len(ks):
         # an infinite or huge h gives NaN or infinite points, which are refused
         with np.errstate(over="ignore", invalid="ignore"):
-            return airy_ai_and_prime(c + np.arange(ks.start, ks.stop) * h)
+            ai, aip = airy_ai_and_prime(c + np.arange(ks.start, ks.stop) * h)
+        return ai.reshape(shape), aip.reshape(shape)
     # |c + k h| is convex in k, so the end nodes hold its largest value; NaN included
     _refuse_outside_disc(np.abs(c + np.array((ks.start, ks.stop - 1)) * h).max())
     half = _STRIDE // 2
@@ -576,16 +586,17 @@ def airy_ai_and_prime_lattice(c: complex, h: float, ks: range) -> tuple[np.ndarr
     anchors = np.arange(first, (ks.stop - 1 + half) // _STRIDE + 1)
     za = c + anchors * _STRIDE * h
     inside = np.abs(za) <= MAX_ABS_Z
-    ai = np.empty((anchors.size, _STRIDE), dtype=complex)
-    aip = np.empty((anchors.size, _STRIDE), dtype=complex)
+    ai = np.empty(za.shape + (_STRIDE,), dtype=complex)
+    aip = np.empty(za.shape + (_STRIDE,), dtype=complex)
     ai[inside], aip[inside] = _taylor_rows(za[inside], *airy_ai_and_prime(za[inside]), h, terms)
     lo = ks.start - (first * _STRIDE - half)
-    ai = ai.reshape(-1)[lo:lo + len(ks)]
-    aip = aip.reshape(-1)[lo:lo + len(ks)]
+    ai = ai.reshape(c.size, -1)[:, lo:lo + len(ks)]
+    aip = aip.reshape(c.size, -1)[:, lo:lo + len(ks)]
     if not inside.all():
-        direct = ~np.repeat(inside, _STRIDE)[lo:lo + len(ks)]
-        ai[direct], aip[direct] = airy_ai_and_prime(c + np.arange(ks.start, ks.stop)[direct] * h)
-    return ai, aip
+        direct = ~np.repeat(inside, _STRIDE, axis=1)[:, lo:lo + len(ks)]
+        ai[direct], aip[direct] = airy_ai_and_prime(
+            (c + np.arange(ks.start, ks.stop) * h)[direct])
+    return ai.reshape(shape), aip.reshape(shape)
 
 
 def airy_eval(z) -> AiryPair:

@@ -25,7 +25,7 @@ from .airy import (MAX_ABS_Z, MAX_ZERO_INDEX, airy_derivative_zero, airy_eval,
                    airy_function_zero)
 from .profiles import TimeProfile, _finite_number, coefficients_at
 from .spectrum import MAX_LEVEL, density, level
-from .verify import Grid1D, level_residuals, pseudo_hermiticity_check, von_neumann_residual
+from .verify import Grid1D, level_residuals_at, pseudo_hermiticity_check, von_neumann_residual
 # tdse_residual and invariant_eigen_residual are not called here, but the
 # benchmark tracer in bench/tracing.py rebinds them in this namespace
 from .verify import invariant_eigen_residual, tdse_residual  # noqa: F401
@@ -502,6 +502,37 @@ def _format_params(params: dict) -> str:
     return ",".join(f"{k}={v}" for k, v in sorted(params.items()))
 
 
+def _json_number(v) -> str:
+    """json's text for a finite float or an int."""
+    return float.__repr__(v) if isinstance(v, float) else int.__repr__(v)
+
+
+def _json_params(params: dict) -> str:
+    """`json.dumps(params, sort_keys=True)` of verify's params: plain names
+    mapped to finite floats and ints."""
+    return "{" + ", ".join(f'"{k}": {_json_number(v)}' for k, v in sorted(params.items())) + "}"
+
+
+# one verify_report.json row as `json.dumps(report, indent=2, sort_keys=True)`
+# writes it, its keys sorted: check, params, pass, threshold, value
+_REPORT_ROW = ('  {\n    "check": "%s",\n    "params": {\n%s\n    },\n    "pass": %s,\n'
+               '    "threshold": %s,\n    "value": %s\n  }')
+
+
+def _report_json(report: list) -> str:
+    """`json.dumps(report, indent=2, sort_keys=True) + "\\n"` of verify's
+    rows, filled into `_REPORT_ROW` without json's pure-Python encoder: a
+    check is a plain name, params as in `_json_params`, and value and
+    threshold are finite floats."""
+    rows = [_REPORT_ROW % (r["check"],
+                           ",\n".join(f'      "{k}": {_json_number(v)}'
+                                      for k, v in sorted(r["params"].items())),
+                           "true" if r["pass"] else "false",
+                           _json_number(r["threshold"]), _json_number(r["value"]))
+            for r in report]
+    return "[\n" + ",\n".join(rows) + "\n]\n"
+
+
 def run_verify(cfg: RunConfig, stdout=None, wrong_sign_k: bool = False) -> int:
     """Full residual suite; exit 0 only when every check passes."""
     _require_tables(cfg)
@@ -534,11 +565,14 @@ def run_verify(cfg: RunConfig, stdout=None, wrong_sign_k: bool = False) -> int:
 
     # overflow is reported by the finiteness check on each value instead
     with np.errstate(all="ignore"):
-        # the evolution row and both invariant rows of each (n, t) read the
-        # same branch samples
-        for n in cfg.levels:
+        # the evolution row and both invariant rows of every level at one t
+        # read one batch of branch samples; the rows are added in (n, t)
+        # order, so a non-finite value is reported as a per-(n, t) run would
+        rows = {t: level_residuals_at(prof, cfg.levels, t, full, flip_coupling_sign=wrong_sign_k)
+                for t in cfg.times}
+        for i, n in enumerate(cfg.levels):
             for t in cfg.times:
-                values = level_residuals(prof, n, t, full, flip_coupling_sign=wrong_sign_k)
+                values = rows[t][i]
                 add("tdse_residual", {"n": n, "t": t}, tol["tdse"], values[0])
                 for region, value in zip((1, 2), values[1:]):
                     add("invariant_eigen_residual", {"n": n, "region": region, "t": t},
@@ -552,9 +586,8 @@ def run_verify(cfg: RunConfig, stdout=None, wrong_sign_k: bool = False) -> int:
             for t in sorted(rng.uniform(0.01, t_hi, 10)):
                 add("pseudo_hermiticity_check", {"region": region, "t": round(float(t), 12)},
                     tol["pseudo_hermiticity"], pseudo_hermiticity_check(prof, float(t), region))
-    report.sort(key=lambda r: (r["check"], json.dumps(r["params"], sort_keys=True)))
-
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report.sort(key=lambda r: (r["check"], _json_params(r["params"])))
+    path.write_text(_report_json(report))
 
     ok = all(r["pass"] for r in report)
     if stdout:

@@ -79,11 +79,16 @@ def level(n: int) -> SpectralLevel:
     return SpectralLevel(n=n, parity="odd", eigenvalue=lam, norm_const=float(norm))
 
 
-def _lattice_read(n: int, shift: complex, h: float, ks: range) -> np.ndarray:
-    """The rows N Ai and N Ai' at shift + k h - lambda_n, k in ks, from one
-    anchored lattice read (`airy.airy_ai_and_prime_lattice`)."""
-    lev = level(n)
-    return np.stack(airy_ai_and_prime_lattice(shift - lev.eigenvalue, h, ks)) * lev.norm_const
+def _lattice_read(levels, shifts, h: float, ks: range) -> list:
+    """For each level n of levels and its shift, the rows N_n Ai and N_n Ai'
+    at shift + k h - lambda_n, k in ks, from one anchored lattice read of
+    every level's start (`airy.airy_ai_and_prime_lattice`).  Each level's
+    rows are scaled by its N_n on their own, so they are bitwise the read
+    of that level alone."""
+    levs = [level(n) for n in levels]
+    ai, aip = airy_ai_and_prime_lattice(
+        np.array([shift - lev.eigenvalue for lev, shift in zip(levs, shifts)]), h, ks)
+    return [np.stack(rows) * lev.norm_const for lev, rows in zip(levs, zip(ai, aip))]
 
 
 def _kernel_at_abs(n: int, shift: complex, x) -> tuple:
@@ -107,7 +112,7 @@ def _kernel_at_abs(n: int, shift: complex, x) -> tuple:
     inv = np.empty(a.shape, dtype=np.intp)
     inv[order] = np.cumsum(first) - 1
     if u.size > 1 and np.array_equal(u, np.arange(u.size) * u[1]):
-        kernel = _lattice_read(n, shift, u[1], range(u.size))[0]
+        kernel = _lattice_read((n,), (shift,), u[1], range(u.size))[0][0]
     else:
         kernel = eigenfunction_continued(n, u + shift)
     return u, kernel, inv.reshape(xa.shape)

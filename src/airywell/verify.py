@@ -13,15 +13,22 @@ near the origin, so every residual stencil reads one region's branch
 legitimate).  Region 2's state is sigma_n times the mirrored region-1
 state (H commutes with parity), so each residual reads region 1's
 branch once per (n, t) (`_branch_samples`) and region 2 by parity from
-those samples.  Only the Crank-Nicolson propagator works with the
-glued state on both half-lines, because that is the point of the cross-check;
-an unfed run of a mirror-symmetric state steps x >= 0 alone and unfolds
-by parity, which the full-line scheme commutes with.
+those samples.  The operators and the maps depend on t alone, and a
+level enters only through its lambda_n, N_n and parity, so the rows of
+several levels at one t are computed in one batch (`level_residuals_at`):
+one coefficient read per instant, one tilt, one anchored lattice read of
+every level's state, and one invariant operator per region, with the
+per-node arithmetic done level by level, so that each level's rows are
+bitwise those of its level alone.  Only the Crank-Nicolson propagator
+works with the glued state on both half-lines, because that is the point
+of the cross-check; an unfed run of a mirror-symmetric state steps
+x >= 0 alone and unfolds by parity, which the full-line scheme commutes
+with.
 
 The time derivatives are finite differences over the instants of
 `_stencil`.  For the closed-form state they act on its coefficient
 scalars alone, and the chain rule on one read of Ai and Ai' at t gives
-the state's d/dt (`wavefunction.wavefunction_branch_and_dt`).  Every
+the state's d/dt (`wavefunction.wavefunction_branches_and_dt`).  Every
 residual reads the state on the grid's lattice x = k dx through
 `airy.airy_ai_and_prime_lattice`, which reads the kernel at every 64th
 node and sums the others from it; reads that share nodes give the same
@@ -39,7 +46,7 @@ import numpy as np
 
 from .profiles import TimeProfile, coefficients_at, invariant_coefficients
 from .spectrum import level
-from .wavefunction import wavefunction_branch_and_dt
+from .wavefunction import wavefunction_branches_and_dt
 # wavefunction_branch is not called here, but the benchmark tracer in
 # bench/tracing.py rebinds it in this namespace
 from .wavefunction import wavefunction_branch  # noqa: F401
@@ -54,6 +61,7 @@ __all__ = [
     "tdse_residual",
     "invariant_eigen_residual",
     "level_residuals",
+    "level_residuals_at",
     "von_neumann_residual",
     "pseudo_hermiticity_check",
 ]
@@ -395,49 +403,60 @@ def _time_derivative(fn, t: float, window: float):
     return sum(w * fn(t + s) for s, w in _stencil(t, window)) / (2.0 * TIME_DELTA)
 
 
-def _branch_samples(profile: TimeProfile, n: int, t: float, grid: Grid1D):
-    """The region-1 branch at the nodes k dx that every residual of (n, t) reads.
+def _branch_samples(profile: TimeProfile, levels, t: float, grid: Grid1D) -> list:
+    """The region-1 branch at the nodes k dx that every residual of (n, t)
+    reads, for each n of levels: a list of (centre, dpsi) in levels' order.
 
-    With K the largest |k| of grid, returns Psi_n,1 at t for k = -1 ...
-    K + 1 and its d/dt for k = 0 ... K, from one lattice read of Ai and
-    Ai' at t: `wavefunction_branch_and_dt` gives the branch and its d/dt
-    by the chain rule, with `_time_derivative` taken of the coefficient
-    scalars alone.  Region 2 is read from these by parity: its value at
-    k dx, k < 0, is sigma_n times the region-1 value at |k| dx
-    (`_invariant_eigen`), and the evolution residual's rows there are
-    region 1's at |k|.
+    With K the largest |k| of grid, centre is Psi_n,1 at t for k = -1 ...
+    K + 1 and dpsi its d/dt for k = 0 ... K, from one lattice read of Ai
+    and Ai' at t for all levels: `wavefunction_branches_and_dt` gives each
+    branch and its d/dt by the chain rule, with `_time_derivative` taken
+    of the coefficient scalars alone.  Region 2 is read from these by
+    parity: its value at k dx, k < 0, is sigma_n times the region-1 value
+    at |k| dx (`_invariant_eigen`), and the evolution residual's rows
+    there are region 1's at |k|.
     """
     k_max = max(-grid.first_index, grid.first_index + grid.n_points - 1)
-    centre, dpsi = wavefunction_branch_and_dt(
-        profile, n, range(-1, k_max + 2), grid.dx, t,
+    samples = wavefunction_branches_and_dt(
+        profile, levels, range(-1, k_max + 2), grid.dx, t,
         lambda fn: _time_derivative(fn, t, profile.window))
-    return centre, dpsi[1:-1]
+    return [(centre, dpsi[1:-1]) for centre, dpsi in samples]
 
 
-def _tdse_rows(n: int, grid: Grid1D) -> np.ndarray:
-    """The sorted |k| of the rows the evolution residual keeps: all but three
-    at each edge, and but x = 0 for odd n.  A ValueError if that leaves none."""
+def _tdse_rows(levels, grid: Grid1D) -> dict:
+    """For each parity of levels, the sorted |k| of the rows the evolution
+    residual keeps: all but three at each edge, and but x = 0 for odd n.
+    A ValueError if that leaves none."""
     ks = np.arange(grid.first_index + 3, grid.first_index + grid.n_points - 3)
-    if n % 2 == 1:
-        ks = ks[ks != 0]
-    if not ks.size:
-        raise ValueError("tdse residual needs a node 3 nodes in from each end, off x = 0 for odd n")
-    return np.sort(np.abs(ks))
+    rows = {}
+    for parity in {n % 2 for n in levels}:
+        kept = ks[ks != 0] if parity else ks
+        if not kept.size:
+            raise ValueError("tdse residual needs a node 3 nodes in from each end, "
+                             "off x = 0 for odd n")
+        rows[parity] = np.sort(np.abs(kept))
+    return rows
 
 
-def _tdse(profile: TimeProfile, t: float, dx: float, centre: np.ndarray, dpsi: np.ndarray,
-          flip_coupling_sign: bool, rows: np.ndarray) -> float:
-    """The evolution residual at the rows |k| of `_tdse_rows`, from the
-    region-1 samples of `_branch_samples` (see `tdse_residual`)."""
+def _tdse(profile: TimeProfile, levels, t: float, dx: float, samples: list,
+          flip_coupling_sign: bool, rows: dict) -> list:
+    """The evolution residual of each level at the rows |k| of `_tdse_rows`,
+    from the region-1 samples of `_branch_samples` (see `tdse_residual`)."""
     m = float(profile.mass.value(t))
     f = float(profile.coupling.value(t))
     if flip_coupling_sign:
         f = -f
-    # the branch is entire, so the stencil at k = 0 may read k = -1
-    mid = centre[1:-1]
-    lap = (centre[2:] - 2.0 * mid + centre[:-2]) / dx**2
-    res = 1j * dpsi - (-lap / (2.0 * m) + 1j * f * (np.arange(mid.size) * dx) * mid)
-    return float(np.linalg.norm(res[rows]) / np.linalg.norm(mid[rows]))
+    # i f |x| on the rows k = 0 ... K, which every level's row shares
+    potential = 1j * f * (np.arange(samples[0][1].size) * dx)
+    out = []
+    for n, (centre, dpsi) in zip(levels, samples):
+        # the branch is entire, so the stencil at k = 0 may read k = -1
+        mid = centre[1:-1]
+        lap = (centre[2:] - 2.0 * mid + centre[:-2]) / dx**2
+        res = 1j * dpsi - (-lap / (2.0 * m) + potential * mid)
+        kept = rows[n % 2]
+        out.append(float(np.linalg.norm(res[kept]) / np.linalg.norm(mid[kept])))
+    return out
 
 
 def tdse_residual(profile: TimeProfile, n: int, t: float, grid: Grid1D,
@@ -456,25 +475,28 @@ def tdse_residual(profile: TimeProfile, n: int, t: float, grid: Grid1D,
     flip_coupling_sign builds H with -f while the state keeps +f: a
     negative control that must fail loudly.
     """
-    rows = _tdse_rows(n, grid)
-    centre, dpsi = _branch_samples(profile, n, t, grid)
-    return _tdse(profile, t, grid.dx, centre, dpsi, flip_coupling_sign, rows)
+    rows = _tdse_rows((n,), grid)
+    samples = _branch_samples(profile, (n,), t, grid)
+    return _tdse(profile, (n,), t, grid.dx, samples, flip_coupling_sign, rows)[0]
 
 
-def _invariant_eigen(profile: TimeProfile, n: int, region: int, t: float, grid: Grid1D,
-                     centre: np.ndarray) -> float:
-    """The invariant residual on region's half-line grid (see
-    `invariant_eigen_residual`), from the samples centre of
-    `_branch_samples`: region 1's k = 0 ... N - 1, with N grid's node
-    count, or for region 2 sigma_n times them mirrored (parity)."""
-    if region == 1:
-        psi = centre[1:grid.n_points + 1]
-    else:
-        psi = (-1.0 if n % 2 else 1.0) * centre[grid.n_points:0:-1]
-    lam = level(n).eigenvalue
+def _invariant_eigen(profile: TimeProfile, levels, region: int, t: float, grid: Grid1D,
+                     samples: list) -> list:
+    """The invariant residual of each level on region's half-line grid (see
+    `invariant_eigen_residual`), from the samples of `_branch_samples`,
+    with one invariant operator for all levels: region 1's centre at
+    k = 0 ... N - 1, with N grid's node count, or for region 2 sigma_n
+    times them mirrored (parity)."""
     op = build_invariant(profile, region, t, grid)
-    res = op.apply(psi) - lam * psi
-    return float(np.linalg.norm(res[1:-1]) / np.linalg.norm(psi[1:-1]))
+    out = []
+    for n, (centre, _) in zip(levels, samples):
+        if region == 1:
+            psi = centre[1:grid.n_points + 1]
+        else:
+            psi = (-1.0 if n % 2 else 1.0) * centre[grid.n_points:0:-1]
+        res = op.apply(psi) - level(n).eigenvalue * psi
+        out.append(float(np.linalg.norm(res[1:-1]) / np.linalg.norm(psi[1:-1])))
+    return out
 
 
 def invariant_eigen_residual(profile: TimeProfile, n: int, region: int, t: float,
@@ -491,7 +513,32 @@ def invariant_eigen_residual(profile: TimeProfile, n: int, region: int, t: float
         raise ValueError("region 1 residual needs a grid on x >= 0")
     if region == 2 and xs[-1] > 1e-12:
         raise ValueError("region 2 residual needs a grid on x <= 0")
-    return _invariant_eigen(profile, n, region, t, grid, _branch_samples(profile, n, t, grid)[0])
+    return _invariant_eigen(profile, (n,), region, t, grid,
+                            _branch_samples(profile, (n,), t, grid))[0]
+
+
+def level_residuals_at(profile: TimeProfile, levels, t: float, grid: Grid1D,
+                       flip_coupling_sign: bool = False) -> list:
+    """The evolution residual and both invariant residuals of each level
+    of levels at t: a list of `level_residuals` triples in levels' order.
+
+    Every quantity that depends on t alone is computed once for all
+    levels: the coefficient reads of the branches and of their d/dt
+    stencil, the tilt, one anchored lattice read of every level's state
+    (`_branch_samples`), m and f, each parity's kept rows and each
+    region's invariant operator.  The per-node arithmetic is done level by
+    level, so each triple is bitwise that of its level read alone.
+    """
+    n_neg = -grid.first_index
+    if min(n_neg, grid.n_points - 1 - n_neg) < 4:
+        raise ValueError("level residuals need at least 4 grid nodes on each side of x = 0")
+    rows = _tdse_rows(levels, grid)
+    samples = _branch_samples(profile, levels, t, grid)
+    return list(zip(
+        _tdse(profile, levels, t, grid.dx, samples, flip_coupling_sign, rows),
+        _invariant_eigen(profile, levels, 1, t, Grid1D(0.0, grid.x_max, grid.n_points - n_neg),
+                         samples),
+        _invariant_eigen(profile, levels, 2, t, Grid1D(grid.x_min, 0.0, n_neg + 1), samples)))
 
 
 def level_residuals(profile: TimeProfile, n: int, t: float, grid: Grid1D,
@@ -501,18 +548,11 @@ def level_residuals(profile: TimeProfile, n: int, t: float, grid: Grid1D,
     Returns (`tdse_residual` on grid, `invariant_eigen_residual` of region
     1 on grid's x >= 0 half, that of region 2 on its x <= 0 half), all
     read from one `_branch_samples`, one Airy read at t, with region 2 read
-    by parity (`_invariant_eigen`).  Each value equals its standalone
-    call (on grid's two halves for the invariant rows) bitwise.
+    by parity (`_invariant_eigen`): `level_residuals_at` of (n,).  Each
+    value equals its standalone call (on grid's two halves for the
+    invariant rows) bitwise.
     """
-    n_neg = -grid.first_index
-    if min(n_neg, grid.n_points - 1 - n_neg) < 4:
-        raise ValueError("level residuals need at least 4 grid nodes on each side of x = 0")
-    rows = _tdse_rows(n, grid)
-    centre, dpsi = _branch_samples(profile, n, t, grid)
-    return (_tdse(profile, t, grid.dx, centre, dpsi, flip_coupling_sign, rows),
-            _invariant_eigen(profile, n, 1, t, Grid1D(0.0, grid.x_max, grid.n_points - n_neg),
-                             centre),
-            _invariant_eigen(profile, n, 2, t, Grid1D(grid.x_min, 0.0, n_neg + 1), centre))
+    return level_residuals_at(profile, (n,), t, grid, flip_coupling_sign)[0]
 
 
 def _commutator_bands(a: DiscretizedOperator, b: DiscretizedOperator):

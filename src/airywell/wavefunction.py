@@ -42,12 +42,13 @@ alone, so by the chain rule
 The kernel N_n Ai is read only through `spectrum`.  On a grid x = k dx
 its argument x + D - lambda_n is itself a lattice, so the residual
 checks read region 1's N_n Ai and N_n Ai' there with
-`spectrum._lattice_read` (`wavefunction_branch_and_dt`), which reads the
-kernel at every 64th node and sums the others by a Taylor series, and
-take region 2 from those samples by parity.  The assembled state and the
-density read it once per distinct |x| with `spectrum._kernel_at_abs`: by
-the same lattice read when those are k h, k = 0 ... K (every `Grid1D`
-grid), else Ai alone directly, as at arbitrary complex x.
+`spectrum._lattice_read` (`wavefunction_branches_and_dt`, one read at t
+for every level), which reads the kernel at every 64th node and sums
+the others by a Taylor series, and take region 2 from those samples by
+parity.  The assembled state and the density read it once per distinct
+|x| with `spectrum._kernel_at_abs`: by the same lattice read when those
+are k h, k = 0 ... K (every `Grid1D` grid), else Ai alone directly, as
+at arbitrary complex x.
 
 Region 2 (x <= 0) needs no formula of its own.  H(t) = -d^2/dx^2 / (2m)
 + i f |x| commutes with parity P, the region-2 invariant is P I_1 P, and
@@ -78,6 +79,7 @@ __all__ = [
     "WavefunctionSample",
     "wavefunction_branch",
     "wavefunction_branch_and_dt",
+    "wavefunction_branches_and_dt",
     "assemble_wavefunction",
     "reconstructed_density",
     "phase",
@@ -122,27 +124,40 @@ def _exponents(n: int, c: CoefficientSet) -> tuple:
             c.k / 2.0 + 1j * (-c.g / 2.0), c.shift - 1j * c.b)
 
 
-def _branch1(n: int, c: CoefficientSet, x, continued=None):
+def _branch1(n: int, c: CoefficientSet, x, continued=None, tilt=None):
     """Psi_n,1 at the complex points x, from the coefficients c at one instant.
 
     x is an array, or one Python complex, which is read in Python scalars.
     continued, when given, stands in for the kernel factor
     `eigenfunction_continued(n, x + S - ib)` at c; stacked rows of it give
-    one row of the result each.
+    one row of the result each.  tilt, when given, stands in for
+    exp(sigma x), which depends on c and x alone, not on n.
     """
     exp = cmath.exp if isinstance(x, complex) else np.exp
     phi, a, slope, shift = _exponents(n, c)
     if continued is None:
         continued = eigenfunction_continued(n, x + shift)
-    return exp(1j * phi) * exp(a) * exp(slope * x) * continued
+    if tilt is None:
+        tilt = exp(slope * x)
+    return exp(1j * phi) * exp(a) * tilt * continued
 
 
-def wavefunction_branch_and_dt(profile: TimeProfile, n: int, ks: range, dx: float, t: float,
-                               d_dt) -> tuple:
-    """Region 1's branch at t on the grid nodes k dx, k in ks (a range of
-    step 1), and its d/dt by the module docstring's chain rule, from one
-    `spectrum._lattice_read` of N_n Ai and N_n Ai' at t.
+def _exponent_rows(levels, c: CoefficientSet) -> np.ndarray:
+    """The (len(levels), 4) array of `_exponents` of each level at c."""
+    return np.array([_exponents(n, c) for n in levels])
 
+
+def wavefunction_branches_and_dt(profile: TimeProfile, levels, ks: range, dx: float, t: float,
+                                 d_dt) -> list:
+    """Region 1's branch at t of each level n of levels on the grid nodes
+    k dx, k in ks (a range of step 1), and its d/dt by the module
+    docstring's chain rule: a list of (branch, d/dt) pairs in levels' order.
+
+    What does not depend on n is computed once for all levels: one
+    coefficient read at t, one `spectrum._lattice_read` of N_n Ai and
+    N_n Ai' for every level, the tilt exp(sigma x), and one d_dt of the
+    (levels, 4) exponent rows.  The elementwise work that follows is done
+    level by level, so each pair is bitwise that of its level read alone.
     k < 0 is allowed, since the branch is entire.  Each node's value
     depends on its k alone, so two reads that share nodes of one lattice
     give the same bits there.  d_dt(fn) returns the derivative at t of fn,
@@ -151,9 +166,23 @@ def wavefunction_branch_and_dt(profile: TimeProfile, n: int, ks: range, dx: floa
     """
     c = coefficients_at(profile, t)
     x = np.arange(ks.start, ks.stop) * dx
-    psi, edge = _branch1(n, c, x, _lattice_read(n, _exponents(n, c)[3], dx, ks))
-    d = d_dt(lambda s: np.array(_exponents(n, coefficients_at(profile, s))))
-    return psi, psi * (1j * d[0] + d[1] + d[2] * x) + edge * d[3]
+    exponents = _exponent_rows(levels, c)
+    kernels = _lattice_read(levels, exponents[:, 3].tolist(), dx, ks)
+    # sigma = (k - ig)/2 is every level's slope
+    tilt = np.exp(exponents[0, 2] * x)
+    d = d_dt(lambda s: _exponent_rows(levels, coefficients_at(profile, s)))
+    out = []
+    for n, kernel, dn in zip(levels, kernels, d):
+        psi, edge = _branch1(n, c, x, kernel, tilt)
+        out.append((psi, psi * (1j * dn[0] + dn[1] + dn[2] * x) + edge * dn[3]))
+    return out
+
+
+def wavefunction_branch_and_dt(profile: TimeProfile, n: int, ks: range, dx: float, t: float,
+                               d_dt) -> tuple:
+    """`wavefunction_branches_and_dt` of level n alone: region 1's branch at
+    t on the nodes k dx, k in ks, and its d/dt."""
+    return wavefunction_branches_and_dt(profile, (n,), ks, dx, t, d_dt)[0]
 
 
 def wavefunction_branch(profile: TimeProfile, n: int, region: int, x, t: float):
@@ -189,7 +218,7 @@ def assemble_wavefunction(profile: TimeProfile, n: int, t: float, grid) -> Wavef
     One region-1 read per distinct |x|, negated at x < 0 for odd n.  The
     grid must contain the origin, the boundary the two regions share.
     When the distinct |x| are a lattice k h (every `Grid1D` grid), the
-    kernel is `spectrum._lattice_read`'s, as in `wavefunction_branch_and_dt`,
+    kernel is `spectrum._lattice_read`'s, as in `wavefunction_branches_and_dt`,
     so the state is bitwise that read's branch on x >= 0, and sigma_n
     times it mirrored on x < 0.
     """

@@ -750,6 +750,38 @@ def test_lattice_read_bits_do_not_depend_on_the_read_shape(h, c):
             assert np.array_equal(w[start - ks.start:stop - ks.start], p), (start, stop)
 
 
+@pytest.mark.parametrize("starts, h, ks", [
+    # the default verify grid's read: the default profile's six level
+    # starts at t = 0.3, S - ib - lambda_n, and one with a -0.0 imaginary part
+    ([complex(-0.0225 - lam, -0.09) for lam in (1.0188, 2.3381, 3.2482, 4.0879, 4.8201,
+                                                5.5206)] + [complex(-2.0, -0.0)],
+     0.005, range(-1, 3202)),
+    # 0.001's end block has its anchor at z = 40.001 and is read directly;
+    # the other starts' blocks all take the series
+    ([-5.0 + 1.0j, 0.001, -0.5 - 0.25j], 0.005, range(7900, 8000)),
+    # a step too coarse for the series: every node is read directly
+    ([-3.0 + 1.0j, 1.0j, -0.5], 0.02, range(-500, 400)),
+], ids=["default-h", "end-block-direct", "coarse-h"])
+def test_lattice_read_of_many_starts_is_each_start_read_alone(starts, h, ks):
+    many = airy_ai_and_prime_lattice(np.array(starts), h, ks)
+    for i, c in enumerate(starts):
+        alone = airy_ai_and_prime_lattice(c, h, ks)
+        for m, a in zip(many, alone):
+            assert m.shape == (len(starts), len(ks)) and a.shape == (len(ks),)
+            assert np.array_equal(m[i], a), (c, i)
+
+
+def test_lattice_read_of_many_starts_refuses_what_a_start_alone_refuses():
+    # one start whose range leaves the disc refuses the whole read
+    with pytest.raises(ValueError) as alone:
+        airy_ai_and_prime_lattice(39.9 + 0.0j, 0.005, range(0, 100))
+    with pytest.raises(ValueError) as many:
+        airy_ai_and_prime_lattice(np.array([-1.0 + 0.0j, 39.9 + 0.0j]), 0.005, range(0, 100))
+    assert str(many.value) == str(alone.value)
+    with pytest.raises(ValueError, match="1-d array"):
+        airy_ai_and_prime_lattice(np.zeros((2, 2), dtype=complex), 0.005, range(0, 10))
+
+
 def test_lattice_read_refuses_a_strided_range():
     with pytest.raises(ValueError, match="step 1"):
         airy_ai_and_prime_lattice(0.0, 0.005, range(0, 10, 2))

@@ -454,6 +454,39 @@ def test_verify_report_is_byte_identical(tmp_path):
         (out2 / "verify_report.json").read_bytes()
 
 
+@pytest.mark.parametrize("flags", [[], ["--wrong-sign-k"]], ids=["passing", "control"])
+def test_verify_report_is_json_dumps_of_its_sorted_rows(tmp_path, flags):
+    # the report is written from a row template, not by json; its bytes must
+    # be json's indented, key-sorted dump of the rows it holds, true and
+    # false included, and the rows sorted by check, then by json's dump of
+    # their params
+    cfg = _write_config(tmp_path, SMALL_PROFILE.replace("times: [0.3]", "times: [0, 0.3]"))
+    main(["verify", "--config", cfg, "--out", str(tmp_path), *flags])
+    data = (tmp_path / "verify_report.json").read_text()
+    rows = json.loads(data)
+    assert data == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    assert rows == sorted(rows, key=lambda r: (r["check"], json.dumps(r["params"],
+                                                                       sort_keys=True)))
+    assert {r["pass"] for r in rows} == ({True, False} if flags else {True})
+
+
+def test_verify_names_the_first_non_finite_row_in_level_then_time_order(
+        tmp_path, capsys, monkeypatch):
+    # the rows of all levels at one t are computed together, and added per
+    # level, then per time: level 0's region-2 row at t = 0.5 comes before
+    # level 1's evolution row at t = 0.1
+    bad = {(0, 0.5): (1e-6, 1e-6, math.nan), (1, 0.1): (math.inf, 1e-6, 1e-6)}
+
+    def rows(profile, levels, t, grid, flip_coupling_sign=False):
+        return [bad.get((n, t), (1e-6, 1e-6, 1e-6)) for n in levels]
+    monkeypatch.setattr(cli, "level_residuals_at", rows)
+    cfg = _write_config(tmp_path, SMALL_PROFILE.replace("times: [0.3]", "times: [0.1, 0.5]"))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: invariant_eigen_residual(n=0,region=2,t=0.5) is nan: the states leave "
+        "double precision range\n")
+
+
 # at t = 9 the branch argument x + S - i b - lambda_0 leaves |z| <= 40
 LATE_TIME = SMALL_PROFILE.replace("window: 3.0", "window: 10.0").replace(
     "levels: [0, 1]", "levels: [0]").replace("times: [0.3]", "times: [9]")
@@ -781,7 +814,7 @@ def test_unusable_paths_are_one_line_config_errors(tmp_path, capsys, case, words
 
 
 @pytest.mark.parametrize("command, work", [("solve", "assemble_wavefunction"),
-                                           ("verify", "level_residuals")])
+                                           ("verify", "level_residuals_at")])
 def test_unusable_out_is_reported_before_any_work(tmp_path, capsys, monkeypatch,
                                                   command, work):
     calls = []

@@ -20,6 +20,7 @@ from airywell.verify import (
     tdse_residual,
     invariant_eigen_residual,
     level_residuals,
+    level_residuals_at,
     von_neumann_residual,
     pseudo_hermiticity_check,
 )
@@ -683,6 +684,23 @@ def test_level_residuals_equal_the_standalone_checks(profile):
                     assert got == want, (grid, n, t, flip)
 
 
+@pytest.mark.parametrize("grid", [GRID, Grid1D(-4.0, 6.0, 1001)],
+                         ids=["centered", "asymmetric"])
+@pytest.mark.parametrize("profile", [UNIT, WAVY], ids=["unit", "wavy"])
+def test_batched_level_rows_equal_the_rows_of_each_level_alone(profile, grid):
+    # one batch per t reads every level's samples from one lattice read and
+    # shares the tilt, the d/dt stencil, the kept rows and the invariant
+    # operators; given out of order, each level's triple must still be the
+    # bits of its own read
+    levels = (3, 0, 5, 2, 4, 1)
+    for t in (0.0, 0.3, profile.window):
+        for flip in (False, True):
+            got = level_residuals_at(profile, levels, t, grid, flip_coupling_sign=flip)
+            want = [level_residuals(profile, n, t, grid, flip_coupling_sign=flip)
+                    for n in levels]
+            assert got == want, (t, flip)
+
+
 @pytest.mark.parametrize("read, n, grid, need", [
     (tdse_residual, 0, Grid1D(-0.02, 0.02, 5), "tdse residual needs"),
     (tdse_residual, 1, Grid1D(-0.03, 0.03, 7), "tdse residual needs"),
@@ -770,8 +788,8 @@ def test_branch_time_derivative_matches_mpmath(profile, tables, times, bound):
 
 
 def _count_kernel_reads(monkeypatch, cfg):
-    """(exit code, nodes of each lattice read, points of each direct kernel call)
-    of one `run_verify`.
+    """(exit code, (starts, nodes) of each lattice read, points of each direct
+    kernel call) of one `run_verify`.
 
     The anchored lattice read is counted, and so is every direct entry
     that reads Ai for a state: `airy_ai_and_prime`, through which the
@@ -790,7 +808,7 @@ def _count_kernel_reads(monkeypatch, cfg):
 
     monkeypatch.setattr(spectrum, "airy_ai_and_prime_lattice",
                         counting(lattice, spectrum.airy_ai_and_prime_lattice,
-                                 lambda c, h, ks: len(ks)))
+                                 lambda c, h, ks: (np.size(c), len(ks))))
     monkeypatch.setattr(airy, "airy_ai_and_prime",
                         counting(direct, airy.airy_ai_and_prime, np.size))
     for name in ("airy_ai_and_prime", "_ai_scalar"):
@@ -801,23 +819,27 @@ def _count_kernel_reads(monkeypatch, cfg):
 def test_default_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp_path):
     # 6 levels x 3 times, each read once at t on the 3203 nodes k = -1 ...
     # 3201, Ai and Ai' together, with the kernel read at the 51 anchors
-    # k = 0, 64, ..., 3200: 18 lattice reads of 57,654 nodes, 918 kernel points
+    # k = 0, 64, ..., 3200: one lattice read per t of the 6 levels' starts,
+    # 3 reads of 57,654 nodes in all, each with one kernel call of 6 x 51
+    # points, 918 kernel points in all
     cfg = cli.RunConfig(profile=TimeProfile.from_config(cli._DEFAULT_PROFILE),
                         out_dir=tmp_path)
-    assert _count_kernel_reads(monkeypatch, cfg) == (0, [3203] * 18, [51] * 18)
+    assert _count_kernel_reads(monkeypatch, cfg) == (0, [(6, 3203)] * 3, [306] * 3)
 
 
 def test_verify_and_solve_at_one_dx_build_one_step_matrix(tmp_path):
-    # the lattice read's step matrix is cached per step h: a default verify,
-    # then a solve on the same grid, build it once (its cache's misses count
-    # the builds), and a further read at that h builds nothing
+    # the lattice read's step matrix is cached per step h: a default verify
+    # (one lattice read per t), then a solve of two states on the same grid
+    # (two reads each), build it once (its cache's misses count the
+    # builds, its hits the other 6 reads), and a further read at that h
+    # builds nothing
     airy._step_matrix.cache_clear()
     cfg = cli.RunConfig(profile=TimeProfile.from_config(cli._DEFAULT_PROFILE),
                         out_dir=tmp_path)
     assert cli.run_verify(cfg) == 0
     assert cli.run_solve(dataclasses.replace(cfg, levels=(0, 3), times=(0.3,))) == 0
     built = airy._step_matrix.cache_info()
-    assert built.misses == 1 and built.hits >= 19
+    assert built.misses == 1 and built.hits >= 6
     airy.airy_ai_and_prime_lattice(-2.0 + 0.5j, cfg.dx, range(-100, 900))
     again = airy._step_matrix.cache_info()
     assert (again.misses, again.hits) == (1, built.hits + 1)
@@ -825,13 +847,14 @@ def test_verify_and_solve_at_one_dx_build_one_step_matrix(tmp_path):
 
 def test_tiny_mass_verify_evaluates_each_state_once_per_instant(monkeypatch, tmp_path):
     # m0 = 1e-3: the kernel argument moves by about 5e-2 over one d/dt step
-    # at t = 0.01, and the state is still read once per (n, t).  The default
-    # dx is too coarse for the tdse rows of this profile, so the run exits 1
+    # at t = 0.01, and the state is still read once per (n, t), in one
+    # lattice read per t of both levels.  The default dx is too coarse for
+    # the tdse rows of this profile, so the run exits 1
     profile = TimeProfile.from_config({"window": 0.1, "mass": {"family": "constant", "m0": 1e-3},
                                        "coupling": {"family": "constant", "f0": 1.0}})
     cfg = cli.RunConfig(profile=profile, levels=(0, 1), times=(0.002, 0.005, 0.01),
                         out_dir=tmp_path)
-    assert _count_kernel_reads(monkeypatch, cfg) == (1, [3203] * 6, [51] * 6)
+    assert _count_kernel_reads(monkeypatch, cfg) == (1, [(2, 3203)] * 3, [102] * 3)
 
 
 def test_tdse_residual_wrong_coupling_sign_fails():
